@@ -33,7 +33,7 @@ from .evaluation import (
     win_tie_loss,
 )
 from .experiment import ExperimentConfig, grid_search, load_config, run_experiment
-from .fusion import RrfParams, early_fusion, fuse_runs, late_fusion, rerank, rerank_run, rrf_fuse
+from .fusion import RrfParams, early_fusion, fuse_runs, rerank, rerank_run, rrf_fuse
 from .index import Bm25Params, InvertedIndex, Searcher, build_index
 from .runs import RankedEntry, RankedList, read_run, write_run
 from .tokenization import TokenizerConfig, porter_stem, tokenize
@@ -70,7 +70,6 @@ __all__ = [
     "grid_search",
     "hqe_rewrite",
     "jaccard",
-    "late_fusion",
     "load_config",
     "load_external_rewrites",
     "load_passages",

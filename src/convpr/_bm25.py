@@ -1,50 +1,18 @@
-"""BM25 scoring kernels: numba-accelerated with a pure-numpy fallback.
+"""BM25 scoring kernels over the flat postings layout of index.InvertedIndex.
 
-The kernels accumulate term-at-a-time BM25 contributions over a flat
-postings layout (see index.InvertedIndex). Both backends perform the same
-IEEE operations term by term, so their outputs are bitwise identical.
-
-Backend selection: the ``CONVPR_BACKEND`` environment variable may be set
-to ``numba`` or ``numpy``; unset picks numba when importable, else numpy.
-``set_backend`` switches at runtime (used by tests and the benchmark).
+Both kernels work term at a time: each query term's posting slice is
+scored as one vectorized numpy expression.
 """
 
 from __future__ import annotations
 
-import os
 
-import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-_ENV_VAR = "CONVPR_BACKEND"
+def get_backend() -> str:
+    return "numpy"
 
 
-def _score_postings_loops(starts, ends, weights, doc_ords, tfs, len_norm, scores):
+def score_postings(starts, ends, weights, doc_ords, tfs, len_norm, scores) -> None:
     """scores[d] += w * tf / (tf + len_norm[d]) for each posting of each query term."""
-    for t in range(starts.shape[0]):
-        w = weights[t]
-        for i in range(starts[t], ends[t]):
-            d = doc_ords[i]
-            tf = tfs[i]
-            scores[d] += w * tf / (tf + len_norm[d])
-
-
-def _max_posting_loops(start, end, weight, doc_ords, tfs, len_norm):
-    best = 0.0
-    for i in range(start, end):
-        c = weight * tfs[i] / (tfs[i] + len_norm[doc_ords[i]])
-        if c > best:
-            best = c
-    return best
-
-
-def _score_postings_numpy(starts, ends, weights, doc_ords, tfs, len_norm, scores):
     for t in range(starts.shape[0]):
         s, e = starts[t], ends[t]
         d = doc_ords[s:e]
@@ -54,56 +22,10 @@ def _score_postings_numpy(starts, ends, weights, doc_ords, tfs, len_norm, scores
         scores[d] += weights[t] * tf / (tf + len_norm[d])
 
 
-def _max_posting_numpy(start, end, weight, doc_ords, tfs, len_norm):
+def max_posting_score(start, end, weight, doc_ords, tfs, len_norm) -> float:
+    """The largest single-posting contribution of one term; 0.0 if it has none."""
     if end <= start:
         return 0.0
     d = doc_ords[start:end]
     tf = tfs[start:end]
-    contrib = weight * tf / (tf + len_norm[d])
-    return float(contrib.max())
-
-
-_BACKENDS = {"numpy": (_score_postings_numpy, _max_posting_numpy)}
-
-if HAVE_NUMBA:
-    _BACKENDS["numba"] = (
-        njit(cache=True)(_score_postings_loops),
-        njit(cache=True)(_max_posting_loops),
-    )
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def _resolve_default() -> str:
-    requested = os.environ.get(_ENV_VAR, "").strip().lower()
-    if requested:
-        if requested not in _BACKENDS:
-            raise ValueError(
-                f"{_ENV_VAR}={requested!r} is not available; choose from {available_backends()}"
-            )
-        return requested
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_active = _resolve_default()
-
-
-def get_backend() -> str:
-    return _active
-
-
-def set_backend(name: str) -> None:
-    global _active
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; choose from {available_backends()}")
-    _active = name
-
-
-def score_postings(starts, ends, weights, doc_ords, tfs, len_norm, scores) -> None:
-    _BACKENDS[_active][0](starts, ends, weights, doc_ords, tfs, len_norm, scores)
-
-
-def max_posting_score(start, end, weight, doc_ords, tfs, len_norm) -> float:
-    return float(_BACKENDS[_active][1](start, end, weight, doc_ords, tfs, len_norm))
+    return float((weight * tf / (tf + len_norm[d])).max())

@@ -7,21 +7,15 @@ malformed config or data files), 2 for unexpected runtime failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
 
 import yaml
 
-from . import _bm25
 from .corpus import load_passages, load_sessions
-from .cqr import (
-    HQE_RERANK_DEFAULTS,
-    HQE_RETRIEVAL_DEFAULTS,
-    HqeParams,
-    load_external_rewrites,
-    write_rewrites,
-)
+from .cqr import HQE_RERANK_DEFAULTS, HQE_RETRIEVAL_DEFAULTS, load_external_rewrites, write_rewrites
 from .evaluation import (
     DEFAULT_METRICS,
     DEFAULT_TIE_EPSILON,
@@ -33,7 +27,8 @@ from .evaluation import (
     win_tie_loss,
 )
 from .experiment import (
-    MethodSpec,
+    _method_from_dict,
+    fuse_variants,
     grid_search,
     load_config,
     reformulate_method,
@@ -49,6 +44,13 @@ logger = logging.getLogger("convpr")
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Every (sub)command takes -v, so it may come before or after the
+        # subcommand; SUPPRESS keeps a subcommand from resetting it.
+        self.add_argument("-v", "--verbose", action="store_true", default=argparse.SUPPRESS,
+                          help="log progress to stderr")
+
     # argparse exits 2 on bad usage; our contract reserves 2 for runtime
     # failures, so downgrade usage errors to the validation code.
     def error(self, message):
@@ -73,6 +75,14 @@ def cmd_index_build(args) -> int:
 
 
 def cmd_reformulate(args) -> int:
+    preset = HQE_RERANK_DEFAULTS if args.hqe_preset == "rerank" else HQE_RETRIEVAL_DEFAULTS
+    hqe = dataclasses.asdict(preset)
+    hqe.update((key, getattr(args, key)) for key in hqe if getattr(args, key) is not None)
+    optional = {"m_window": args.m_window, "rewrites": args.rewrites, "pos_annotations": args.pos}
+    raw = {"name": args.method, "type": args.method, "hqe": hqe}
+    raw.update((key, value) for key, value in optional.items() if value is not None)
+    spec = _method_from_dict(Path("."), raw, "reformulate")
+
     sessions = load_sessions(args.topics)
     searcher = None
     tokenizer = TokenizerConfig()
@@ -82,25 +92,6 @@ def cmd_reformulate(args) -> int:
         index = InvertedIndex.load(args.index)
         tokenizer = index.tokenizer
         searcher = Searcher(index, Bm25Params(k1=args.k1, b=args.b))
-    if args.method == "external" and not args.rewrites:
-        raise ValueError("--rewrites is required for method external")
-
-    preset = HQE_RERANK_DEFAULTS if args.hqe_preset == "rerank" else HQE_RETRIEVAL_DEFAULTS
-    hqe = HqeParams(
-        r_topic=preset.r_topic if args.r_topic is None else args.r_topic,
-        r_sub=preset.r_sub if args.r_sub is None else args.r_sub,
-        eta=preset.eta if args.eta is None else args.eta,
-        m_window=preset.m_window if args.m_window is None else args.m_window,
-    )
-    m_window = args.m_window  # concat default handled by MethodSpec
-    spec = MethodSpec(
-        name=args.method,
-        type=args.method,
-        m_window=m_window if m_window is not None else MethodSpec.m_window,
-        hqe=hqe,
-        rewrites=Path(args.rewrites) if args.rewrites else None,
-        pos_annotations=Path(args.pos) if args.pos else None,
-    )
     queries = reformulate_method(spec, sessions, searcher, tokenizer)
     write_rewrites(args.out, queries)
     print(f"wrote {len(queries)} rewrites -> {args.out}")
@@ -113,7 +104,7 @@ def cmd_retrieve(args) -> int:
     queries = load_external_rewrites(args.queries, index.tokenizer)
     run = retrieve_all(searcher, queries.values(), args.k)
     write_run(args.out, run, tag=args.tag)
-    print(f"retrieved top-{args.k} for {len(run)} queries -> {args.out} (backend: {_bm25.get_backend()})")
+    print(f"retrieved top-{args.k} for {len(run)} queries -> {args.out}")
     return 0
 
 
@@ -135,13 +126,7 @@ def cmd_rerank(args) -> int:
 
 def cmd_pipeline(args) -> int:
     runs = [read_run(p) for p in args.runs]
-    fused = fuse_runs(runs, RrfParams(k=args.k), args.depth)
-    if args.mode == "early":
-        if not args.scores:
-            raise ValueError("pipeline --mode early needs --scores to rerank the fused list")
-        fused = rerank_run(fused, load_rerank_scores(args.scores))
-    elif args.scores:
-        raise ValueError("pipeline --mode late fuses already-reranked runs; drop --scores")
+    fused = fuse_variants(args.mode, runs, RrfParams(k=args.k), args.depth, args.scores)
     write_run(args.out, fused, tag=f"{args.mode}-fusion")
     print(f"{args.mode} fusion of {len(runs)} runs over {len(fused)} qids -> {args.out}")
     return 0
@@ -295,7 +280,7 @@ def cmd_grid(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="convpr", description="Conversational passage retrieval toolkit")
-    parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
+    parser.set_defaults(verbose=False)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("index", help="build an inverted index")

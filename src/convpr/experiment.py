@@ -14,10 +14,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import yaml
 
@@ -60,16 +61,14 @@ class MethodSpec:
     def uses_pos(self) -> bool:
         return self.type.endswith("-pos")
 
-    @property
-    def needs_index(self) -> bool:
-        return self.type in ("hqe", "hqe-pos")
-
 
 @dataclass(frozen=True)
 class FusionSpec:
     mode: str
     methods: tuple[str, ...]
     rerank_with: str | None = None
+    # Scores that rerank the early-fused run (fusion.rerank_scores, else the
+    # rerank_with method's); None for late fusion.
     rerank_scores: Path | None = None
 
 
@@ -122,28 +121,30 @@ def _build(cls, mapping: Mapping, what: str):
         raise ValueError(f"config: bad {what}: {exc}") from None
 
 
-def _method_from_dict(base: Path, raw: Mapping, idx: int) -> MethodSpec:
-    _require(isinstance(raw, Mapping), f"config: methods[{idx}] must be a mapping")
-    _require("name" in raw and "type" in raw, f"config: methods[{idx}] needs 'name' and 'type'")
+def _method_from_dict(base: Path, raw: Mapping, where: str) -> MethodSpec:
+    """Validate one method mapping (a config ``methods`` entry, or the
+    reformulate command's arguments) into a MethodSpec. Relative paths
+    resolve against ``base``; ``where`` names the entry in error messages."""
+    _require(isinstance(raw, Mapping), f"config: {where} must be a mapping")
+    _require("name" in raw and "type" in raw, f"config: {where} needs 'name' and 'type'")
     name, mtype = str(raw["name"]), str(raw["type"])
     _require(
         mtype in METHOD_TYPES,
-        f"config: methods[{idx}] ({name}): unknown type {mtype!r}, expected one of {METHOD_TYPES}",
+        f"config: {where} ({name}): unknown type {mtype!r}, expected one of {METHOD_TYPES}",
     )
-    hqe = _build(HqeParams, raw["hqe"], f"methods[{idx}].hqe") if "hqe" in raw else HqeParams()
+
+    def path_of(key: str) -> Path:
+        return _existing(_as_path(base, raw[key], f"{where}.{key}"), key)
+
+    hqe = _build(HqeParams, raw["hqe"], f"{where}.hqe") if "hqe" in raw else HqeParams()
     rewrites = pos = scores = None
     if mtype == "external":
-        _require("rewrites" in raw, f"config: methods[{idx}] ({name}): external needs 'rewrites'")
-        rewrites = _existing(_as_path(base, raw["rewrites"], f"methods[{idx}].rewrites"), "rewrites")
+        _require("rewrites" in raw, f"config: {where} ({name}): external needs 'rewrites'")
+        rewrites = path_of("rewrites")
     if "pos_annotations" in raw:
-        pos = _existing(
-            _as_path(base, raw["pos_annotations"], f"methods[{idx}].pos_annotations"),
-            "pos_annotations",
-        )
+        pos = path_of("pos_annotations")
     if "rerank_scores" in raw:
-        scores = _existing(
-            _as_path(base, raw["rerank_scores"], f"methods[{idx}].rerank_scores"), "rerank_scores"
-        )
+        scores = path_of("rerank_scores")
     return MethodSpec(
         name=name,
         type=mtype,
@@ -185,7 +186,7 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
     _require(isinstance(raw["methods"], list), "config: methods must be a list of mappings")
     for key in ("bm25", "rrf", "tokenizer"):
         _require(isinstance(raw.get(key, {}), dict), f"config: {key} must be a mapping")
-    methods = [_method_from_dict(base, m, i) for i, m in enumerate(raw["methods"])]
+    methods = [_method_from_dict(base, m, f"methods[{i}]") for i, m in enumerate(raw["methods"])]
     _require(len(methods) > 0, "config: methods must not be empty")
     names = [m.name for m in methods]
     _require(len(set(names)) == len(names), f"config: duplicate method names in {names}")
@@ -211,13 +212,15 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
                     _as_path(base, fraw["rerank_scores"], "fusion.rerank_scores"), "rerank_scores"
                 )
             if mode == "early":
+                if scores is None and rerank_with in by_name:
+                    scores = by_name[rerank_with].rerank_scores
                 _require(
-                    scores is not None
-                    or (rerank_with in by_name and by_name[rerank_with].rerank_scores is not None),
+                    scores is not None,
                     "config: early fusion needs fusion.rerank_scores or a rerank_with method "
                     "that has rerank_scores",
                 )
             else:
+                scores = None
                 for fm in fmethods:
                     _require(
                         by_name[fm].rerank_scores is not None,
@@ -276,8 +279,19 @@ def _index_key(config: ExperimentConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _ensure_index(config: ExperimentConfig, cache_dir: Path) -> InvertedIndex:
-    key = _index_key(config)
+def _write_atomically(path: Path, write: Callable[[Path], None]) -> None:
+    """Have ``write`` fill a temp file beside ``path``, then rename it into
+    place, so an interrupted write never leaves a short ``path`` behind."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _ensure_index(config: ExperimentConfig, cache_dir: Path, key: str) -> InvertedIndex:
     index_dir = cache_dir / f"index-{key}"
     if (index_dir / "meta.json").exists():
         logger.info("loading cached index %s", index_dir)
@@ -288,14 +302,35 @@ def _ensure_index(config: ExperimentConfig, cache_dir: Path) -> InvertedIndex:
     return index
 
 
-def _ke_cache_path(cache_dir: Path, config: ExperimentConfig) -> Path:
+def _ke_cache_path(cache_dir: Path, index_key: str, bm25: Bm25Params) -> Path:
+    key = hashlib.sha256(
+        json.dumps({"index": index_key, "k1": bm25.k1, "b": bm25.b}, sort_keys=True).encode()
+    ).hexdigest()[:16]
+    return cache_dir / f"ke-{key}.json"
+
+
+def _run_cache_path(
+    cache_dir: Path, index_key: str, config: ExperimentConfig, method: MethodSpec
+) -> Path:
+    hqe = method.hqe
     key = hashlib.sha256(
         json.dumps(
-            {"index": _index_key(config), "k1": config.bm25.k1, "b": config.bm25.b},
+            {
+                "index": index_key,
+                "bm25": [config.bm25.k1, config.bm25.b],
+                "depth": config.depth,
+                "method": {
+                    "type": method.type,
+                    "m_window": method.m_window,
+                    "hqe": [hqe.r_topic, hqe.r_sub, hqe.eta, hqe.m_window],
+                    "rewrites": _file_digest(method.rewrites) if method.rewrites else None,
+                    "pos": _file_digest(method.pos_annotations) if method.pos_annotations else None,
+                },
+            },
             sort_keys=True,
         ).encode()
     ).hexdigest()[:16]
-    return cache_dir / f"ke-{key}.json"
+    return cache_dir / f"run-{key}.run"
 
 
 def _load_ke_cache(searcher: Searcher, path: Path) -> None:
@@ -313,9 +348,35 @@ def _load_ke_cache(searcher: Searcher, path: Path) -> None:
 def _save_ke_cache(searcher: Searcher, path: Path) -> None:
     terms = searcher.index.terms
     payload = {terms[tid]: score for tid, score in searcher._term_max.items()}
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(payload, sort_keys=True) + "\n"
+    _write_atomically(path, lambda tmp: tmp.write_text(text, encoding="utf-8", newline="\n"))
+
+
+@dataclass
+class _Workspace:
+    """What every experiment-style command loads before its first query."""
+
+    sessions: list[Session]
+    qrels: Qrels
+    searcher: Searcher
+    cache_dir: Path
+    index_key: str
+    ke_path: Path
+
+
+def _open_workspace(config: ExperimentConfig) -> _Workspace:
+    """Load topics and qrels, and the index and keyword-extractor scores
+    from ``output_dir/cache`` (building the index on a miss). The corpus is
+    hashed once here; everything downstream reuses ``index_key``."""
+    cache_dir = config.output_dir / "cache"
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    sessions = load_sessions(config.topics)
+    qrels = load_qrels(config.qrels)
+    index_key = _index_key(config)
+    searcher = Searcher(_ensure_index(config, cache_dir, index_key), config.bm25)
+    ke_path = _ke_cache_path(cache_dir, index_key, config.bm25)
+    _load_ke_cache(searcher, ke_path)
+    return _Workspace(sessions, qrels, searcher, cache_dir, index_key, ke_path)
 
 
 # -- reformulation and retrieval ----------------------------------------------
@@ -337,15 +398,11 @@ def reformulate_method(
     sessions: Sequence[Session],
     searcher: Searcher | None,
     tokenizer: TokenizerConfig,
-    hqe_override: HqeParams | None = None,
-    m_window_override: int | None = None,
 ) -> list[ReformulatedQuery]:
     """Produce one rewrite per turn, session by session."""
     pos = _pos_for(method)
     out: list[ReformulatedQuery] = []
     external = load_external_rewrites(method.rewrites, tokenizer) if method.type == "external" else None
-    hqe_params = hqe_override or method.hqe
-    m_window = method.m_window if m_window_override is None else m_window_override
     for session in sessions:
         for i in range(1, len(session.utterances) + 1):
             prefix = session.utterances[:i]
@@ -353,10 +410,10 @@ def reformulate_method(
             if method.type == "raw":
                 out.append(raw_query(current, tokenizer))
             elif method.type in ("concat", "concat-pos"):
-                out.append(concat_rewrite(prefix, m_window, pos, tokenizer))
+                out.append(concat_rewrite(prefix, method.m_window, pos, tokenizer))
             elif method.type in ("hqe", "hqe-pos"):
                 assert searcher is not None
-                out.append(hqe_rewrite(searcher, prefix, hqe_params, pos))
+                out.append(hqe_rewrite(searcher, prefix, method.hqe, pos))
             else:
                 if current.qid not in external:
                     raise ValueError(
@@ -370,6 +427,30 @@ def retrieve_all(
     searcher: Searcher, queries: Iterable[ReformulatedQuery], depth: int
 ) -> dict[str, RankedList]:
     return {q.qid: searcher.search(list(q.tokens), k=depth, qid=q.qid) for q in queries}
+
+
+def fuse_variants(
+    mode: str,
+    runs: Sequence[Mapping[str, RankedList]],
+    rrf: RrfParams,
+    depth: int,
+    rerank_scores: str | Path | None = None,
+) -> dict[str, RankedList]:
+    """Fuse query-variant runs in one of the paper's two pipeline shapes.
+
+    ``early``: ``runs`` are first-stage runs; their RRF fusion is reranked
+    once with ``rerank_scores``. ``late``: ``runs`` are already reranked
+    and are only fused, so ``rerank_scores`` must be None.
+    """
+    if mode == "early":
+        if rerank_scores is None:
+            raise ValueError("early fusion needs rerank scores for the fused run")
+        return rerank_run(fuse_runs(runs, rrf, depth), load_rerank_scores(rerank_scores))
+    if mode == "late":
+        if rerank_scores is not None:
+            raise ValueError("late fusion fuses already-reranked runs and takes no rerank scores")
+        return fuse_runs(runs, rrf, depth)
+    raise ValueError(f"unknown fusion mode {mode!r}; expected early or late")
 
 
 # -- the experiment -------------------------------------------------------------
@@ -386,24 +467,18 @@ class ExperimentResult:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     out_dir = config.output_dir
-    cache_dir = out_dir / "cache"
     runs_dir = out_dir / "runs"
     rewrites_dir = out_dir / "rewrites"
-    for d in (cache_dir, runs_dir, rewrites_dir):
+    for d in (runs_dir, rewrites_dir):
         d.mkdir(parents=True, exist_ok=True)
 
     chash = config.config_hash()
     logger.info("config hash %s", chash)
     (out_dir / "config_hash.txt").write_text(chash + "\n", encoding="utf-8")
 
-    sessions = load_sessions(config.topics)
-    qrels = load_qrels(config.qrels)
-    index = _ensure_index(config, cache_dir)
-    searcher = Searcher(index, config.bm25)
-    ke_path = _ke_cache_path(cache_dir, config)
-    _load_ke_cache(searcher, ke_path)
+    ws = _open_workspace(config)
+    searcher = ws.searcher
 
-    method_runs: dict[str, dict[str, RankedList]] = {}
     final_runs: dict[str, dict[str, RankedList]] = {}
     run_files: dict[str, Path] = {}
 
@@ -411,28 +486,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         path = runs_dir / f"{name}.run"
         write_run(path, run, tag=name)
         run_files[name] = path
+        final_runs[name] = run
 
     for method in config.methods:
-        run_key = hashlib.sha256(
-            json.dumps(
-                {
-                    "index": _index_key(config),
-                    "bm25": [config.bm25.k1, config.bm25.b],
-                    "depth": config.depth,
-                    "method": {
-                        "type": method.type,
-                        "m_window": method.m_window,
-                        "hqe": [method.hqe.r_topic, method.hqe.r_sub, method.hqe.eta, method.hqe.m_window],
-                        "rewrites": _file_digest(method.rewrites) if method.rewrites else None,
-                        "pos": _file_digest(method.pos_annotations) if method.pos_annotations else None,
-                    },
-                },
-                sort_keys=True,
-            ).encode()
-        ).hexdigest()[:16]
-        cached_run = cache_dir / f"run-{run_key}.run"
-
-        queries = reformulate_method(method, sessions, searcher, config.tokenizer)
+        cached_run = _run_cache_path(ws.cache_dir, ws.index_key, config, method)
+        queries = reformulate_method(method, ws.sessions, searcher, config.tokenizer)
         write_rewrites(rewrites_dir / f"{method.name}.tsv", queries)
 
         if cached_run.exists():
@@ -440,37 +498,31 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             run = read_run(cached_run)
         else:
             run = retrieve_all(searcher, queries, config.depth)
-            write_run(cached_run, run, tag=method.name)
-        method_runs[method.name] = run
+            _write_atomically(cached_run, lambda tmp: write_run(tmp, run, tag=method.name))
         emit(method.name, run)
-        final_runs[method.name] = run
 
         if method.rerank_scores is not None:
             scores = load_rerank_scores(method.rerank_scores)
-            reranked = rerank_run(run, scores)
-            emit(f"{method.name}+rerank", reranked)
-            final_runs[f"{method.name}+rerank"] = reranked
+            emit(f"{method.name}+rerank", rerank_run(run, scores))
 
-    _save_ke_cache(searcher, ke_path)
+    _save_ke_cache(searcher, ws.ke_path)
 
-    if config.fusion is not None and config.fusion.mode != "none":
-        spec = config.fusion
-        if spec.mode == "early":
-            fused = fuse_runs([method_runs[m] for m in spec.methods], config.rrf, config.depth)
-            scores_path = spec.rerank_scores
-            if scores_path is None:
-                by_name = {m.name: m for m in config.methods}
-                scores_path = by_name[spec.rerank_with].rerank_scores
-            fused = rerank_run(fused, load_rerank_scores(scores_path))
-        else:
-            fused = fuse_runs(
-                [final_runs[f"{m}+rerank"] for m in spec.methods], config.rrf, config.depth
-            )
+    spec = config.fusion
+    if spec is not None and spec.mode != "none":
+        # Early fusion takes each method's first-stage run, late fusion its
+        # reranked one.
+        suffix = "" if spec.mode == "early" else "+rerank"
+        fused = fuse_variants(
+            spec.mode,
+            [final_runs[m + suffix] for m in spec.methods],
+            config.rrf,
+            config.depth,
+            spec.rerank_scores,
+        )
         emit(FUSED_RUN_NAME, fused)
-        final_runs[FUSED_RUN_NAME] = fused
 
     reports = {
-        name: evaluate_run(run, qrels, config.metrics, config.depth)
+        name: evaluate_run(run, ws.qrels, config.metrics, config.depth)
         for name, run in final_runs.items()
     }
 
@@ -535,39 +587,21 @@ def grid_search(
     _require(len(grid) > 0, "grid: no parameters given")
 
     depth = depth or config.depth
-    cache_dir = config.output_dir / "cache"
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    sessions = load_sessions(config.topics)
-    qrels = load_qrels(config.qrels)
-    index = _ensure_index(config, cache_dir)
-    searcher = Searcher(index, config.bm25)
-    ke_path = _ke_cache_path(cache_dir, config)
-    _load_ke_cache(searcher, ke_path)
-
+    ws = _open_workspace(config)
     keys = sorted(grid)
     rows: list[dict] = []
     for values in product(*(grid[k] for k in keys)):
         point = dict(zip(keys, values))
         if method.type in ("hqe", "hqe-pos"):
-            hqe_kwargs = {
-                "r_topic": method.hqe.r_topic,
-                "r_sub": method.hqe.r_sub,
-                "eta": method.hqe.eta,
-                "m_window": method.hqe.m_window,
-            }
-            hqe_kwargs.update(point)
-            hqe_kwargs["m_window"] = int(hqe_kwargs["m_window"])
-            queries = reformulate_method(
-                method, sessions, searcher, config.tokenizer, hqe_override=HqeParams(**hqe_kwargs)
-            )
+            hqe = {**point, "m_window": int(point.get("m_window", method.hqe.m_window))}
+            variant = replace(method, hqe=replace(method.hqe, **hqe))
         else:
-            queries = reformulate_method(
-                method, sessions, searcher, config.tokenizer, m_window_override=int(point["m_window"])
-            )
-        run = retrieve_all(searcher, queries, depth)
-        report = evaluate_run(run, qrels, (f"recall@{depth}", "map"), depth)
+            variant = replace(method, m_window=int(point["m_window"]))
+        queries = reformulate_method(variant, ws.sessions, ws.searcher, config.tokenizer)
+        run = retrieve_all(ws.searcher, queries, depth)
+        report = evaluate_run(run, ws.qrels, (f"recall@{depth}", "map"), depth)
         means = report.means
         rows.append({**point, "recall": means[f"recall@{depth}"], "map": means["map"]})
-    _save_ke_cache(searcher, ke_path)
+    _save_ke_cache(ws.searcher, ws.ke_path)
     rows.sort(key=lambda r: tuple(r[k] for k in keys))
     return rows

@@ -90,15 +90,6 @@ def rerank(ranked: RankedList, scores: RerankScores) -> RankedList:
     return RankedList.from_scores(ranked.qid, rescored)
 
 
-def late_fusion(
-    reranked_lists: Sequence[RankedList],
-    params: RrfParams | None = None,
-    depth: int = DEFAULT_FUSION_DEPTH,
-) -> RankedList:
-    """Fuse the final (already reranked) lists of each query variant."""
-    return rrf_fuse(reranked_lists, params, depth)
-
-
 def early_fusion(
     first_stage_lists: Sequence[RankedList],
     rerank_scores: RerankScores,

@@ -5,15 +5,11 @@ from convpr.corpus import Passage
 from convpr.index import build_index
 
 
-@pytest.fixture(params=["numpy", "numba"])
-def backend(request):
-    """Run a test under each scoring backend."""
-    if request.param not in _bm25.available_backends():
-        pytest.skip(f"{request.param} backend unavailable")
-    previous = _bm25.get_backend()
-    _bm25.set_backend(request.param)
-    yield request.param
-    _bm25.set_backend(previous)
+@pytest.fixture(params=[_bm25.get_backend()])
+def kernel(request):
+    """The BM25 scoring kernel the index tests run under. There is one
+    (numpy); the parameter keeps those tests' ids (``[numpy]``) stable."""
+    return request.param
 
 
 def passages_from(docs: dict[str, list[str]]) -> list[Passage]:

@@ -1,0 +1,69 @@
+"""The benchmark in perfbench/ wraps convpr functions by name from outside
+the package; these checks keep a refactor from silently breaking it."""
+
+import importlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import tracer  # noqa: E402
+import workloads  # noqa: E402
+
+from convpr import _bm25  # noqa: E402
+
+# Names the tracer wraps, including the re-imports that experiment.py looks
+# up in its own namespace.
+TARGETS = (
+    "_bm25.score_postings",
+    "_bm25.max_posting_score",
+    "experiment.build_index",
+    "experiment.load_passages",
+    "experiment.load_sessions",
+    "experiment.fuse_runs",
+    "experiment.rerank_run",
+    "experiment.load_rerank_scores",
+    "experiment.write_run",
+    "experiment.read_run",
+    "experiment.evaluate_run",
+    "experiment.run_experiment",
+    "index.Searcher.search",
+    "index.Searcher.max_score",
+    "index.Searcher.max_score_term",
+)
+
+
+def _resolve(target):
+    module_name, _, attr = target.rpartition(".")
+    try:
+        owner = importlib.import_module("convpr." + module_name)
+    except ModuleNotFoundError:
+        module_name, _, cls = module_name.rpartition(".")
+        owner = getattr(importlib.import_module("convpr." + module_name), cls)
+    return getattr(owner, attr)
+
+
+def test_tracer_install_patches_every_target_and_restores():
+    originals = {t: _resolve(t) for t in TARGETS}
+    t = tracer.Tracer()
+    try:
+        tracer.install(t, 12.5)
+        for target in TARGETS:
+            assert _resolve(target) is not originals[target], target
+    finally:
+        t.restore()
+    for target in TARGETS:
+        assert _resolve(target) is originals[target], target
+
+
+def test_workload_counters_resolve():
+    t = tracer.Tracer()
+    try:
+        for workload in workloads.WORKLOADS.values():
+            tracer.install_counters(t, workload.counters)
+    finally:
+        t.restore()
+
+
+def test_backend_reported_to_the_benchmark():
+    assert _bm25.get_backend() == "numpy"

@@ -102,6 +102,16 @@ def test_experiment_and_grid_subcommands(workdir, capsys):
     assert len(lines) == 3
 
 
+def test_verbose_flag_accepted_after_subcommand(workdir, capsys):
+    assert _run("experiment", "-v", "--config", workdir / "config.yaml",
+                "--output-dir", workdir / "out") == 0
+    assert "config hash" in capsys.readouterr().out
+    assert _run("index", "build", "--input", workdir / "corpus.tsv",
+                "--output", workdir / "idx", "--verbose") == 0
+    assert _run("-v", "index", "-v", "build", "--input", workdir / "corpus.tsv",
+                "--output", workdir / "idx2") == 0
+
+
 def test_jsonl_index_build(tmp_path):
     src = tmp_path / "c.jsonl"
     src.write_text('{"id": "d1", "contents": "alpha beta"}\n', encoding="utf-8")

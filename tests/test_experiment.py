@@ -159,6 +159,43 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (tmp_path / "one" / rel).read_bytes() == data, rel
 
 
+def _outputs(base):
+    return {
+        p.relative_to(base): p.read_bytes()
+        for p in sorted(base.rglob("*"))
+        if p.is_file() and "cache" not in p.parts
+    }
+
+
+def test_interrupted_cache_write_is_not_reused(tmp_path, monkeypatch):
+    """A first-stage run cut off while being cached must not be picked up
+    as a complete cached run by the next experiment."""
+    import convpr.experiment as experiment
+
+    real_write_run = experiment.write_run
+
+    def write_then_fail(path, run, tag="convpr"):
+        if "cache" not in Path(path).parts:
+            return real_write_run(path, run, tag=tag)
+        first_qid = next(iter(run))
+        real_write_run(path, {first_qid: run[first_qid]}, tag=tag)
+        raise OSError("simulated crash mid-write")
+
+    config = load_config(FIXTURES / "config.yaml", {"output_dir": str(tmp_path / "crash")})
+    with monkeypatch.context() as m:
+        m.setattr(experiment, "write_run", write_then_fail)
+        with pytest.raises(OSError, match="simulated crash"):
+            run_experiment(config)
+    cache = tmp_path / "crash" / "cache"
+    assert not list(cache.glob("run-*.run"))
+    assert not list(cache.glob("*.tmp"))
+
+    run_experiment(config)
+    clean = load_config(FIXTURES / "config.yaml", {"output_dir": str(tmp_path / "clean")})
+    run_experiment(clean)
+    assert _outputs(tmp_path / "crash") == _outputs(tmp_path / "clean")
+
+
 def test_config_hash_logged_and_written(fixture_config):
     result = run_experiment(fixture_config)
     recorded = (fixture_config.output_dir / "config_hash.txt").read_text(encoding="utf-8").strip()

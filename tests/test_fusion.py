@@ -6,7 +6,6 @@ from convpr.fusion import (
     RrfParams,
     early_fusion,
     fuse_runs,
-    late_fusion,
     load_rerank_scores,
     rerank,
     rerank_run,
@@ -168,7 +167,7 @@ def test_identical_inputs_equal_single_source_pipeline():
     fused = early_fusion([lst, lst, lst], scores)
     single = early_fusion([lst], scores)
     assert fused.doc_ids() == single.doc_ids()
-    assert late_fusion([lst, lst]).doc_ids() == lst.doc_ids()
+    assert rrf_fuse([lst, lst]).doc_ids() == lst.doc_ids()
 
 
 def test_disjoint_relevant_docs_union_recall():

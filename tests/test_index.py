@@ -3,7 +3,6 @@ import pytest
 
 import oracles
 from conftest import index_from, passages_from
-from convpr import _bm25
 from convpr.corpus import Passage
 from convpr.index import Bm25Params, InvertedIndex, Searcher, build_index
 
@@ -67,7 +66,7 @@ def test_rebuild_is_byte_identical(tmp_path):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes(), name
 
 
-def test_save_load_round_trip_preserves_results(tmp_path, backend):
+def test_save_load_round_trip_preserves_results(tmp_path, kernel):
     rng = np.random.default_rng(7)
     docs = oracles.random_corpus(rng, max_docs=30)
     index = index_from(docs)
@@ -86,12 +85,12 @@ def test_load_rejects_foreign_directory(tmp_path):
         InvertedIndex.load(tmp_path)
 
 
-def test_score_zero_without_overlap(backend):
+def test_score_zero_without_overlap(kernel):
     searcher = Searcher(index_from(TOY))
     assert searcher.score(["zebra", "xylophone"], "d1") == 0.0
 
 
-def test_score_linear_in_query_multiplicity(backend):
+def test_score_linear_in_query_multiplicity(kernel):
     searcher = Searcher(index_from(TOY))
     single = searcher.score(["cat"], "d1")
     assert searcher.score(["cat", "cat"], "d1") == 2.0 * single
@@ -103,7 +102,7 @@ def test_score_unknown_doc_is_an_error():
         searcher.score(["cat"], "nope")
 
 
-def test_score_matches_oracle_on_toy_corpus(backend):
+def test_score_matches_oracle_on_toy_corpus(kernel):
     params = Bm25Params()
     searcher = Searcher(index_from(TOY), params)
     for doc_id in TOY:
@@ -112,7 +111,7 @@ def test_score_matches_oracle_on_toy_corpus(backend):
         assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_search_respects_matching_subset(backend):
+def test_search_respects_matching_subset(kernel):
     docs = {f"d{i:03d}": ["filler", f"u{i}"] for i in range(100)}
     docs["d000"] = ["special", "filler"]
     docs["d001"] = ["special", "filler"]
@@ -121,7 +120,7 @@ def test_search_respects_matching_subset(backend):
     assert len(result) == 2
 
 
-def test_search_matches_oracle_ranking(backend):
+def test_search_matches_oracle_ranking(kernel):
     rng = np.random.default_rng(11)
     params = Bm25Params(k1=1.2, b=0.4)
     for _ in range(25):
@@ -135,7 +134,7 @@ def test_search_matches_oracle_ranking(backend):
             assert entry.score == pytest.approx(score, abs=1e-9)
 
 
-def test_search_k1_is_oracle_argmax(backend):
+def test_search_k1_is_oracle_argmax(kernel):
     rng = np.random.default_rng(13)
     docs = oracles.random_corpus(rng, max_docs=30)
     params = Bm25Params()
@@ -146,7 +145,7 @@ def test_search_k1_is_oracle_argmax(backend):
     assert got.doc_ids() == [d for d, _ in want]
 
 
-def test_search_prefix_consistency(backend):
+def test_search_prefix_consistency(kernel):
     rng = np.random.default_rng(17)
     docs = oracles.random_corpus(rng, max_docs=40)
     searcher = Searcher(index_from(docs))
@@ -162,12 +161,12 @@ def test_search_requires_positive_k():
         searcher.search(["cat"], k=0)
 
 
-def test_max_score_term_unindexed_is_zero(backend):
+def test_max_score_term_unindexed_is_zero(kernel):
     searcher = Searcher(index_from(TOY))
     assert searcher.max_score_term("zzz") == 0.0
 
 
-def test_max_score_term_equals_top1_and_oracle(backend):
+def test_max_score_term_equals_top1_and_oracle(kernel):
     params = Bm25Params()
     searcher = Searcher(index_from(TOY), params)
     for term in ("cat", "dog", "bird", "sat"):
@@ -179,18 +178,18 @@ def test_max_score_term_equals_top1_and_oracle(backend):
         assert value == searcher.max_score([term])
 
 
-def test_max_score_term_cache_consistent(backend):
+def test_max_score_term_cache_consistent(kernel):
     searcher = Searcher(index_from(TOY))
     first = searcher.max_score_term("cat")
     assert searcher.max_score_term("cat") == first
 
 
-def test_max_score_empty_stream_is_zero(backend):
+def test_max_score_empty_stream_is_zero(kernel):
     searcher = Searcher(index_from(TOY))
     assert searcher.max_score([]) == 0.0
 
 
-def test_max_score_matches_oracle(backend):
+def test_max_score_matches_oracle(kernel):
     rng = np.random.default_rng(19)
     params = Bm25Params()
     for _ in range(20):
@@ -201,14 +200,14 @@ def test_max_score_matches_oracle(backend):
         assert searcher.max_score(query) == pytest.approx(want, abs=1e-9)
 
 
-def test_score_additive_over_query_partition(backend):
+def test_score_additive_over_query_partition(kernel):
     searcher = Searcher(index_from(TOY))
     q1, q2 = ["cat", "sat"], ["cat", "dog", "mat"]
     combined = searcher.score(q1 + q2, "d1")
     assert combined == pytest.approx(searcher.score(q1, "d1") + searcher.score(q2, "d1"), rel=1e-12)
 
 
-def test_tf_saturation_monotone(backend):
+def test_tf_saturation_monotone(kernel):
     # same length, same df; only the tf of "cat" differs
     docs = {
         "a": ["cat", "pad", "pad", "pad"],
@@ -220,31 +219,7 @@ def test_tf_saturation_monotone(backend):
     assert scores[0] < scores[1] < scores[2]
 
 
-def test_backends_agree_bitwise():
-    if "numba" not in _bm25.available_backends():
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(23)
-    previous = _bm25.get_backend()
-    try:
-        for _ in range(10):
-            docs = oracles.random_corpus(rng, max_docs=40)
-            index = index_from(docs)
-            query = oracles.random_query(rng)
-            results = {}
-            for name in ("numpy", "numba"):
-                _bm25.set_backend(name)
-                searcher = Searcher(index)
-                results[name] = (
-                    searcher.search(query, k=1000, qid="q").entries,
-                    searcher.max_score(query),
-                    searcher.max_score_term(query[0]),
-                )
-            assert results["numpy"] == results["numba"]
-    finally:
-        _bm25.set_backend(previous)
-
-
-def test_docid_tiebreak_is_ascending(backend):
+def test_docid_tiebreak_is_ascending(kernel):
     docs = {"z": ["same"], "a": ["same"], "m": ["same"]}
     searcher = Searcher(index_from(docs))
     assert searcher.search(["same"], k=10, qid="q").doc_ids() == ["a", "m", "z"]
