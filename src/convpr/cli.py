@@ -126,7 +126,8 @@ def cmd_rerank(args) -> int:
 
 def cmd_pipeline(args) -> int:
     runs = [read_run(p) for p in args.runs]
-    fused = fuse_variants(args.mode, runs, RrfParams(k=args.k), args.depth, args.scores)
+    scores = load_rerank_scores(args.scores) if args.scores else None
+    fused = fuse_variants(args.mode, runs, RrfParams(k=args.k), args.depth, scores)
     write_run(args.out, fused, tag=f"{args.mode}-fusion")
     print(f"{args.mode} fusion of {len(runs)} runs over {len(fused)} qids -> {args.out}")
     return 0

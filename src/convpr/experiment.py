@@ -11,6 +11,7 @@ sweep does not repeat work.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -35,7 +36,7 @@ from .cqr import (
     write_rewrites,
 )
 from .evaluation import DEFAULT_METRICS, MetricReport, Qrels, evaluate_run, load_qrels, parse_metric
-from .fusion import RrfParams, fuse_runs, load_rerank_scores, rerank_run
+from .fusion import RerankScores, RrfParams, fuse_runs, load_rerank_scores, rerank_run
 from .index import Bm25Params, InvertedIndex, Searcher, build_index
 from .runs import RankedList, read_run, write_run
 from .tokenization import TokenizerConfig
@@ -434,18 +435,19 @@ def fuse_variants(
     runs: Sequence[Mapping[str, RankedList]],
     rrf: RrfParams,
     depth: int,
-    rerank_scores: str | Path | None = None,
+    rerank_scores: RerankScores | None = None,
 ) -> dict[str, RankedList]:
     """Fuse query-variant runs in one of the paper's two pipeline shapes.
 
     ``early``: ``runs`` are first-stage runs; their RRF fusion is reranked
-    once with ``rerank_scores``. ``late``: ``runs`` are already reranked
-    and are only fused, so ``rerank_scores`` must be None.
+    once with ``rerank_scores`` (as read by ``load_rerank_scores``).
+    ``late``: ``runs`` are already reranked and are only fused, so
+    ``rerank_scores`` must be None.
     """
     if mode == "early":
         if rerank_scores is None:
             raise ValueError("early fusion needs rerank scores for the fused run")
-        return rerank_run(fuse_runs(runs, rrf, depth), load_rerank_scores(rerank_scores))
+        return rerank_run(fuse_runs(runs, rrf, depth), rerank_scores)
     if mode == "late":
         if rerank_scores is not None:
             raise ValueError("late fusion fuses already-reranked runs and takes no rerank scores")
@@ -478,6 +480,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     ws = _open_workspace(config)
     searcher = ws.searcher
+    # Methods and early fusion often share one scores file; parse each once.
+    rerank_scores = functools.cache(load_rerank_scores)
 
     final_runs: dict[str, dict[str, RankedList]] = {}
     run_files: dict[str, Path] = {}
@@ -502,7 +506,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         emit(method.name, run)
 
         if method.rerank_scores is not None:
-            scores = load_rerank_scores(method.rerank_scores)
+            scores = rerank_scores(method.rerank_scores)
             emit(f"{method.name}+rerank", rerank_run(run, scores))
 
     _save_ke_cache(searcher, ws.ke_path)
@@ -517,7 +521,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             [final_runs[m + suffix] for m in spec.methods],
             config.rrf,
             config.depth,
-            spec.rerank_scores,
+            rerank_scores(spec.rerank_scores) if spec.rerank_scores is not None else None,
         )
         emit(FUSED_RUN_NAME, fused)
 

@@ -277,15 +277,16 @@ class Searcher:
             raise ValueError(f"k must be >= 1, got {k}")
         scores = self._score_all(tokens)
         cand = np.flatnonzero(scores > 0.0)
-        if cand.size == 0:
-            return RankedList(qid, [])
-        order = np.lexsort((self.index.docid_rank[cand], -scores[cand]))[:k]
-        top = cand[order]
-        doc_ids = self.index.doc_ids
-        return RankedList(
-            qid,
-            [RankedEntry(doc_ids[d], float(scores[d]), i) for i, d in enumerate(top, start=1)],
-        )
+        if cand.size > k:
+            # Keep every candidate tied with the k-th best score: which of
+            # them make the cut is decided by doc_id in the sort below.
+            cand_scores = scores[cand]
+            kth = np.partition(cand_scores, cand.size - k)[cand.size - k]
+            cand = cand[cand_scores >= kth]
+        top = cand[np.lexsort((self.index.docid_rank[cand], -scores[cand]))[:k]]
+        ids = map(self.index.doc_ids.__getitem__, top.tolist())
+        entries = list(map(RankedEntry, ids, scores[top].tolist(), range(1, top.size + 1)))
+        return RankedList(qid, entries)
 
     def max_score_term(self, term: str) -> float:
         """Best single-document score for a one-token query; 0.0 when the

@@ -10,7 +10,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracer  # noqa: E402
 import workloads  # noqa: E402
 
+from conftest import index_from  # noqa: E402
 from convpr import _bm25  # noqa: E402
+from convpr.index import Searcher  # noqa: E402
 
 # Names the tracer wraps, including the re-imports that experiment.py looks
 # up in its own namespace.
@@ -30,6 +32,7 @@ TARGETS = (
     "index.Searcher.search",
     "index.Searcher.max_score",
     "index.Searcher.max_score_term",
+    "runs.RankedList.__init__",
 )
 
 
@@ -67,3 +70,16 @@ def test_workload_counters_resolve():
 
 def test_backend_reported_to_the_benchmark():
     assert _bm25.get_backend() == "numpy"
+
+
+def test_search_result_is_built_through_ranked_list():
+    # The retrieve workload requires the runs.RankedList span to fire, so
+    # search results must go through RankedList's validating constructor.
+    searcher = Searcher(index_from({"d1": ["cat", "sat"], "d2": ["dog", "cat"]}))
+    t = tracer.Tracer()
+    try:
+        tracer.install(t, 12.5)
+        searcher.search(["cat"], k=10, qid="q")
+    finally:
+        t.restore()
+    assert t.summary()["runs.RankedList"]["calls"] == 1

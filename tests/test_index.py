@@ -118,6 +118,7 @@ def test_search_respects_matching_subset(kernel):
     searcher = Searcher(index_from(docs))
     result = searcher.search(["special"], k=1000, qid="q")
     assert len(result) == 2
+    assert searcher.search(["absent"], k=1000, qid="q").entries == []
 
 
 def test_search_matches_oracle_ranking(kernel):
@@ -153,6 +154,25 @@ def test_search_prefix_consistency(kernel):
     full = searcher.search(query, k=50, qid="q")
     for k in (1, 3, 10):
         assert searcher.search(query, k=k, qid="q").entries == full.entries[:k]
+
+
+def test_search_keeps_ties_across_the_k_boundary(kernel):
+    # Inserted in descending doc_id order, so ordinal order is the reverse
+    # of the doc_id order that breaks ties. Equal length and tf make the ten
+    # "t" docs tie exactly; two docs score above them and two below.
+    docs = {"z1": ["tie", "tie"], "z0": ["tie", "tie"]}
+    docs.update({f"t{i:02d}": ["tie", "pad"] for i in range(9, -1, -1)})
+    docs.update(b1=["tie", "pad", "pad", "pad"], b0=["tie", "pad", "pad", "pad"], a0=["pad", "pad"])
+    params = Bm25Params()
+    searcher = Searcher(index_from(docs), params)
+    full = searcher.search(["tie"], k=1000, qid="q")
+    assert len(full) == 14
+    for k in (1, 2, 3, 7, 11, 12, 13, 14, 15, 100):
+        want = oracles.bm25_rank(docs, ["tie"], params.k1, params.b, k=k)
+        got = searcher.search(["tie"], k=k, qid="q")
+        assert got.doc_ids() == [d for d, _ in want], k
+        assert [e.score for e in got.entries] == pytest.approx([s for _, s in want], abs=1e-12)
+        assert got.entries == full.entries[:k]
 
 
 def test_search_requires_positive_k():
