@@ -33,7 +33,7 @@ from .evaluation import (
     win_tie_loss,
 )
 from .experiment import ExperimentConfig, grid_search, load_config, run_experiment
-from .fusion import RrfParams, early_fusion, fuse_runs, rerank, rerank_run, rrf_fuse
+from .fusion import RrfParams, fuse_runs, rerank, rerank_run, rrf_fuse
 from .index import Bm25Params, InvertedIndex, Searcher, build_index
 from .runs import RankedEntry, RankedList, read_run, write_run
 from .tokenization import TokenizerConfig, porter_stem, tokenize
@@ -63,7 +63,6 @@ __all__ = [
     "build_index",
     "concat_rewrite",
     "corpus_bleu",
-    "early_fusion",
     "evaluate_run",
     "extract_keywords",
     "fuse_runs",

@@ -135,7 +135,3 @@ def load_sessions(path: str | Path) -> list[Session]:
         sessions.append(Session(session_id=sid, utterances=utterances))
     return sessions
 
-
-def iter_utterances(sessions: Iterable[Session]) -> Iterator[Utterance]:
-    for s in sessions:
-        yield from s.utterances

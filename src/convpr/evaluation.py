@@ -91,10 +91,10 @@ def average_precision(
         return 0.0
     hits = 0
     total = 0.0
-    for e in ranked.entries[:depth]:
+    for rank, e in enumerate(ranked.entries[:depth], start=1):
         if e.doc_id in relevant:
             hits += 1
-            total += hits / e.rank
+            total += hits / rank
     return total / len(relevant)
 
 
@@ -111,10 +111,10 @@ def ndcg_at_k(ranked: RankedList, qrels: Qrels, k: int) -> float:
     if idcg == 0.0:
         return 0.0
     dcg = 0.0
-    for e in ranked.entries[:k]:
+    for rank, e in enumerate(ranked.entries[:k], start=1):
         g = grades.get(e.doc_id, 0)
         if g:
-            dcg += g / math.log2(e.rank + 1)
+            dcg += g / math.log2(rank + 1)
     return dcg / idcg
 
 

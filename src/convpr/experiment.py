@@ -16,6 +16,7 @@ import hashlib
 import json
 import logging
 import os
+import shutil
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
@@ -67,9 +68,8 @@ class MethodSpec:
 class FusionSpec:
     mode: str
     methods: tuple[str, ...]
-    rerank_with: str | None = None
     # Scores that rerank the early-fused run (fusion.rerank_scores, else the
-    # rerank_with method's); None for late fusion.
+    # fusion.rerank_with method's); None for late fusion.
     rerank_scores: Path | None = None
 
 
@@ -227,12 +227,7 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
                         by_name[fm].rerank_scores is not None,
                         f"config: late fusion requires rerank_scores on method {fm!r}",
                     )
-            fusion = FusionSpec(
-                mode=mode,
-                methods=fmethods,
-                rerank_with=str(rerank_with) if rerank_with else None,
-                rerank_scores=scores,
-            )
+            fusion = FusionSpec(mode=mode, methods=fmethods, rerank_scores=scores)
 
     metrics = tuple(str(m) for m in raw.get("metrics", DEFAULT_METRICS))
     for m in metrics:
@@ -294,12 +289,17 @@ def _write_atomically(path: Path, write: Callable[[Path], None]) -> None:
 
 def _ensure_index(config: ExperimentConfig, cache_dir: Path, key: str) -> InvertedIndex:
     index_dir = cache_dir / f"index-{key}"
-    if (index_dir / "meta.json").exists():
+    if index_dir.is_dir():
         logger.info("loading cached index %s", index_dir)
         return InvertedIndex.load(index_dir)
     index = build_index(load_passages(config.corpus, config.corpus_format), config.tokenizer)
     logger.info("built index: %d docs, %d terms", index.doc_count, index.vocab_size)
-    index.save(index_dir)
+    # Save beside the target and rename it into place, so index-* only ever
+    # names a complete index; a leftover from an interrupted save is cleared.
+    tmp = cache_dir / f".partial-index-{key}"
+    shutil.rmtree(tmp, ignore_errors=True)
+    index.save(tmp)
+    os.replace(tmp, index_dir)
     return index
 
 
@@ -335,21 +335,13 @@ def _run_cache_path(
 
 
 def _load_ke_cache(searcher: Searcher, path: Path) -> None:
-    if not path.exists():
-        return
-    with path.open("r", encoding="utf-8") as fh:
-        stored = json.load(fh)
-    ids = searcher.index._term_ids
-    for term, score in stored.items():
-        tid = ids.get(term)
-        if tid is not None:
-            searcher._term_max[tid] = float(score)
+    if path.exists():
+        with path.open("r", encoding="utf-8") as fh:
+            searcher._term_max.update(json.load(fh))
 
 
 def _save_ke_cache(searcher: Searcher, path: Path) -> None:
-    terms = searcher.index.terms
-    payload = {terms[tid]: score for tid, score in searcher._term_max.items()}
-    text = json.dumps(payload, sort_keys=True) + "\n"
+    text = json.dumps(searcher._term_max, sort_keys=True) + "\n"
     _write_atomically(path, lambda tmp: tmp.write_text(text, encoding="utf-8", newline="\n"))
 
 
@@ -512,7 +504,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     _save_ke_cache(searcher, ws.ke_path)
 
     spec = config.fusion
-    if spec is not None and spec.mode != "none":
+    if spec is not None:
         # Early fusion takes each method's first-stage run, late fusion its
         # reranked one.
         suffix = "" if spec.mode == "early" else "+rerank"

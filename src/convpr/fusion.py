@@ -1,10 +1,12 @@
-"""Reciprocal rank fusion and the two fusion pipeline shapes.
+"""Reciprocal rank fusion and reranking by external scores.
 
-RRF scores a passage by sum over input lists of 1/(k + rank); passages
-absent from a list contribute nothing for it. Late fusion combines the
-final reranked lists of each query variant; early fusion combines the
-first-stage lists and reranks the fused list with one designated variant's
-scores, so the expensive reranker runs once.
+RRF scores a passage by sum over input lists of 1/(k + rank), where rank
+is the passage's 1-based position in the list; passages absent from a list
+contribute nothing for it. The paper's two pipeline shapes are built from
+these pieces in :func:`convpr.experiment.fuse_variants`: late fusion
+combines the final reranked lists of each query variant; early fusion
+combines the first-stage lists and reranks the fused list with one
+designated variant's scores, so the expensive reranker runs once.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ def rrf_fuse(
             raise ValueError(f"cannot fuse lists with mismatched qids {qid!r} and {rl.qid!r}")
     scores: dict[str, float] = {}
     for rl in lists:
-        for e in rl.entries:
-            scores[e.doc_id] = scores.get(e.doc_id, 0.0) + 1.0 / (params.k + e.rank)
+        for rank, e in enumerate(rl.entries, start=1):
+            scores[e.doc_id] = scores.get(e.doc_id, 0.0) + 1.0 / (params.k + rank)
     return RankedList.from_scores(qid, scores.items()).truncated(depth)
 
 
@@ -88,17 +90,6 @@ def rerank(ranked: RankedList, scores: RerankScores) -> RankedList:
         )
     rescored = [(e.doc_id, scores[(ranked.qid, e.doc_id)]) for e in ranked.entries]
     return RankedList.from_scores(ranked.qid, rescored)
-
-
-def early_fusion(
-    first_stage_lists: Sequence[RankedList],
-    rerank_scores: RerankScores,
-    params: RrfParams | None = None,
-    depth: int = DEFAULT_FUSION_DEPTH,
-) -> RankedList:
-    """Fuse first-stage lists, then rerank the fused list with the
-    designated variant's scores."""
-    return rerank(rrf_fuse(first_stage_lists, params, depth), rerank_scores)
 
 
 def fuse_runs(

@@ -221,7 +221,7 @@ class Searcher:
         dl = index.doc_lengths.astype(np.float64)
         ratio = dl / index.avg_doc_len if index.avg_doc_len > 0 else np.zeros_like(dl)
         self._len_norm = self.params.k1 * (1.0 - self.params.b + self.params.b * ratio)
-        self._term_max: dict[int, float] = {}
+        self._term_max: dict[str, float] = {}
 
     def tokenize(self, text: str) -> list[str]:
         return self.index.tokenize(text)
@@ -285,18 +285,17 @@ class Searcher:
             cand = cand[cand_scores >= kth]
         top = cand[np.lexsort((self.index.docid_rank[cand], -scores[cand]))[:k]]
         ids = map(self.index.doc_ids.__getitem__, top.tolist())
-        entries = list(map(RankedEntry, ids, scores[top].tolist(), range(1, top.size + 1)))
-        return RankedList(qid, entries)
+        return RankedList(qid, list(map(RankedEntry, ids, scores[top].tolist())))
 
     def max_score_term(self, term: str) -> float:
         """Best single-document score for a one-token query; 0.0 when the
         term is unindexed. Cached per term."""
+        hit = self._term_max.get(term)
+        if hit is not None:
+            return hit
         tid = self.index._term_ids.get(term)
         if tid is None:
             return 0.0
-        hit = self._term_max.get(tid)
-        if hit is not None:
-            return hit
         weight = float(self.index.idf[tid]) * (self.params.k1 + 1.0)
         value = _bm25.max_posting_score(
             int(self.index.offsets[tid]),
@@ -306,7 +305,7 @@ class Searcher:
             self.index.tfs,
             self._len_norm,
         )
-        self._term_max[tid] = value
+        self._term_max[term] = value
         return value
 
     def max_score(self, tokens: Sequence[str]) -> float:

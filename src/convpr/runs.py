@@ -1,8 +1,10 @@
 """Ranked result lists and the 6-column TREC run file format.
 
-A run file line is ``qid Q0 doc_id rank score tag``. Ranks are 1-based and
-contiguous; scores are written with full float precision so that
-write → read round-trips are exact.
+In memory a ranked list is an ordered list of (doc_id, score) entries and
+an entry's rank is its 1-based position. A rank number exists only in run
+files, whose lines are ``qid Q0 doc_id rank score tag`` with ranks 1..n per
+qid; scores are written with full float precision so that write → read
+round-trips are exact.
 """
 
 from __future__ import annotations
@@ -20,16 +22,16 @@ class RunFileWarning(UserWarning):
 class RankedEntry(NamedTuple):
     doc_id: str
     score: float
-    rank: int
 
 
 @dataclass
 class RankedList:
-    """Ordered (doc_id, score, rank) results for one query id.
+    """Ordered (doc_id, score) results for one query id; an entry's rank
+    is its 1-based position in ``entries``.
 
-    Ranks must be 1..n without gaps and doc_ids unique. Non-increasing
-    scores are expected but only warned about, because external tools
-    re-sort by score and we preserve whatever the file said.
+    Doc_ids must be unique. Non-increasing scores are expected but only
+    warned about, because external tools re-sort by score and we preserve
+    whatever the file said.
     """
 
     qid: str
@@ -37,9 +39,7 @@ class RankedList:
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
-        for i, e in enumerate(self.entries, start=1):
-            if e.rank != i:
-                raise ValueError(f"qid {self.qid}: rank {e.rank} at position {i}; ranks must be 1..n")
+        for e in self.entries:
             if e.doc_id in seen:
                 raise ValueError(f"qid {self.qid}: duplicate doc_id {e.doc_id!r}")
             seen.add(e.doc_id)
@@ -67,7 +67,7 @@ class RankedList:
     def from_scores(cls, qid: str, scored: Iterable[tuple[str, float]]) -> "RankedList":
         """Sort (doc_id, score) pairs by descending score, ties by ascending doc_id."""
         ordered = sorted(scored, key=lambda ds: (-ds[1], ds[0]))
-        return cls(qid, [RankedEntry(d, s, i) for i, (d, s) in enumerate(ordered, start=1)])
+        return cls(qid, [RankedEntry(d, s) for d, s in ordered])
 
 
 def qid_sort_key(qid: str):
@@ -82,8 +82,8 @@ def write_run(path: str | Path, run: Mapping[str, RankedList] | Sequence[RankedL
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         for rl in lists:
-            for e in rl.entries:
-                fh.write(f"{rl.qid} Q0 {e.doc_id} {e.rank} {e.score!r} {tag}\n")
+            for rank, e in enumerate(rl.entries, start=1):
+                fh.write(f"{rl.qid} Q0 {e.doc_id} {rank} {e.score!r} {tag}\n")
 
 
 def read_run(path: str | Path) -> dict[str, RankedList]:
@@ -111,5 +111,5 @@ def read_run(path: str | Path) -> dict[str, RankedList]:
                 raise ValueError(
                     f"{path}:{lineno}: qid {qid}: rank {rank} does not follow {len(entries)}"
                 )
-            entries.append(RankedEntry(doc_id, score, rank))
+            entries.append(RankedEntry(doc_id, score))
     return {qid: RankedList(qid, entries) for qid, entries in per_qid.items()}

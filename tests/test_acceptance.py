@@ -28,7 +28,7 @@ from convpr.evaluation import (
     recall_at_k,
 )
 from convpr.experiment import load_config, run_experiment
-from convpr.fusion import RrfParams, early_fusion, rrf_fuse
+from convpr.fusion import RrfParams, rerank, rrf_fuse
 from convpr.index import Bm25Params, Searcher
 from convpr.runs import RankedEntry, RankedList, read_run
 
@@ -37,7 +37,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def _ranked(qid, doc_ids):
     n = len(doc_ids)
-    return RankedList(qid, [RankedEntry(d, float(n - i), i + 1) for i, d in enumerate(doc_ids)])
+    return RankedList(qid, [RankedEntry(d, float(n - i)) for i, d in enumerate(doc_ids)])
 
 
 def _utterances(turn_tokens):
@@ -182,7 +182,7 @@ def test_criterion_4_rrf_exactness():
         want = oracles.rrf_rank([l.doc_ids() for l in lists], k, 1000)
         assert [(e.doc_id, e.score) for e in fused.entries] == want, f"case {case}"
 
-        position = {e.doc_id: e.rank for e in fused.entries}
+        position = {e.doc_id: rank for rank, e in enumerate(fused.entries, start=1)}
         ranks = {
             doc: [l.doc_ids().index(doc) if doc in l.doc_set() else None for l in lists]
             for doc in doc_pool
@@ -290,7 +290,7 @@ def test_criterion_7_fusion_benefit_fixture():
 
     qrels = Qrels({"3_2": {"dA": 1, "dB": 1}})
     scores = {("3_2", "dA"): 0.9, ("3_2", "dB"): 0.7}
-    fused = early_fusion([hqe_list, ntr_list], scores, RrfParams(60.0), depth=depth)
+    fused = rerank(rrf_fuse([hqe_list, ntr_list], RrfParams(60.0), depth), scores)
 
     assert recall_at_k(hqe_list, qrels, depth) == 0.5
     assert recall_at_k(ntr_list, qrels, depth) == 0.5

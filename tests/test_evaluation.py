@@ -23,7 +23,7 @@ from convpr.runs import RankedEntry, RankedList
 
 def _list(qid, doc_ids):
     n = len(doc_ids)
-    return RankedList(qid, [RankedEntry(d, float(n - i), i + 1) for i, d in enumerate(doc_ids)])
+    return RankedList(qid, [RankedEntry(d, float(n - i)) for i, d in enumerate(doc_ids)])
 
 
 def _qrels(qid, grades):

@@ -159,12 +159,12 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (tmp_path / "one" / rel).read_bytes() == data, rel
 
 
+def _tree(base):
+    return {p.relative_to(base): p.read_bytes() for p in sorted(base.rglob("*")) if p.is_file()}
+
+
 def _outputs(base):
-    return {
-        p.relative_to(base): p.read_bytes()
-        for p in sorted(base.rglob("*"))
-        if p.is_file() and "cache" not in p.parts
-    }
+    return {rel: data for rel, data in _tree(base).items() if "cache" not in rel.parts}
 
 
 def test_interrupted_cache_write_is_not_reused(tmp_path, monkeypatch):
@@ -194,6 +194,52 @@ def test_interrupted_cache_write_is_not_reused(tmp_path, monkeypatch):
     clean = load_config(FIXTURES / "config.yaml", {"output_dir": str(tmp_path / "clean")})
     run_experiment(clean)
     assert _outputs(tmp_path / "crash") == _outputs(tmp_path / "clean")
+
+
+def test_interrupted_index_save_is_not_reused(tmp_path, monkeypatch):
+    """An index save cut off after meta.json must not leave a cached index
+    that the next experiment trusts."""
+    import numpy as np
+
+    def fail(*args, **kwargs):
+        raise OSError("simulated crash mid-save")
+
+    config = load_config(FIXTURES / "config.yaml", {"output_dir": str(tmp_path / "crash")})
+    with monkeypatch.context() as m:
+        m.setattr(np, "save", fail)
+        with pytest.raises(OSError, match="simulated crash"):
+            run_experiment(config)
+    cache = tmp_path / "crash" / "cache"
+    assert not list(cache.glob("index-*"))
+
+    run_experiment(config)
+    clean = load_config(FIXTURES / "config.yaml", {"output_dir": str(tmp_path / "clean")})
+    run_experiment(clean)
+    assert _tree(tmp_path / "crash") == _tree(tmp_path / "clean")
+
+
+def test_warm_rerun_reuses_ke_cache(fixture_config, monkeypatch):
+    """A second run takes every keyword-extractor score from ke-*.json and
+    rewrites that file with the same bytes."""
+    from convpr import _bm25
+
+    calls = []
+    real = _bm25.max_posting_score
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_bm25, "max_posting_score", counting)
+    run_experiment(fixture_config)
+    assert calls
+    (ke_path,) = (fixture_config.output_dir / "cache").glob("ke-*.json")
+    cold = ke_path.read_bytes()
+
+    calls.clear()
+    run_experiment(fixture_config)
+    assert calls == []
+    assert ke_path.read_bytes() == cold
 
 
 def test_config_hash_logged_and_written(fixture_config):

@@ -4,7 +4,6 @@ import pytest
 import oracles
 from convpr.fusion import (
     RrfParams,
-    early_fusion,
     fuse_runs,
     load_rerank_scores,
     rerank,
@@ -16,7 +15,7 @@ from convpr.runs import RankedEntry, RankedList
 
 def _list(qid, doc_ids):
     n = len(doc_ids)
-    return RankedList(qid, [RankedEntry(d, float(n - i), i + 1) for i, d in enumerate(doc_ids)])
+    return RankedList(qid, [RankedEntry(d, float(n - i)) for i, d in enumerate(doc_ids)])
 
 
 def test_params_validated():
@@ -91,7 +90,7 @@ def test_pareto_dominance_on_random_instances():
             perm = list(rng.permutation(docs))
             lists.append(_list("q", perm[: int(rng.integers(1, len(docs) + 1))]))
         fused = rrf_fuse(lists, RrfParams(60.0), depth=100)
-        position = {e.doc_id: e.rank for e in fused.entries}
+        position = {e.doc_id: rank for rank, e in enumerate(fused.entries, start=1)}
         want = oracles.rrf_rank([l.doc_ids() for l in lists], 60.0, 100)
         assert [(e.doc_id, e.score) for e in fused.entries] == want
         for a in docs:
@@ -128,7 +127,7 @@ def test_rerank_reversed_scores_reverses_list():
     scores = {("q", "a"): 1.0, ("q", "b"): 2.0, ("q", "c"): 3.0}
     out = rerank(lst, scores)
     assert out.doc_ids() == ["c", "b", "a"]
-    assert [e.rank for e in out.entries] == [1, 2, 3]
+    assert [e.score for e in out.entries] == [3.0, 2.0, 1.0]
 
 
 def test_rerank_missing_pair_is_an_error():
@@ -164,8 +163,8 @@ def test_load_rerank_scores(tmp_path):
 def test_identical_inputs_equal_single_source_pipeline():
     lst = _list("q", ["a", "b", "c", "d"])
     scores = {("q", d): float(i) for i, d in enumerate(lst.doc_ids())}
-    fused = early_fusion([lst, lst, lst], scores)
-    single = early_fusion([lst], scores)
+    fused = rerank(rrf_fuse([lst, lst, lst]), scores)
+    single = rerank(rrf_fuse([lst]), scores)
     assert fused.doc_ids() == single.doc_ids()
     assert rrf_fuse([lst, lst]).doc_ids() == lst.doc_ids()
 
@@ -176,7 +175,7 @@ def test_disjoint_relevant_docs_union_recall():
     list_a = _list("q", ["r1", "x1", "r2", "x2"])
     list_b = _list("q", ["r3", "y1", "r4", "y2"])
     scores = {("q", d): 1.0 for d in set(list_a.doc_ids()) | set(list_b.doc_ids())}
-    fused = early_fusion([list_a, list_b], scores, depth=100)
+    fused = rerank(rrf_fuse([list_a, list_b], depth=100), scores)
     assert relevant <= fused.doc_set()
     found_a = len(relevant & list_a.doc_set()) / len(relevant)
     found_fused = len(relevant & fused.doc_set()) / len(relevant)

@@ -4,29 +4,39 @@ from convpr.runs import RankedEntry, RankedList, RunFileWarning, qid_sort_key, r
 
 
 def _list(qid, pairs):
-    return RankedList(qid, [RankedEntry(d, s, i) for i, (d, s) in enumerate(pairs, start=1)])
+    return RankedList(qid, [RankedEntry(d, s) for d, s in pairs])
 
 
-def test_rank_must_be_contiguous():
-    with pytest.raises(ValueError, match="ranks must be 1..n"):
-        RankedList("q", [RankedEntry("a", 1.0, 1), RankedEntry("b", 0.5, 3)])
+def test_rank_must_be_contiguous(tmp_path):
+    # In memory a rank is a list position; in a run file every qid's ranks
+    # are written as 1..n, and reading them back restores the same entries.
+    full = RankedList.from_scores("1_1", [("b", 1.0), ("a", 1.0), ("c", 2.0), ("d", 0.5)])
+    cut = RankedList.from_scores("1_2", [("x", 3.0), ("y", 2.0), ("z", 1.0)]).truncated(2)
+    path = tmp_path / "x.run"
+    write_run(path, [full, cut])
+    ranks: dict[str, list[int]] = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        qid, _q0, _doc, rank, _score, _tag = line.split()
+        ranks.setdefault(qid, []).append(int(rank))
+    assert ranks == {"1_1": [1, 2, 3, 4], "1_2": [1, 2]}
+    assert read_run(path) == {"1_1": full, "1_2": cut}
 
 
 def test_duplicate_doc_rejected():
     with pytest.raises(ValueError, match="duplicate doc_id"):
-        RankedList("q", [RankedEntry("a", 1.0, 1), RankedEntry("a", 0.5, 2)])
+        RankedList("q", [RankedEntry("a", 1.0), RankedEntry("a", 0.5)])
 
 
 def test_non_monotone_scores_warn_but_load():
     with pytest.warns(RunFileWarning):
-        rl = RankedList("q", [RankedEntry("a", 1.0, 1), RankedEntry("b", 2.0, 2)])
+        rl = RankedList("q", [RankedEntry("a", 1.0), RankedEntry("b", 2.0)])
     assert rl.doc_ids() == ["a", "b"]
 
 
 def test_from_scores_ties_break_by_doc_id():
     rl = RankedList.from_scores("q", [("b", 1.0), ("a", 1.0), ("c", 2.0)])
     assert rl.doc_ids() == ["c", "a", "b"]
-    assert [e.rank for e in rl.entries] == [1, 2, 3]
+    assert [e.score for e in rl.entries] == [2.0, 1.0, 1.0]
 
 
 def test_write_read_round_trip(tmp_path):
