@@ -25,8 +25,10 @@ from .evaluation import (
     load_qrels,
     paired_t_test,
     win_tie_loss,
+    write_metrics_csv,
 )
 from .experiment import (
+    METHOD_TYPES,
     _method_from_dict,
     fuse_variants,
     grid_search,
@@ -144,10 +146,7 @@ def cmd_eval(args) -> int:
             print(f"{qid}\t{vals}")
     print(report.format_table(label=Path(args.run).stem))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("run,qid," + ",".join(metrics) + "\n")
-            for row in report.csv_rows(Path(args.run).stem):
-                fh.write(row + "\n")
+        write_metrics_csv(args.csv, metrics, {Path(args.run).stem: report})
         print(f"per-query CSV -> {args.csv}")
     return 0
 
@@ -173,6 +172,8 @@ def cmd_compare(args) -> int:
 
 def cmd_analyze_jaccard(args) -> int:
     if args.adjacent:
+        if not args.run:
+            raise ValueError("analyze jaccard --adjacent requires --run")
         run = read_run(args.run)
         by_session: dict[str, list[tuple[int, str]]] = {}
         for qid in run:
@@ -201,6 +202,8 @@ def cmd_analyze_jaccard(args) -> int:
         print(f"all\t{sum(everything) / len(everything):.4f}\t{len(everything)}")
         return 0
 
+    if not (args.run_a and args.run_b):
+        raise ValueError("analyze jaccard requires --run-a and --run-b (or --adjacent)")
     run_a, run_b = read_run(args.run_a), read_run(args.run_b)
     shared = sorted(set(run_a) & set(run_b), key=qid_sort_key)
     if not shared:
@@ -295,11 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.set_defaults(func=cmd_index_build)
 
     p = sub.add_parser("reformulate", help="produce per-turn reformulated queries")
-    p.add_argument(
-        "--method",
-        required=True,
-        choices=("raw", "concat", "concat-pos", "hqe", "hqe-pos", "external"),
-    )
+    p.add_argument("--method", required=True, choices=METHOD_TYPES)
     p.add_argument("--topics", required=True, help="topic JSON file")
     p.add_argument("--out", required=True, help="output rewrites TSV")
     p.add_argument("--index", help="index directory (required for hqe/hqe-pos)")
@@ -406,12 +405,6 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
-    if args.command == "analyze" and args.analysis == "jaccard":
-        if args.adjacent:
-            if not args.run:
-                raise SystemExit("convpr analyze jaccard --adjacent requires --run")
-        elif not (args.run_a and args.run_b):
-            raise SystemExit("convpr analyze jaccard requires --run-a and --run-b (or --adjacent)")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

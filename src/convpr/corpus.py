@@ -76,8 +76,9 @@ def load_passages(path: str | Path, format: str = "tsv") -> Iterator[Passage]:
                 if "id" not in obj or "contents" not in obj:
                     raise ValueError(f"{path}:{lineno}: object must have 'id' and 'contents'")
                 doc_id, text = str(obj["id"]), str(obj["contents"])
-            if not doc_id:
-                raise ValueError(f"{path}:{lineno}: empty doc_id")
+            # A run file holds the doc_id as one whitespace-separated column.
+            if doc_id.split() != [doc_id]:
+                raise ValueError(f"{path}:{lineno}: doc_id {doc_id!r} is empty or has whitespace")
             if doc_id in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
             seen.add(doc_id)
@@ -123,6 +124,8 @@ def load_sessions(path: str | Path) -> list[Session]:
         if "number" not in entry or "turn" not in entry:
             raise ValueError(f"{path}: session objects need 'number' and 'turn' fields")
         sid = str(entry["number"])
+        if sid.split() != [sid]:
+            raise ValueError(f"{path}: session number {sid!r} is empty or has whitespace")
         utterances = []
         for i, t in enumerate(entry["turn"], start=1):
             turn_no = int(t["number"])

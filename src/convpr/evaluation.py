@@ -165,6 +165,16 @@ class MetricReport:
         return rows
 
 
+def write_metrics_csv(
+    path: str | Path, metrics: Sequence[str], reports: Mapping[str, MetricReport]
+) -> None:
+    """Write ``run,qid,<metrics>`` rows for each named report, in order."""
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write("run,qid," + ",".join(metrics) + "\n")
+        for name, report in reports.items():
+            fh.writelines(row + "\n" for row in report.csv_rows(name))
+
+
 def parse_metric(name: str) -> tuple[str, int | None]:
     """Split names like ``ndcg@3`` / ``recall@1000`` / ``map``."""
     name = name.strip().lower()

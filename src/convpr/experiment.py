@@ -17,13 +17,14 @@ import json
 import logging
 import os
 import shutil
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import yaml
 
+from . import index as index_format
 from .corpus import Session, load_passages, load_sessions
 from .cqr import (
     CONCAT_DEFAULT_WINDOW,
@@ -36,7 +37,15 @@ from .cqr import (
     raw_query,
     write_rewrites,
 )
-from .evaluation import DEFAULT_METRICS, MetricReport, Qrels, evaluate_run, load_qrels, parse_metric
+from .evaluation import (
+    DEFAULT_METRICS,
+    MetricReport,
+    Qrels,
+    evaluate_run,
+    load_qrels,
+    parse_metric,
+    write_metrics_csv,
+)
 from .fusion import RerankScores, RrfParams, fuse_runs, load_rerank_scores, rerank_run
 from .index import Bm25Params, InvertedIndex, Searcher, build_index
 from .runs import RankedList, read_run, write_run
@@ -68,8 +77,7 @@ class MethodSpec:
 class FusionSpec:
     mode: str
     methods: tuple[str, ...]
-    # Scores that rerank the early-fused run (fusion.rerank_scores, else the
-    # fusion.rerank_with method's); None for late fusion.
+    # Scores that rerank the early-fused run; None for late fusion.
     rerank_scores: Path | None = None
 
 
@@ -122,38 +130,47 @@ def _build(cls, mapping: Mapping, what: str):
         raise ValueError(f"config: bad {what}: {exc}") from None
 
 
+def _known_keys(raw, cls, where: str, exclude: tuple[str, ...] = ()) -> None:
+    """Require ``raw`` to be a mapping whose keys all name fields of the
+    dataclass ``cls``, so a misspelt key is an error, not a silent default."""
+    _require(isinstance(raw, Mapping), f"config: {where} must be a mapping")
+    allowed = [f.name for f in fields(cls) if f.name not in exclude]
+    unknown = [key for key in raw if key not in allowed]
+    if unknown:
+        raise ValueError(f"config: {where}: unknown key {unknown[0]!r}, expected one of {allowed}")
+
+
 def _method_from_dict(base: Path, raw: Mapping, where: str) -> MethodSpec:
     """Validate one method mapping (a config ``methods`` entry, or the
     reformulate command's arguments) into a MethodSpec. Relative paths
     resolve against ``base``; ``where`` names the entry in error messages."""
-    _require(isinstance(raw, Mapping), f"config: {where} must be a mapping")
+    _known_keys(raw, MethodSpec, where)
     _require("name" in raw and "type" in raw, f"config: {where} needs 'name' and 'type'")
     name, mtype = str(raw["name"]), str(raw["type"])
+    # The name becomes a file name, a run-file tag and a CSV field.
+    _require(
+        name.split() == [name] and "/" not in name and "," not in name,
+        f"config: {where}: method name {name!r} must be one token without '/' or ','",
+    )
     _require(
         mtype in METHOD_TYPES,
         f"config: {where} ({name}): unknown type {mtype!r}, expected one of {METHOD_TYPES}",
     )
 
-    def path_of(key: str) -> Path:
-        return _existing(_as_path(base, raw[key], f"{where}.{key}"), key)
+    def path_of(key: str) -> Path | None:
+        return _existing(_as_path(base, raw[key], f"{where}.{key}"), key) if key in raw else None
 
     hqe = _build(HqeParams, raw["hqe"], f"{where}.hqe") if "hqe" in raw else HqeParams()
-    rewrites = pos = scores = None
     if mtype == "external":
         _require("rewrites" in raw, f"config: {where} ({name}): external needs 'rewrites'")
-        rewrites = path_of("rewrites")
-    if "pos_annotations" in raw:
-        pos = path_of("pos_annotations")
-    if "rerank_scores" in raw:
-        scores = path_of("rerank_scores")
     return MethodSpec(
         name=name,
         type=mtype,
         m_window=int(raw.get("m_window", CONCAT_DEFAULT_WINDOW)),
         hqe=hqe,
-        rewrites=rewrites,
-        pos_annotations=pos,
-        rerank_scores=scores,
+        rewrites=path_of("rewrites") if mtype == "external" else None,
+        pos_annotations=path_of("pos_annotations"),
+        rerank_scores=path_of("rerank_scores"),
     )
 
 
@@ -173,6 +190,7 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
             _require(isinstance(node, dict), f"config override {dotted!r}: {key} is not a mapping")
         node[keys[-1]] = value
 
+    _known_keys(raw, ExperimentConfig, "top level", exclude=("raw",))
     base = path.parent
     for key in ("corpus", "topics", "qrels", "output_dir", "methods"):
         _require(key in raw, f"config: missing required key {key!r}")
@@ -185,8 +203,7 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
     qrels = _existing(_as_path(base, raw["qrels"], "qrels"), "qrels")
 
     _require(isinstance(raw["methods"], list), "config: methods must be a list of mappings")
-    for key in ("bm25", "rrf", "tokenizer"):
-        _require(isinstance(raw.get(key, {}), dict), f"config: {key} must be a mapping")
+    _known_keys(raw.get("tokenizer", {}), TokenizerConfig, "tokenizer")
     methods = [_method_from_dict(base, m, f"methods[{i}]") for i, m in enumerate(raw["methods"])]
     _require(len(methods) > 0, "config: methods must not be empty")
     names = [m.name for m in methods]
@@ -196,8 +213,9 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
     )
 
     fusion = None
-    if "fusion" in raw and raw["fusion"]:
-        fraw = raw["fusion"]
+    fraw = raw.get("fusion")
+    if fraw:
+        _known_keys(fraw, FusionSpec, "fusion")
         mode = str(fraw.get("mode", "early"))
         _require(mode in FUSION_MODES, f"config: fusion.mode must be one of {FUSION_MODES}")
         if mode != "none":
@@ -206,20 +224,13 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
             by_name = {m.name: m for m in methods}
             for fm in fmethods:
                 _require(fm in by_name, f"config: fusion references unknown method {fm!r}")
-            rerank_with = fraw.get("rerank_with")
             scores = None
             if "rerank_scores" in fraw:
                 scores = _existing(
                     _as_path(base, fraw["rerank_scores"], "fusion.rerank_scores"), "rerank_scores"
                 )
             if mode == "early":
-                if scores is None and rerank_with in by_name:
-                    scores = by_name[rerank_with].rerank_scores
-                _require(
-                    scores is not None,
-                    "config: early fusion needs fusion.rerank_scores or a rerank_with method "
-                    "that has rerank_scores",
-                )
+                _require(scores is not None, "config: early fusion needs fusion.rerank_scores")
             else:
                 scores = None
                 for fm in fmethods:
@@ -263,81 +274,27 @@ def _file_digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def _index_key(config: ExperimentConfig) -> str:
-    payload = json.dumps(
-        {
-            "corpus": _file_digest(config.corpus),
-            "format": config.corpus_format,
-            "tokenizer": config.tokenizer.to_dict(),
-        },
-        sort_keys=True,
-    )
+def _cache_key(**parts) -> str:
+    """Name a cache entry: the first 16 hex digits of the sha256 of
+    ``parts`` as sorted JSON. ``parts`` must cover every byte of the entry."""
+    payload = json.dumps(parts, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def _write_atomically(path: Path, write: Callable[[Path], None]) -> None:
-    """Have ``write`` fill a temp file beside ``path``, then rename it into
-    place, so an interrupted write never leaves a short ``path`` behind."""
+    """Have ``write`` fill a temp file or directory beside ``path``, then
+    rename it into place, so ``path`` only ever names a complete entry. The
+    pid in the temp name keeps processes that share a cache apart."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         write(tmp)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        if tmp.is_dir():
+            shutil.rmtree(tmp, ignore_errors=True)
+        else:
+            tmp.unlink(missing_ok=True)
         raise
-
-
-def _ensure_index(config: ExperimentConfig, cache_dir: Path, key: str) -> InvertedIndex:
-    index_dir = cache_dir / f"index-{key}"
-    if index_dir.is_dir():
-        logger.info("loading cached index %s", index_dir)
-        return InvertedIndex.load(index_dir)
-    index = build_index(load_passages(config.corpus, config.corpus_format), config.tokenizer)
-    logger.info("built index: %d docs, %d terms", index.doc_count, index.vocab_size)
-    # Save beside the target and rename it into place, so index-* only ever
-    # names a complete index; a leftover from an interrupted save is cleared.
-    tmp = cache_dir / f".partial-index-{key}"
-    shutil.rmtree(tmp, ignore_errors=True)
-    index.save(tmp)
-    os.replace(tmp, index_dir)
-    return index
-
-
-def _ke_cache_path(cache_dir: Path, index_key: str, bm25: Bm25Params) -> Path:
-    key = hashlib.sha256(
-        json.dumps({"index": index_key, "k1": bm25.k1, "b": bm25.b}, sort_keys=True).encode()
-    ).hexdigest()[:16]
-    return cache_dir / f"ke-{key}.json"
-
-
-def _run_cache_path(
-    cache_dir: Path, index_key: str, config: ExperimentConfig, method: MethodSpec
-) -> Path:
-    hqe = method.hqe
-    key = hashlib.sha256(
-        json.dumps(
-            {
-                "index": index_key,
-                "bm25": [config.bm25.k1, config.bm25.b],
-                "depth": config.depth,
-                "method": {
-                    "type": method.type,
-                    "m_window": method.m_window,
-                    "hqe": [hqe.r_topic, hqe.r_sub, hqe.eta, hqe.m_window],
-                    "rewrites": _file_digest(method.rewrites) if method.rewrites else None,
-                    "pos": _file_digest(method.pos_annotations) if method.pos_annotations else None,
-                },
-            },
-            sort_keys=True,
-        ).encode()
-    ).hexdigest()[:16]
-    return cache_dir / f"run-{key}.run"
-
-
-def _load_ke_cache(searcher: Searcher, path: Path) -> None:
-    if path.exists():
-        with path.open("r", encoding="utf-8") as fh:
-            searcher._term_max.update(json.load(fh))
 
 
 def _save_ke_cache(searcher: Searcher, path: Path) -> None:
@@ -365,11 +322,45 @@ def _open_workspace(config: ExperimentConfig) -> _Workspace:
     cache_dir.mkdir(parents=True, exist_ok=True)
     sessions = load_sessions(config.topics)
     qrels = load_qrels(config.qrels)
-    index_key = _index_key(config)
-    searcher = Searcher(_ensure_index(config, cache_dir, index_key), config.bm25)
-    ke_path = _ke_cache_path(cache_dir, index_key, config.bm25)
-    _load_ke_cache(searcher, ke_path)
+    index_key = _cache_key(
+        corpus=_file_digest(config.corpus),
+        format=config.corpus_format,
+        tokenizer=config.tokenizer.to_dict(),
+        # A new layout gets a new entry instead of failing to load the old one.
+        version=index_format._VERSION,
+    )
+    index_dir = cache_dir / f"index-{index_key}"
+    if index_dir.is_dir():
+        logger.info("loading cached index %s", index_dir)
+        index = InvertedIndex.load(index_dir)
+    else:
+        index = build_index(load_passages(config.corpus, config.corpus_format), config.tokenizer)
+        logger.info("built index: %d docs, %d terms", index.doc_count, index.vocab_size)
+        _write_atomically(index_dir, index.save)
+    searcher = Searcher(index, config.bm25)
+    ke_key = _cache_key(index=index_key, k1=config.bm25.k1, b=config.bm25.b)
+    ke_path = cache_dir / f"ke-{ke_key}.json"
+    if ke_path.exists():
+        searcher._term_max.update(json.loads(ke_path.read_text(encoding="utf-8")))
     return _Workspace(sessions, qrels, searcher, cache_dir, index_key, ke_path)
+
+
+def _run_cache_path(ws: _Workspace, config: ExperimentConfig, method: MethodSpec) -> Path:
+    key = _cache_key(
+        index=ws.index_key,
+        bm25=astuple(config.bm25),
+        depth=config.depth,
+        method={
+            # The name is the tag column of every line in the entry.
+            "name": method.name,
+            "type": method.type,
+            "m_window": method.m_window,
+            "hqe": astuple(method.hqe),
+            "rewrites": _file_digest(method.rewrites) if method.rewrites else None,
+            "pos": _file_digest(method.pos_annotations) if method.pos_annotations else None,
+        },
+    )
+    return ws.cache_dir / f"run-{key}.run"
 
 
 # -- reformulation and retrieval ----------------------------------------------
@@ -478,14 +469,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     final_runs: dict[str, dict[str, RankedList]] = {}
     run_files: dict[str, Path] = {}
 
-    def emit(name: str, run: dict[str, RankedList]) -> None:
+    def emit(name: str, run: dict[str, RankedList], cached: Path | None = None) -> None:
+        # A cached first-stage run already holds the bytes of runs/<name>.run.
         path = runs_dir / f"{name}.run"
-        write_run(path, run, tag=name)
+        if cached is None:
+            write_run(path, run, tag=name)
+        else:
+            shutil.copyfile(cached, path)
         run_files[name] = path
         final_runs[name] = run
 
     for method in config.methods:
-        cached_run = _run_cache_path(ws.cache_dir, ws.index_key, config, method)
+        cached_run = _run_cache_path(ws, config, method)
         queries = reformulate_method(method, ws.sessions, searcher, config.tokenizer)
         write_rewrites(rewrites_dir / f"{method.name}.tsv", queries)
 
@@ -495,7 +490,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         else:
             run = retrieve_all(searcher, queries, config.depth)
             _write_atomically(cached_run, lambda tmp: write_run(tmp, run, tag=method.name))
-        emit(method.name, run)
+        emit(method.name, run, cached_run)
 
         if method.rerank_scores is not None:
             scores = rerank_scores(method.rerank_scores)
@@ -523,11 +518,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     }
 
     metrics_csv = out_dir / "metrics.csv"
-    with metrics_csv.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("run,qid," + ",".join(config.metrics) + "\n")
-        for name, report in reports.items():
-            for row in report.csv_rows(name):
-                fh.write(row + "\n")
+    write_metrics_csv(metrics_csv, config.metrics, reports)
 
     metrics_txt = out_dir / "metrics.txt"
     width = max(max((len(n) for n in reports), default=4), 4)

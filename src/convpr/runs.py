@@ -77,6 +77,8 @@ def qid_sort_key(qid: str):
 
 def write_run(path: str | Path, run: Mapping[str, RankedList] | Sequence[RankedList], tag: str = "convpr") -> None:
     """Write lists in natural qid order; scores use repr for exact round-trip."""
+    if tag.split() != [tag]:
+        raise ValueError(f"run tag {tag!r} is empty or has whitespace")
     lists = list(run.values()) if isinstance(run, Mapping) else list(run)
     lists.sort(key=lambda rl: qid_sort_key(rl.qid))
     path = Path(path)

@@ -139,6 +139,9 @@ def test_validation_failures_exit_1(workdir, tmp_path):
         encoding="utf-8",
     )
     assert _run("experiment", "--config", cfg) == 1
+    # analyze jaccard without the runs it compares
+    assert _run("analyze", "jaccard", "--run-a", workdir / "t5.tsv") == 1
+    assert _run("analyze", "jaccard", "--adjacent") == 1
 
 
 def test_bad_usage_exits_1():

@@ -33,6 +33,21 @@ def test_duplicate_doc_id_is_an_error(tmp_path):
         list(load_passages(p, "tsv"))
 
 
+@pytest.mark.parametrize(
+    "format,text",
+    [
+        ("tsv", "d1\tx\nd 2\ty\n"),
+        ("jsonl", '{"id": "d1", "contents": "x"}\n{"id": "d 2", "contents": "y"}\n'),
+    ],
+)
+def test_doc_id_with_whitespace_is_an_error(tmp_path, format, text):
+    # A run file holds the doc_id as one whitespace-separated column.
+    p = tmp_path / f"c.{format}"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=r":2: doc_id 'd 2'"):
+        list(load_passages(p, format))
+
+
 def test_jsonl_three_objects(tmp_path):
     p = tmp_path / "c.jsonl"
     rows = [{"id": f"d{i}", "contents": f"text {i}"} for i in range(3)]
@@ -109,3 +124,12 @@ def test_non_contiguous_turns_rejected(tmp_path):
 def test_session_type_validates_turn_order():
     with pytest.raises(ValueError, match="contiguous"):
         Session("s", [Utterance("s", 2, "b")])
+
+
+def test_session_number_with_whitespace_is_an_error(tmp_path):
+    # The session number is the first part of every qid in a run file.
+    p = tmp_path / "t.json"
+    p.write_text('[{"number": "31 b", "turn": [{"number": 1, "raw_utterance": "x"}]}]',
+                 encoding="utf-8")
+    with pytest.raises(ValueError, match="session number '31 b'"):
+        load_sessions(p)

@@ -94,6 +94,25 @@ def test_early_fusion_needs_scores(tmp_path):
         ("bm25: nope\nmethods: [{name: a, type: raw}]\n", "bm25 must be a mapping"),
         ("methods: [{name: a, type: hqe, hqe: {bogus: 1}}]\n", "bad methods"),
         ("methods: [{name: a, type: hqe, hqe: nope}]\n", "must be a mapping"),
+        ("dept: 1\nmethods: [{name: a, type: raw}]\n", "top level: unknown key 'dept'"),
+        ("raw: {}\nmethods: [{name: a, type: raw}]\n", "top level: unknown key 'raw'"),
+        (
+            "methods: [{name: a, type: raw, rerank_score: q.txt}]\n",
+            r"methods\[0\]: unknown key 'rerank_score'",
+        ),
+        (
+            "tokenizer: {stemm: true}\nmethods: [{name: a, type: raw}]\n",
+            "tokenizer: unknown key 'stemm'",
+        ),
+        ("tokenizer: nope\nmethods: [{name: a, type: raw}]\n", "tokenizer must be a mapping"),
+        (
+            "methods: [{name: a, type: raw, rerank_scores: q.txt}, {name: b, type: raw}]\n"
+            "fusion: {mode: early, methods: [a, b], rerank_with: a}\n",
+            "fusion: unknown key 'rerank_with'",
+        ),
+        ("methods: [{name: my raw, type: raw}]\n", "method name 'my raw'"),
+        ("methods: [{name: a/b, type: raw}]\n", "method name 'a/b'"),
+        ("methods: [{name: 'a,b', type: raw}]\n", "method name 'a,b'"),
     ],
 )
 def test_malformed_config_sections_are_validation_errors(tmp_path, snippet, message):
@@ -211,6 +230,7 @@ def test_interrupted_index_save_is_not_reused(tmp_path, monkeypatch):
             run_experiment(config)
     cache = tmp_path / "crash" / "cache"
     assert not list(cache.glob("index-*"))
+    assert not list(cache.iterdir())  # nor a temp directory
 
     run_experiment(config)
     clean = load_config(FIXTURES / "config.yaml", {"output_dir": str(tmp_path / "clean")})
@@ -240,6 +260,83 @@ def test_warm_rerun_reuses_ke_cache(fixture_config, monkeypatch):
     run_experiment(fixture_config)
     assert calls == []
     assert ke_path.read_bytes() == cold
+
+
+def test_warm_run_copies_first_stage_runs_from_the_cache(fixture_config, monkeypatch):
+    """A warm run serialises only the runs it computes (reranked and fused);
+    each first-stage run is a byte copy of its cache entry."""
+    import convpr.experiment as experiment
+
+    run_experiment(fixture_config)
+    out = fixture_config.output_dir
+    cold = _outputs(out)
+    tags = []
+    real_write_run = experiment.write_run
+
+    def recording(path, run, tag="convpr"):
+        tags.append(tag)
+        return real_write_run(path, run, tag=tag)
+
+    monkeypatch.setattr(experiment, "write_run", recording)
+    run_experiment(fixture_config)
+    assert sorted(tags) == ["fusion", "hqe+rerank"]
+    assert _outputs(out) == cold
+    entries = {p.read_bytes() for p in (out / "cache").glob("run-*.run")}
+    for method in fixture_config.methods:
+        assert (out / "runs" / f"{method.name}.run").read_bytes() in entries, method.name
+
+
+def _tags(path):
+    return {line.split()[5] for line in path.read_text(encoding="utf-8").splitlines()}
+
+
+def test_methods_with_equal_parameters_keep_their_own_tags(tmp_path):
+    """The method name is the tag of a cached run, so it is part of the
+    run's cache key: two same-parameter methods, and a renamed method, never
+    take another name's entry."""
+    for name in ("corpus.tsv", "topics.json", "qrels.txt"):
+        shutil.copy(FIXTURES / name, tmp_path / name)
+    # cold, warm, then with method "a" renamed to "c"
+    for names in (["a", "b"], ["a", "b"], ["c", "b"]):
+        methods = [{"name": n, "type": "raw"} for n in names]
+        path = _write_config(tmp_path, methods=methods, fusion=None, output_dir="out")
+        run_experiment(load_config(path))
+        runs = tmp_path / "out" / "runs"
+        assert {n: _tags(runs / f"{n}.run") for n in names} == {n: {n} for n in names}
+    assert len(list((tmp_path / "out" / "cache").glob("run-*.run"))) == 3
+
+
+def test_index_format_version_is_part_of_the_index_key(fixture_config, monkeypatch):
+    """After a change of index layout the next run builds a new index
+    instead of loading one saved in the old layout."""
+    from convpr import index
+
+    run_experiment(fixture_config)
+    outputs = _outputs(fixture_config.output_dir)
+    monkeypatch.setattr(index, "_VERSION", index._VERSION + 1)
+    run_experiment(fixture_config)
+    assert len(list((fixture_config.output_dir / "cache").glob("index-*"))) == 2
+    assert _outputs(fixture_config.output_dir) == outputs
+
+
+def test_readme_config_example_loads(tmp_path):
+    """The README's example config is valid under the strict key check."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Experiments from a config file", 1)[1]
+    example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    for src, dst in [
+        ("corpus.tsv", "passages.tsv"),
+        ("topics.json", "topics.json"),
+        ("qrels.txt", "qrels.txt"),
+        ("pos.jsonl", "pos.jsonl"),
+        ("scores.tsv", "scores.tsv"),
+        ("t5.tsv", "t5.tsv"),
+    ]:
+        shutil.copy(FIXTURES / src, tmp_path / dst)
+    (tmp_path / "exp.yaml").write_text(example, encoding="utf-8")
+    config = load_config(tmp_path / "exp.yaml")
+    assert [m.name for m in config.methods] == ["raw", "concat-pos", "hqe", "t5"]
+    assert config.fusion.methods == ("hqe", "t5")
 
 
 def test_config_hash_logged_and_written(fixture_config):

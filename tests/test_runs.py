@@ -92,3 +92,10 @@ def test_scores_round_trip_exactly(tmp_path):
     write_run(path, run)
     again = read_run(path)
     assert [e.score for e in again["q"].entries] == [e.score for e in run["q"].entries]
+
+
+def test_tag_with_whitespace_is_rejected_before_writing(tmp_path):
+    path = tmp_path / "x.run"
+    with pytest.raises(ValueError, match="run tag 'my raw'"):
+        write_run(path, [_list("1_1", [("a", 1.0)])], tag="my raw")
+    assert not path.exists()
