@@ -91,8 +91,8 @@ def average_precision(
         return 0.0
     hits = 0
     total = 0.0
-    for rank, e in enumerate(ranked.entries[:depth], start=1):
-        if e.doc_id in relevant:
+    for rank, doc_id in enumerate(ranked.ids[:depth], start=1):
+        if doc_id in relevant:
             hits += 1
             total += hits / rank
     return total / len(relevant)
@@ -111,8 +111,8 @@ def ndcg_at_k(ranked: RankedList, qrels: Qrels, k: int) -> float:
     if idcg == 0.0:
         return 0.0
     dcg = 0.0
-    for rank, e in enumerate(ranked.entries[:k], start=1):
-        g = grades.get(e.doc_id, 0)
+    for rank, doc_id in enumerate(ranked.ids[:k], start=1):
+        g = grades.get(doc_id, 0)
         if g:
             dcg += g / math.log2(rank + 1)
     return dcg / idcg
@@ -124,7 +124,7 @@ def recall_at_k(
     relevant = qrels.relevant_docs(ranked.qid, rel_threshold)
     if not relevant:
         return 0.0
-    found = sum(1 for e in ranked.entries[:k] if e.doc_id in relevant)
+    found = sum(1 for doc_id in ranked.ids[:k] if doc_id in relevant)
     return found / len(relevant)
 
 
@@ -213,7 +213,7 @@ def evaluate_run(
     qids = [
         qid
         for qid in sorted(run, key=qid_sort_key)
-        if run[qid].entries and qrels.relevant_docs(qid)
+        if len(run[qid]) and qrels.relevant_docs(qid)
     ]
     if not qids:
         raise ValueError("no judged queries: run and qrels share no qid with relevant docs")

@@ -163,12 +163,16 @@ def _method_from_dict(base: Path, raw: Mapping, where: str) -> MethodSpec:
     hqe = _build(HqeParams, raw["hqe"], f"{where}.hqe") if "hqe" in raw else HqeParams()
     if mtype == "external":
         _require("rewrites" in raw, f"config: {where} ({name}): external needs 'rewrites'")
+    else:
+        _require(
+            "rewrites" not in raw, f"config: {where} ({name}): 'rewrites' is only read by type external"
+        )
     return MethodSpec(
         name=name,
         type=mtype,
         m_window=int(raw.get("m_window", CONCAT_DEFAULT_WINDOW)),
         hqe=hqe,
-        rewrites=path_of("rewrites") if mtype == "external" else None,
+        rewrites=path_of("rewrites"),
         pos_annotations=path_of("pos_annotations"),
         rerank_scores=path_of("rerank_scores"),
     )
@@ -232,7 +236,11 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
             if mode == "early":
                 _require(scores is not None, "config: early fusion needs fusion.rerank_scores")
             else:
-                scores = None
+                _require(
+                    scores is None,
+                    "config: late fusion takes no fusion.rerank_scores; "
+                    "each fused method reranks with its own rerank_scores",
+                )
                 for fm in fmethods:
                     _require(
                         by_name[fm].rerank_scores is not None,
@@ -288,7 +296,15 @@ def _write_atomically(path: Path, write: Callable[[Path], None]) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         write(tmp)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError:
+            # A directory cannot replace a non-empty one. Only a finished
+            # rename creates ``path``, so another process that shares the
+            # cache has already put a complete entry there: use it.
+            if not (tmp.is_dir() and path.is_dir()):
+                raise
+            shutil.rmtree(tmp)
     except BaseException:
         if tmp.is_dir():
             shutil.rmtree(tmp, ignore_errors=True)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .runs import RankedList, qid_sort_key
 
 DEFAULT_FUSION_DEPTH = 1000
@@ -45,11 +47,14 @@ def rrf_fuse(
     for rl in lists[1:]:
         if rl.qid != qid:
             raise ValueError(f"cannot fuse lists with mismatched qids {qid!r} and {rl.qid!r}")
-    scores: dict[str, float] = {}
-    for rl in lists:
-        for rank, e in enumerate(rl.entries, start=1):
-            scores[e.doc_id] = scores.get(e.doc_id, 0.0) + 1.0 / (params.k + rank)
-    return RankedList.from_scores(qid, scores.items()).truncated(depth)
+    # Every doc's score is summed list by list from 0.0, the same float
+    # additions in the same order as a per-doc running sum.
+    slot: dict[str, int] = {}
+    slots = [[slot.setdefault(d, len(slot)) for d in rl.ids] for rl in lists]
+    fused = np.zeros(len(slot), dtype=np.float64)
+    for positions in slots:
+        fused[positions] += 1.0 / (params.k + np.arange(1, len(positions) + 1))
+    return RankedList.from_scores(qid, list(slot), fused, depth)
 
 
 def load_rerank_scores(path: str | Path) -> dict[tuple[str, str], float]:
@@ -80,16 +85,18 @@ def rerank(ranked: RankedList, scores: RerankScores) -> RankedList:
     Every (qid, doc) pair must be covered; missing pairs are an error so a
     partial score file cannot silently drop or misplace candidates.
     """
-    missing = [e.doc_id for e in ranked.entries if (ranked.qid, e.doc_id) not in scores]
-    if missing:
+    qid = ranked.qid
+    try:
+        rescored = [scores[(qid, d)] for d in ranked.ids]
+    except KeyError:
+        missing = [d for d in ranked.ids if (qid, d) not in scores]
         shown = ", ".join(repr(d) for d in missing[:5])
         more = f" (+{len(missing) - 5} more)" if len(missing) > 5 else ""
         raise ValueError(
-            f"rerank scores missing for qid {ranked.qid!r}: first missing pair "
-            f"({ranked.qid!r}, {missing[0]!r}); all missing: {shown}{more}"
-        )
-    rescored = [(e.doc_id, scores[(ranked.qid, e.doc_id)]) for e in ranked.entries]
-    return RankedList.from_scores(ranked.qid, rescored)
+            f"rerank scores missing for qid {qid!r}: first missing pair "
+            f"({qid!r}, {missing[0]!r}); all missing: {shown}{more}"
+        ) from None
+    return RankedList.from_scores(qid, ranked.ids, rescored)
 
 
 def fuse_runs(

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _bm25
 from .corpus import Passage
-from .runs import RankedEntry, RankedList
+from .runs import RankedList
 from .tokenization import TokenizerConfig
 
 _FORMAT = "convpr.index"
@@ -284,8 +284,8 @@ class Searcher:
             kth = np.partition(cand_scores, cand.size - k)[cand.size - k]
             cand = cand[cand_scores >= kth]
         top = cand[np.lexsort((self.index.docid_rank[cand], -scores[cand]))[:k]]
-        ids = map(self.index.doc_ids.__getitem__, top.tolist())
-        return RankedList(qid, list(map(RankedEntry, ids, scores[top].tolist())))
+        ids = list(map(self.index.doc_ids.__getitem__, top.tolist()))
+        return RankedList(qid, ids, scores[top])
 
     def max_score_term(self, term: str) -> float:
         """Best single-document score for a one-token query; 0.0 when the

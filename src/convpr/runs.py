@@ -1,18 +1,20 @@
 """Ranked result lists and the 6-column TREC run file format.
 
-In memory a ranked list is an ordered list of (doc_id, score) entries and
-an entry's rank is its 1-based position. A rank number exists only in run
-files, whose lines are ``qid Q0 doc_id rank score tag`` with ranks 1..n per
-qid; scores are written with full float precision so that write → read
-round-trips are exact.
+In memory a ranked list is two columns: a list of doc ids and a float64
+array of their scores, best first; an entry's rank is its 1-based
+position. A rank number exists only in run files, whose lines are
+``qid Q0 doc_id rank score tag`` with ranks 1..n per qid; scores are
+written with full float precision so that write → read round-trips are
+exact.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 
 class RunFileWarning(UserWarning):
@@ -24,50 +26,91 @@ class RankedEntry(NamedTuple):
     score: float
 
 
-@dataclass
+def _score_column(qid: str, ids: Sequence[str], scores: Iterable[float]) -> np.ndarray:
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != (len(ids),):
+        raise ValueError(f"qid {qid}: {len(ids)} doc ids but scores of shape {scores.shape}")
+    return scores
+
+
 class RankedList:
-    """Ordered (doc_id, score) results for one query id; an entry's rank
-    is its 1-based position in ``entries``.
+    """Ordered results for one query id: ``ids`` (doc ids) and ``scores``
+    (a float64 array of the same length); an entry's rank is its 1-based
+    position.
 
     Doc_ids must be unique. Non-increasing scores are expected but only
     warned about, because external tools re-sort by score and we preserve
     whatever the file said.
     """
 
-    qid: str
-    entries: list[RankedEntry] = field(default_factory=list)
+    __slots__ = ("qid", "ids", "scores")
+    __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for e in self.entries:
-            if e.doc_id in seen:
-                raise ValueError(f"qid {self.qid}: duplicate doc_id {e.doc_id!r}")
-            seen.add(e.doc_id)
-        scores = [e.score for e in self.entries]
-        if any(b > a for a, b in zip(scores, scores[1:])):
+    def __init__(self, qid: str, ids: Sequence[str] = (), scores: Iterable[float] = ()) -> None:
+        ids = list(ids)
+        scores = _score_column(qid, ids, scores)
+        if len(set(ids)) != len(ids):
+            seen: set[str] = set()
+            for doc_id in ids:
+                if doc_id in seen:
+                    raise ValueError(f"qid {qid}: duplicate doc_id {doc_id!r}")
+                seen.add(doc_id)
+        if np.any(scores[1:] > scores[:-1]):
             warnings.warn(
-                f"qid {self.qid}: scores are not non-increasing; order preserved",
+                f"qid {qid}: scores are not non-increasing; order preserved",
                 RunFileWarning,
                 stacklevel=2,
             )
+        self.qid = qid
+        self.ids = ids
+        self.scores = scores
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RankedList):
+            return NotImplemented
+        return (
+            self.qid == other.qid
+            and self.ids == other.ids
+            and np.array_equal(self.scores, other.scores)
+        )
+
+    def __repr__(self) -> str:
+        return f"RankedList({self.qid!r}, {self.ids!r}, {self.scores.tolist()!r})"
+
+    @property
+    def entries(self) -> list[RankedEntry]:
+        """The list as (doc_id, score) tuples with Python float scores."""
+        return list(map(RankedEntry, self.ids, self.scores.tolist()))
 
     def doc_ids(self) -> list[str]:
-        return [e.doc_id for e in self.entries]
+        return list(self.ids)
 
     def doc_set(self) -> set[str]:
-        return {e.doc_id for e in self.entries}
+        return set(self.ids)
 
     def truncated(self, depth: int) -> "RankedList":
-        return RankedList(self.qid, self.entries[:depth])
+        return RankedList(self.qid, self.ids[:depth], self.scores[:depth])
 
     @classmethod
-    def from_scores(cls, qid: str, scored: Iterable[tuple[str, float]]) -> "RankedList":
-        """Sort (doc_id, score) pairs by descending score, ties by ascending doc_id."""
-        ordered = sorted(scored, key=lambda ds: (-ds[1], ds[0]))
-        return cls(qid, [RankedEntry(d, s) for d, s in ordered])
+    def from_scores(
+        cls, qid: str, ids: Sequence[str], scores: Iterable[float], depth: int | None = None
+    ) -> "RankedList":
+        """Order doc ids by descending score, ties by ascending doc_id, and
+        keep the first ``depth`` (all when None)."""
+        scores = _score_column(qid, ids, scores)
+        order = np.argsort(-scores, kind="stable")
+        ordered = scores[order]
+        if np.any(ordered[1:] == ordered[:-1]):
+            # Sort stably from ascending doc_id order, so that equal scores
+            # keep it. Python compares the strings: numpy's fixed-width
+            # strings would ignore trailing NULs.
+            by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+            order = by_id[np.argsort(-scores[by_id], kind="stable")]
+        order = order[:depth]
+        return cls(qid, list(map(ids.__getitem__, order.tolist())), scores[order])
 
 
 def qid_sort_key(qid: str):
@@ -84,8 +127,9 @@ def write_run(path: str | Path, run: Mapping[str, RankedList] | Sequence[RankedL
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         for rl in lists:
-            for rank, e in enumerate(rl.entries, start=1):
-                fh.write(f"{rl.qid} Q0 {e.doc_id} {rank} {e.score!r} {tag}\n")
+            head, tail = f"{rl.qid} Q0 ", f" {tag}\n"
+            rows = zip(range(1, len(rl) + 1), rl.ids, rl.scores.tolist())
+            fh.write("".join([f"{head}{d} {rank} {s!r}{tail}" for rank, d, s in rows]))
 
 
 def read_run(path: str | Path) -> dict[str, RankedList]:
@@ -94,7 +138,8 @@ def read_run(path: str | Path) -> dict[str, RankedList]:
     Rank gaps are an error; non-monotone scores produce a RunFileWarning.
     """
     path = Path(path)
-    per_qid: dict[str, list[RankedEntry]] = {}
+    per_qid: dict[str, tuple[list[str], list[float]]] = {}
+    qid_now = None
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -108,10 +153,13 @@ def read_run(path: str | Path) -> dict[str, RankedList]:
                 score = float(score_s)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad rank/score: {exc}") from exc
-            entries = per_qid.setdefault(qid, [])
-            if rank != len(entries) + 1:
+            if qid != qid_now:  # a qid's lines are usually consecutive
+                qid_now = qid
+                ids, scores = per_qid.setdefault(qid, ([], []))
+            if rank != len(ids) + 1:
                 raise ValueError(
-                    f"{path}:{lineno}: qid {qid}: rank {rank} does not follow {len(entries)}"
+                    f"{path}:{lineno}: qid {qid}: rank {rank} does not follow {len(ids)}"
                 )
-            entries.append(RankedEntry(doc_id, score))
-    return {qid: RankedList(qid, entries) for qid, entries in per_qid.items()}
+            ids.append(doc_id)
+            scores.append(score)
+    return {qid: RankedList(qid, ids, scores) for qid, (ids, scores) in per_qid.items()}

@@ -124,6 +124,29 @@ def rrf_rank(ranked_doc_lists: list[list[str]], k: float, depth: int) -> list[tu
     return ordered[:depth]
 
 
+# -- ordering by score ---------------------------------------------------------------
+
+
+def score_order(pairs) -> list[tuple[str, float]]:
+    """(doc_id, score) pairs by descending score, ties by ascending doc_id,
+    using Python's own float and str comparisons (so -0.0 ties 0.0)."""
+    return sorted(pairs, key=lambda ds: (-ds[1], ds[0]))
+
+
+# Doc ids whose order differs between Python and numpy strings: "a\x00"
+# sorts after "a" in Python, but numpy's fixed-width strings drop the NUL.
+TIE_ID_POOL = ["a", "a\x00", "b", "B", "\u00e9", "10", "9", "d01", "d1", "d001", "z_1"] + [
+    f"p{i}" for i in range(40)
+]
+
+
+def random_scored(rng, n: int) -> tuple[list[str], list[float]]:
+    """``n`` distinct doc ids from TIE_ID_POOL with scores drawn so that most
+    of them tie, including -0.0 against 0.0."""
+    ids = rng.sample(TIE_ID_POOL, n)
+    return ids, [rng.choice([2.0, 1.0, 0.0, -0.0, -1.5, rng.random()]) for _ in ids]
+
+
 # -- retrieval metrics -------------------------------------------------------------
 
 

@@ -30,14 +30,14 @@ from convpr.evaluation import (
 from convpr.experiment import load_config, run_experiment
 from convpr.fusion import RrfParams, rerank, rrf_fuse
 from convpr.index import Bm25Params, Searcher
-from convpr.runs import RankedEntry, RankedList, read_run
+from convpr.runs import RankedList, read_run
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _ranked(qid, doc_ids):
     n = len(doc_ids)
-    return RankedList(qid, [RankedEntry(d, float(n - i)) for i, d in enumerate(doc_ids)])
+    return RankedList(qid, doc_ids, [float(n - i) for i in range(n)])
 
 
 def _utterances(turn_tokens):

@@ -11,8 +11,10 @@ import tracer  # noqa: E402
 import workloads  # noqa: E402
 
 from conftest import index_from  # noqa: E402
-from convpr import _bm25  # noqa: E402
+from convpr import _bm25, experiment, runs  # noqa: E402
 from convpr.index import Searcher  # noqa: E402
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 # Names the tracer wraps, including the re-imports that experiment.py looks
 # up in its own namespace.
@@ -83,3 +85,39 @@ def test_search_result_is_built_through_ranked_list():
     finally:
         t.restore()
     assert t.summary()["runs.RankedList"]["calls"] == 1
+
+
+def test_ranked_list_entry_count_matches_search_results_and_read_runs(tmp_path):
+    # The benchmark counts runs.RankedList.entries as the length of the
+    # constructor's second argument after qid: one per entry of the list.
+    searcher = Searcher(index_from({"d1": ["cat", "sat"], "d2": ["dog", "cat"], "d3": ["cat"]}))
+    t = tracer.Tracer()
+    try:
+        tracer.install(t, 12.5)
+        result = searcher.search(["cat"], k=10, qid="q")
+        searched = t.counts["runs.RankedList.entries"]
+        path = tmp_path / "x.run"
+        runs.write_run(path, [result, runs.RankedList("r", result.ids[:2], result.scores[:2])])
+        t.counts.clear()
+        runs.read_run(path)
+        read = t.counts["runs.RankedList.entries"]
+    finally:
+        t.restore()
+    assert searched == len(result.entries) == 3
+    assert read == len(path.read_text(encoding="utf-8").splitlines()) == 5
+
+
+def test_warm_experiment_fires_the_run_spans(tmp_path):
+    # The rerun workload requires runs.read_run and runs.RankedList to fire
+    # on a warm experiment.
+    config = experiment.load_config(FIXTURES / "config.yaml", {"output_dir": str(tmp_path / "out")})
+    experiment.run_experiment(config)
+    t = tracer.Tracer()
+    try:
+        tracer.install(t, 12.5)
+        experiment.run_experiment(config)
+    finally:
+        t.restore()
+    summary = t.summary()
+    for span in ("runs.read_run", "runs.RankedList"):
+        assert summary.get(span, {}).get("calls", 0) > 0, span

@@ -18,12 +18,12 @@ from convpr.evaluation import (
     recall_at_k,
     win_tie_loss,
 )
-from convpr.runs import RankedEntry, RankedList
+from convpr.runs import RankedList
 
 
 def _list(qid, doc_ids):
     n = len(doc_ids)
-    return RankedList(qid, [RankedEntry(d, float(n - i)) for i, d in enumerate(doc_ids)])
+    return RankedList(qid, doc_ids, [float(n - i) for i in range(n)])
 
 
 def _qrels(qid, grades):

@@ -113,6 +113,16 @@ def test_early_fusion_needs_scores(tmp_path):
         ("methods: [{name: my raw, type: raw}]\n", "method name 'my raw'"),
         ("methods: [{name: a/b, type: raw}]\n", "method name 'a/b'"),
         ("methods: [{name: 'a,b', type: raw}]\n", "method name 'a,b'"),
+        (
+            "methods: [{name: a, type: raw, rewrites: c.tsv}]\n",
+            r"methods\[0\] \(a\): 'rewrites' is only read by type external",
+        ),
+        (
+            "methods: [{name: a, type: raw, rerank_scores: q.txt},"
+            " {name: b, type: raw, rerank_scores: q.txt}]\n"
+            "fusion: {mode: late, methods: [a, b], rerank_scores: q.txt}\n",
+            "late fusion takes no fusion.rerank_scores",
+        ),
     ],
 )
 def test_malformed_config_sections_are_validation_errors(tmp_path, snippet, message):
@@ -236,6 +246,25 @@ def test_interrupted_index_save_is_not_reused(tmp_path, monkeypatch):
     clean = load_config(FIXTURES / "config.yaml", {"output_dir": str(tmp_path / "clean")})
     run_experiment(clean)
     assert _tree(tmp_path / "crash") == _tree(tmp_path / "clean")
+
+
+def test_second_save_to_a_finished_index_entry_uses_it(tmp_path):
+    """Two runs that share a cache may build the same index; the one that
+    finishes second keeps the first one's complete entry."""
+    from convpr.experiment import _write_atomically
+
+    def save(marker):
+        def write(tmp):
+            tmp.mkdir()
+            (tmp / "meta.json").write_text(marker, encoding="utf-8")
+
+        return write
+
+    target = tmp_path / "index-0123456789abcdef"
+    _write_atomically(target, save("first"))
+    _write_atomically(target, save("second"))
+    assert (target / "meta.json").read_text(encoding="utf-8") == "first"
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]  # no .index-*.tmp
 
 
 def test_warm_rerun_reuses_ke_cache(fixture_config, monkeypatch):

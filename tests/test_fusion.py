@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,12 @@ from convpr.fusion import (
     rerank_run,
     rrf_fuse,
 )
-from convpr.runs import RankedEntry, RankedList
+from convpr.runs import RankedList
 
 
 def _list(qid, doc_ids):
     n = len(doc_ids)
-    return RankedList(qid, [RankedEntry(d, float(n - i)) for i, d in enumerate(doc_ids)])
+    return RankedList(qid, doc_ids, [float(n - i) for i in range(n)])
 
 
 def test_params_validated():
@@ -48,6 +50,18 @@ def test_three_synthetic_lists_match_oracle():
     fused = rrf_fuse(lists, RrfParams(60.0), depth=100)
     want = oracles.rrf_rank([l.doc_ids() for l in lists], 60.0, 100)
     assert [(e.doc_id, e.score) for e in fused.entries] == want
+
+
+def test_random_lists_match_oracle_at_every_depth():
+    rng = random.Random(3)
+    pool = oracles.TIE_ID_POOL
+    for case in range(200):
+        lists = [_list("q", rng.sample(pool, rng.randint(1, len(pool)))) for _ in range(rng.randint(1, 4))]
+        k = rng.choice([60.0, 1.0, 2.5])
+        depth = rng.randint(1, len(pool) + 1)
+        fused = rrf_fuse(lists, RrfParams(k), depth=depth)
+        want = oracles.rrf_rank([l.doc_ids() for l in lists], k, depth)
+        assert [(e.doc_id, e.score) for e in fused.entries] == want, case
 
 
 def test_mismatched_qids_rejected():
@@ -128,6 +142,17 @@ def test_rerank_reversed_scores_reverses_list():
     out = rerank(lst, scores)
     assert out.doc_ids() == ["c", "b", "a"]
     assert [e.score for e in out.entries] == [3.0, 2.0, 1.0]
+
+
+def test_rerank_matches_sorted_reference_on_random_ties():
+    rng = random.Random(5)
+    for case in range(300):
+        ids, scores = oracles.random_scored(rng, rng.randint(0, len(oracles.TIE_ID_POOL)))
+        out = rerank(_list("q", ids), {("q", d): s for d, s in zip(ids, scores)})
+        want = oracles.score_order(zip(ids, scores))
+        assert [(e.doc_id, repr(e.score)) for e in out.entries] == [
+            (d, repr(s)) for d, s in want
+        ], case
 
 
 def test_rerank_missing_pair_is_an_error():

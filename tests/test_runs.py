@@ -1,17 +1,20 @@
+import random
+
 import pytest
 
+import oracles
 from convpr.runs import RankedEntry, RankedList, RunFileWarning, qid_sort_key, read_run, write_run
 
 
 def _list(qid, pairs):
-    return RankedList(qid, [RankedEntry(d, s) for d, s in pairs])
+    return RankedList(qid, [d for d, _ in pairs], [s for _, s in pairs])
 
 
 def test_rank_must_be_contiguous(tmp_path):
     # In memory a rank is a list position; in a run file every qid's ranks
     # are written as 1..n, and reading them back restores the same entries.
-    full = RankedList.from_scores("1_1", [("b", 1.0), ("a", 1.0), ("c", 2.0), ("d", 0.5)])
-    cut = RankedList.from_scores("1_2", [("x", 3.0), ("y", 2.0), ("z", 1.0)]).truncated(2)
+    full = RankedList.from_scores("1_1", ["b", "a", "c", "d"], [1.0, 1.0, 2.0, 0.5])
+    cut = RankedList.from_scores("1_2", ["x", "y", "z"], [3.0, 2.0, 1.0]).truncated(2)
     path = tmp_path / "x.run"
     write_run(path, [full, cut])
     ranks: dict[str, list[int]] = {}
@@ -24,19 +27,29 @@ def test_rank_must_be_contiguous(tmp_path):
 
 def test_duplicate_doc_rejected():
     with pytest.raises(ValueError, match="duplicate doc_id"):
-        RankedList("q", [RankedEntry("a", 1.0), RankedEntry("a", 0.5)])
+        RankedList("q", ["a", "a"], [1.0, 0.5])
 
 
 def test_non_monotone_scores_warn_but_load():
     with pytest.warns(RunFileWarning):
-        rl = RankedList("q", [RankedEntry("a", 1.0), RankedEntry("b", 2.0)])
+        rl = RankedList("q", ["a", "b"], [1.0, 2.0])
     assert rl.doc_ids() == ["a", "b"]
 
 
 def test_from_scores_ties_break_by_doc_id():
-    rl = RankedList.from_scores("q", [("b", 1.0), ("a", 1.0), ("c", 2.0)])
+    rl = RankedList.from_scores("q", ["b", "a", "c"], [1.0, 1.0, 2.0])
     assert rl.doc_ids() == ["c", "a", "b"]
     assert [e.score for e in rl.entries] == [2.0, 1.0, 1.0]
+    rng = random.Random(11)
+    for case in range(300):
+        ids, scores = oracles.random_scored(rng, rng.randint(0, len(oracles.TIE_ID_POOL)))
+        depth = rng.randint(1, len(ids) + 1)
+        got = RankedList.from_scores("q", ids, scores, depth)
+        want = oracles.score_order(zip(ids, scores))[:depth]
+        # repr compares bitwise: -0.0 must stay -0.0.
+        assert [(e.doc_id, repr(e.score)) for e in got.entries] == [
+            (d, repr(s)) for d, s in want
+        ], case
 
 
 def test_write_read_round_trip(tmp_path):
@@ -66,7 +79,7 @@ def test_qid_sort_key_mixes_numeric_and_string():
 def test_rank_gap_in_file_is_an_error(tmp_path):
     path = tmp_path / "x.run"
     path.write_text("q Q0 a 1 2.0 t\nq Q0 b 3 1.0 t\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="rank 3 does not follow 1"):
+    with pytest.raises(ValueError, match=r"x\.run:2: qid q: rank 3 does not follow 1"):
         read_run(path)
 
 
@@ -81,8 +94,32 @@ def test_increasing_scores_in_file_warn(tmp_path):
 def test_wrong_column_count_is_an_error(tmp_path):
     path = tmp_path / "x.run"
     path.write_text("q Q0 a 1 1.0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="expected 6 columns"):
+    with pytest.raises(ValueError, match=r"x\.run:1: expected 6 columns, found 5"):
         read_run(path)
+    path.write_text("q Q0 a 1 1.0 t\n\nq Q0 b 2 0.5 t extra\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"x\.run:3: expected 6 columns, found 7"):
+        read_run(path)
+
+
+@pytest.mark.parametrize("rank,score", [("x", "0.5"), ("2.0", "0.5"), ("2", "high")])
+def test_bad_rank_or_score_names_its_line(tmp_path, rank, score):
+    path = tmp_path / "x.run"
+    path.write_text(f"q Q0 a 1 1.0 t\nq Q0 b {rank} {score} t\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"x\.run:2: bad rank/score"):
+        read_run(path)
+
+
+def test_interleaved_qids_and_blank_lines_are_read_per_qid(tmp_path):
+    path = tmp_path / "x.run"
+    path.write_text(
+        "\nq1 Q0 a 1 3.0 t\nq2 Q0 x 1 5.0 t\n  \nq1 Q0 b 2 2.0 t\n\nq2 Q0 y 2 -0.0 t\n",
+        encoding="utf-8",
+    )
+    run = read_run(path)
+    assert list(run) == ["q1", "q2"]
+    assert run["q1"] == RankedList("q1", ["a", "b"], [3.0, 2.0])
+    assert run["q2"] == RankedList("q2", ["x", "y"], [5.0, -0.0])
+    assert repr(run["q2"].entries[1].score) == "-0.0"
 
 
 def test_scores_round_trip_exactly(tmp_path):
@@ -92,6 +129,8 @@ def test_scores_round_trip_exactly(tmp_path):
     write_run(path, run)
     again = read_run(path)
     assert [e.score for e in again["q"].entries] == [e.score for e in run["q"].entries]
+    for e in again["q"].entries:
+        assert type(e) is RankedEntry and type(e.score) is float
 
 
 def test_tag_with_whitespace_is_rejected_before_writing(tmp_path):
