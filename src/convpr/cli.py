@@ -30,7 +30,6 @@ from .evaluation import (
 from .experiment import (
     METHOD_TYPES,
     _method_from_dict,
-    fuse_variants,
     grid_search,
     load_config,
     reformulate_method,
@@ -123,15 +122,6 @@ def cmd_rerank(args) -> int:
     reranked = rerank_run(run, load_rerank_scores(args.scores))
     write_run(args.out, reranked, tag=args.tag)
     print(f"reranked {len(run)} qids -> {args.out}")
-    return 0
-
-
-def cmd_pipeline(args) -> int:
-    runs = [read_run(p) for p in args.runs]
-    scores = load_rerank_scores(args.scores) if args.scores else None
-    fused = fuse_variants(args.mode, runs, RrfParams(k=args.k), args.depth, scores)
-    write_run(args.out, fused, tag=f"{args.mode}-fusion")
-    print(f"{args.mode} fusion of {len(runs)} runs over {len(fused)} qids -> {args.out}")
     return 0
 
 
@@ -336,16 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--tag", default="rerank")
     p.set_defaults(func=cmd_rerank)
-
-    p = sub.add_parser("pipeline", help="fuse query-variant runs early or late")
-    p.add_argument("--mode", required=True, choices=("early", "late"))
-    p.add_argument("--runs", nargs="+", required=True,
-                   help="first-stage runs (early) or reranked runs (late)")
-    p.add_argument("--scores", help="rerank scores for the fused list (early mode)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--k", type=float, default=60.0)
-    p.add_argument("--depth", type=int, default=1000)
-    p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("eval", help="evaluate a run against qrels")
     p.add_argument("--run", required=True)

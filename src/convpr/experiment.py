@@ -46,7 +46,7 @@ from .evaluation import (
     parse_metric,
     write_metrics_csv,
 )
-from .fusion import RerankScores, RrfParams, fuse_runs, load_rerank_scores, rerank_run
+from .fusion import RrfParams, fuse_runs, load_rerank_scores, rerank_run
 from .index import Bm25Params, InvertedIndex, Searcher, build_index
 from .runs import RankedList, read_run, write_run
 from .tokenization import TokenizerConfig
@@ -111,6 +111,15 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a fraction is an error rather than truncated."""
+    _require(
+        isinstance(value, (int, float)) and not isinstance(value, bool) and float(value).is_integer(),
+        f"{what} must be an integer, got {value!r}",
+    )
+    return int(value)
+
+
 def _as_path(base: Path, value, key: str) -> Path:
     _require(isinstance(value, str) and value, f"config: {key} must be a non-empty path string")
     p = Path(value)
@@ -160,7 +169,10 @@ def _method_from_dict(base: Path, raw: Mapping, where: str) -> MethodSpec:
     def path_of(key: str) -> Path | None:
         return _existing(_as_path(base, raw[key], f"{where}.{key}"), key) if key in raw else None
 
-    hqe = _build(HqeParams, raw["hqe"], f"{where}.hqe") if "hqe" in raw else HqeParams()
+    hqe = HqeParams()
+    if "hqe" in raw:
+        hqe = _build(HqeParams, raw["hqe"], f"{where}.hqe")
+        hqe = replace(hqe, m_window=_integer(hqe.m_window, f"config: {where}.hqe.m_window"))
     if mtype == "external":
         _require("rewrites" in raw, f"config: {where} ({name}): external needs 'rewrites'")
     else:
@@ -170,7 +182,7 @@ def _method_from_dict(base: Path, raw: Mapping, where: str) -> MethodSpec:
     return MethodSpec(
         name=name,
         type=mtype,
-        m_window=int(raw.get("m_window", CONCAT_DEFAULT_WINDOW)),
+        m_window=_integer(raw.get("m_window", CONCAT_DEFAULT_WINDOW), f"config: {where}.m_window"),
         hqe=hqe,
         rewrites=path_of("rewrites"),
         pos_annotations=path_of("pos_annotations"),
@@ -260,7 +272,7 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
         output_dir=_as_path(base, raw["output_dir"], "output_dir"),
         methods=methods,
         fusion=fusion,
-        depth=int(raw.get("depth", 1000)),
+        depth=_integer(raw.get("depth", 1000), "config: depth"),
         metrics=metrics,
         bm25=_build(Bm25Params, raw.get("bm25", {}), "bm25"),
         rrf=_build(RrfParams, raw.get("rrf", {}), "rrf"),
@@ -429,31 +441,6 @@ def retrieve_all(
     return {q.qid: searcher.search(list(q.tokens), k=depth, qid=q.qid) for q in queries}
 
 
-def fuse_variants(
-    mode: str,
-    runs: Sequence[Mapping[str, RankedList]],
-    rrf: RrfParams,
-    depth: int,
-    rerank_scores: RerankScores | None = None,
-) -> dict[str, RankedList]:
-    """Fuse query-variant runs in one of the paper's two pipeline shapes.
-
-    ``early``: ``runs`` are first-stage runs; their RRF fusion is reranked
-    once with ``rerank_scores`` (as read by ``load_rerank_scores``).
-    ``late``: ``runs`` are already reranked and are only fused, so
-    ``rerank_scores`` must be None.
-    """
-    if mode == "early":
-        if rerank_scores is None:
-            raise ValueError("early fusion needs rerank scores for the fused run")
-        return rerank_run(fuse_runs(runs, rrf, depth), rerank_scores)
-    if mode == "late":
-        if rerank_scores is not None:
-            raise ValueError("late fusion fuses already-reranked runs and takes no rerank scores")
-        return fuse_runs(runs, rrf, depth)
-    raise ValueError(f"unknown fusion mode {mode!r}; expected early or late")
-
-
 # -- the experiment -------------------------------------------------------------
 
 
@@ -516,16 +503,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     spec = config.fusion
     if spec is not None:
-        # Early fusion takes each method's first-stage run, late fusion its
-        # reranked one.
+        # Early fusion fuses each method's first-stage run and reranks the
+        # fused run once; late fusion fuses the reranked runs. load_config
+        # gives early fusion, and only early fusion, rerank_scores.
         suffix = "" if spec.mode == "early" else "+rerank"
-        fused = fuse_variants(
-            spec.mode,
-            [final_runs[m + suffix] for m in spec.methods],
-            config.rrf,
-            config.depth,
-            rerank_scores(spec.rerank_scores) if spec.rerank_scores is not None else None,
-        )
+        fused = fuse_runs([final_runs[m + suffix] for m in spec.methods], config.rrf, config.depth)
+        if spec.rerank_scores is not None:
+            fused = rerank_run(fused, rerank_scores(spec.rerank_scores))
         emit(FUSED_RUN_NAME, fused)
 
     reports = {
@@ -587,6 +571,8 @@ def grid_search(
         raise ValueError(f"grid: method {method_name!r} of type {method.type!r} has no grid parameters")
     for key in grid:
         _require(key in allowed, f"grid: parameter {key!r} not tunable for {method.type} (allowed: {allowed})")
+    if "m_window" in grid:
+        grid = {**grid, "m_window": [_integer(v, "grid: m_window") for v in grid["m_window"]]}
     _require(len(grid) > 0, "grid: no parameters given")
 
     depth = depth or config.depth
@@ -596,10 +582,9 @@ def grid_search(
     for values in product(*(grid[k] for k in keys)):
         point = dict(zip(keys, values))
         if method.type in ("hqe", "hqe-pos"):
-            hqe = {**point, "m_window": int(point.get("m_window", method.hqe.m_window))}
-            variant = replace(method, hqe=replace(method.hqe, **hqe))
+            variant = replace(method, hqe=replace(method.hqe, **point))
         else:
-            variant = replace(method, m_window=int(point["m_window"]))
+            variant = replace(method, m_window=point["m_window"])
         queries = reformulate_method(variant, ws.sessions, ws.searcher, config.tokenizer)
         run = retrieve_all(ws.searcher, queries, depth)
         report = evaluate_run(run, ws.qrels, (f"recall@{depth}", "map"), depth)

@@ -2,15 +2,16 @@
 
 RRF scores a passage by sum over input lists of 1/(k + rank), where rank
 is the passage's 1-based position in the list; passages absent from a list
-contribute nothing for it. The paper's two pipeline shapes are built from
-these pieces in :func:`convpr.experiment.fuse_variants`: late fusion
-combines the final reranked lists of each query variant; early fusion
-combines the first-stage lists and reranks the fused list with one
-designated variant's scores, so the expensive reranker runs once.
+contribute nothing for it. The paper's two pipeline shapes are both
+:func:`fuse_runs` followed, when rerank scores are given, by
+:func:`rerank_run`. Early fusion fuses the query variants' first-stage
+runs and reranks the fused run, so the expensive reranker runs once; late
+fusion only fuses runs that each variant has already reranked.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -58,7 +59,8 @@ def rrf_fuse(
 
 
 def load_rerank_scores(path: str | Path) -> dict[tuple[str, str], float]:
-    """Read ``qid<TAB>doc_id<TAB>score`` rows; one score per (qid, doc) pair."""
+    """Read ``qid<TAB>doc_id<TAB>score`` rows; one score per (qid, doc) pair,
+    and no NaN, which would order a reranked list arbitrarily."""
     path = Path(path)
     scores: dict[tuple[str, str], float] = {}
     with path.open("r", encoding="utf-8") as fh:
@@ -73,9 +75,12 @@ def load_rerank_scores(path: str | Path) -> dict[tuple[str, str], float]:
             if key in scores:
                 raise ValueError(f"{path}:{lineno}: duplicate score for {key}")
             try:
-                scores[key] = float(parts[2])
+                score = float(parts[2])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad score: {exc}") from exc
+            if math.isnan(score):
+                raise ValueError(f"{path}:{lineno}: score is NaN")
+            scores[key] = score
     return scores
 
 

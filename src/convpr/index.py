@@ -73,7 +73,6 @@ class InvertedIndex:
             raise ValueError(f"avg_doc_len {avg_doc_len} inconsistent with doc_lengths mean {mean_len}")
 
         self._term_ids = {t: i for i, t in enumerate(terms)}
-        self._doc_ord = {d: i for i, d in enumerate(doc_ids)}
         df = (offsets[1:] - offsets[:-1]).astype(np.float64)
         n = float(len(doc_ids))
         self.idf = np.log1p((n - df + 0.5) / (df + 0.5))
@@ -99,12 +98,6 @@ class InvertedIndex:
         if tid is None:
             return 0
         return int(self.offsets[tid + 1] - self.offsets[tid])
-
-    def doc_ord(self, doc_id: str) -> int:
-        try:
-            return self._doc_ord[doc_id]
-        except KeyError:
-            raise ValueError(f"unknown doc_id {doc_id!r}") from None
 
     # -- persistence -------------------------------------------------------
 
@@ -251,24 +244,6 @@ class Searcher:
                 starts, ends, weights, self.index.doc_ords, self.index.tfs, self._len_norm, scores
             )
         return scores
-
-    def score(self, tokens: Sequence[str], doc_id: str) -> float:
-        """Score one document; unknown doc_id is an error, tokens absent
-        from the doc contribute 0."""
-        ordinal = self.index.doc_ord(doc_id)
-        k1 = self.params.k1
-        ln = self._len_norm[ordinal]
-        total = 0.0
-        for tok in tokens:
-            tid = self.index._term_ids.get(tok)
-            if tid is None:
-                continue
-            s, e = int(self.index.offsets[tid]), int(self.index.offsets[tid + 1])
-            pos = s + int(np.searchsorted(self.index.doc_ords[s:e], ordinal))
-            if pos < e and self.index.doc_ords[pos] == ordinal:
-                tf = self.index.tfs[pos]
-                total += self.index.idf[tid] * tf * (k1 + 1.0) / (tf + ln)
-        return total
 
     def search(self, tokens: Sequence[str], k: int = 1000, qid: str = "0") -> RankedList:
         """Top-k by BM25; only docs scoring > 0 appear, ties break by

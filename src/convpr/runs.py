@@ -123,6 +123,12 @@ def write_run(path: str | Path, run: Mapping[str, RankedList] | Sequence[RankedL
     if tag.split() != [tag]:
         raise ValueError(f"run tag {tag!r} is empty or has whitespace")
     lists = list(run.values()) if isinstance(run, Mapping) else list(run)
+    seen: set[str] = set()
+    for rl in lists:
+        # read_run could not read the file back: the ranks would restart.
+        if rl.qid in seen:
+            raise ValueError(f"run has two ranked lists for qid {rl.qid!r}")
+        seen.add(rl.qid)
     lists.sort(key=lambda rl: qid_sort_key(rl.qid))
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
@@ -135,7 +141,8 @@ def write_run(path: str | Path, run: Mapping[str, RankedList] | Sequence[RankedL
 def read_run(path: str | Path) -> dict[str, RankedList]:
     """Parse a 6-column run file into one RankedList per qid.
 
-    Rank gaps are an error; non-monotone scores produce a RunFileWarning.
+    Rank gaps and NaN scores are errors; non-monotone scores produce a
+    RunFileWarning.
     """
     path = Path(path)
     per_qid: dict[str, tuple[list[str], list[float]]] = {}
@@ -153,6 +160,8 @@ def read_run(path: str | Path) -> dict[str, RankedList]:
                 score = float(score_s)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad rank/score: {exc}") from exc
+            if score != score:  # NaN would order the list arbitrarily
+                raise ValueError(f"{path}:{lineno}: qid {qid}: score is NaN")
             if qid != qid_now:  # a qid's lines are usually consecutive
                 qid_now = qid
                 ids, scores = per_qid.setdefault(qid, ([], []))

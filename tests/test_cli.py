@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from convpr.cli import main
-from convpr.runs import read_run
+from convpr.fusion import RrfParams, fuse_runs, load_rerank_scores, rerank_run
+from convpr.runs import read_run, write_run
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -57,16 +58,28 @@ def test_full_cli_walkthrough(workdir, capsys):
     t5_run = workdir / "t5.run"
     assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv",
                 "--out", t5_run) == 0
+    # early fusion: fuse the first-stage runs, then rerank the fused run once
+    fused_t5 = workdir / "fused_t5.run"
+    assert _run("fuse", "--runs", run_path, t5_run, "--out", fused_t5) == 0
     early = workdir / "early.run"
-    assert _run("pipeline", "--mode", "early", "--runs", run_path, t5_run,
-                "--scores", workdir / "scores.tsv", "--out", early) == 0
+    assert _run("rerank", "--run", fused_t5, "--scores", workdir / "scores.tsv",
+                "--out", early, "--tag", "early-fusion") == 0
+    # late fusion: fuse runs that are already reranked
     late = workdir / "late.run"
-    assert _run("pipeline", "--mode", "late", "--runs", reranked, t5_run,
-                "--out", late) == 0
+    assert _run("fuse", "--runs", reranked, t5_run, "--out", late, "--tag", "late-fusion") == 0
     assert read_run(early)["7_2"].doc_set() == read_run(late)["7_2"].doc_set()
-    # early mode without scores is a usage error
-    assert _run("pipeline", "--mode", "early", "--runs", run_path, t5_run,
-                "--out", workdir / "x.run") == 1
+    # the two commands write what the library's fuse_runs then rerank_run gives
+    expected = workdir / "expected.run"
+    write_run(expected, rerank_run(
+        fuse_runs([read_run(run_path), read_run(t5_run)], RrfParams(k=60.0), 1000),
+        load_rerank_scores(workdir / "scores.tsv"),
+    ), tag="early-fusion")
+    assert expected.read_bytes() == early.read_bytes()
+    # scores that miss a fused pair are a validation error
+    partial = workdir / "partial.tsv"
+    partial.write_text("7_1\tnope\t1.0\n", encoding="utf-8")
+    assert _run("rerank", "--run", fused_t5, "--scores", partial,
+                "--out", workdir / "y.run") == 1
 
     assert _run("eval", "--run", run_path, "--qrels", workdir / "qrels.txt",
                 "--metrics", "map,ndcg@3,recall@1000", "--per-query") == 0
@@ -119,7 +132,7 @@ def test_jsonl_index_build(tmp_path):
                 "--output", tmp_path / "idx") == 0
 
 
-def test_validation_failures_exit_1(workdir, tmp_path):
+def test_validation_failures_exit_1(workdir, tmp_path, capsys):
     # missing input file
     assert _run("retrieve", "--index", tmp_path / "noidx", "--queries",
                 workdir / "t5.tsv", "--out", tmp_path / "x.run") == 1
@@ -142,6 +155,24 @@ def test_validation_failures_exit_1(workdir, tmp_path):
     # analyze jaccard without the runs it compares
     assert _run("analyze", "jaccard", "--run-a", workdir / "t5.tsv") == 1
     assert _run("analyze", "jaccard", "--adjacent") == 1
+    # a fractional depth or window is an error, not truncated
+    assert _run("experiment", "--config", workdir / "config.yaml",
+                "--output-dir", tmp_path / "out", "--set", "depth=10.5") == 1
+    assert "depth must be an integer" in capsys.readouterr().err
+    assert _run("grid", "--config", workdir / "config.yaml", "--method", "hqe",
+                "--param", "m_window=1,1.5", "--set", f"output_dir={tmp_path / 'out'}") == 1
+    assert "m_window must be an integer, got 1.5" in capsys.readouterr().err
+    # a NaN score in a run or a rerank-score file, named with its line
+    run = tmp_path / "nan.run"
+    run.write_text("7_1 Q0 d1 1 2.0 t\n7_1 Q0 d2 2 nan t\n", encoding="utf-8")
+    assert _run("eval", "--run", run, "--qrels", workdir / "qrels.txt") == 1
+    assert "nan.run:2: qid 7_1: score is NaN" in capsys.readouterr().err
+    scores = tmp_path / "nan.tsv"
+    scores.write_text("7_1\td1\t-nan\n", encoding="utf-8")
+    good = tmp_path / "good.run"
+    good.write_text("7_1 Q0 d1 1 2.0 t\n", encoding="utf-8")
+    assert _run("rerank", "--run", good, "--scores", scores, "--out", tmp_path / "x.run") == 1
+    assert "nan.tsv:1: score is NaN" in capsys.readouterr().err
 
 
 def test_bad_usage_exits_1():

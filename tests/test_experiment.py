@@ -123,6 +123,15 @@ def test_early_fusion_needs_scores(tmp_path):
             "fusion: {mode: late, methods: [a, b], rerank_scores: q.txt}\n",
             "late fusion takes no fusion.rerank_scores",
         ),
+        ("depth: 10.5\nmethods: [{name: a, type: raw}]\n", r"depth must be an integer, got 10\.5"),
+        (
+            "methods: [{name: a, type: concat, m_window: 3.7}]\n",
+            r"methods\[0\]\.m_window must be an integer, got 3\.7",
+        ),
+        (
+            "methods: [{name: a, type: hqe, hqe: {m_window: 2.5}}]\n",
+            r"methods\[0\]\.hqe\.m_window must be an integer, got 2\.5",
+        ),
     ],
 )
 def test_malformed_config_sections_are_validation_errors(tmp_path, snippet, message):
@@ -415,6 +424,13 @@ def test_grid_rejects_untunable_parameters(fixture_config):
         grid_search(fixture_config, "raw", {"m_window": [1]})
     with pytest.raises(ValueError, match="not tunable"):
         grid_search(fixture_config, "hqe", {"k1": [0.5]})
+
+
+def test_grid_rejects_a_fractional_window(fixture_config):
+    with pytest.raises(ValueError, match=r"grid: m_window must be an integer, got 1\.5"):
+        grid_search(fixture_config, "hqe", {"m_window": [1.0, 1.5]})
+    with pytest.raises(ValueError, match=r"grid: m_window must be an integer, got 2\.5"):
+        grid_search(fixture_config, "concat-pos", {"m_window": [2.5]})
 
 
 def test_unanswerable_turn_stays_deterministic_across_cache_reuse(tmp_path):

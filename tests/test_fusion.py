@@ -182,6 +182,14 @@ def test_load_rerank_scores(tmp_path):
         load_rerank_scores(path)
 
 
+@pytest.mark.parametrize("nan", ["nan", "NaN", "-nan"])
+def test_nan_rerank_score_names_its_line(tmp_path, nan):
+    path = tmp_path / "s.tsv"
+    path.write_text(f"q1\td1\t0.5\n\nq1\td2\t{nan}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"s\.tsv:3: score is NaN"):
+        load_rerank_scores(path)
+
+
 # -- pipelines ----------------------------------------------------------------------
 
 

@@ -138,3 +138,26 @@ def test_tag_with_whitespace_is_rejected_before_writing(tmp_path):
     with pytest.raises(ValueError, match="run tag 'my raw'"):
         write_run(path, [_list("1_1", [("a", 1.0)])], tag="my raw")
     assert not path.exists()
+
+
+def test_two_lists_for_one_qid_are_rejected_before_writing(tmp_path):
+    path = tmp_path / "x.run"
+    full = _list("1_1", [("a", 3.0), ("b", 2.0), ("c", 1.0)])
+    with pytest.raises(ValueError, match="two ranked lists for qid '1_1'"):
+        write_run(path, [full, _list("2_1", [("a", 1.0)]), full.truncated(2)])
+    assert not path.exists()
+    # A mapping's key does not name the list: its qid does.
+    with pytest.raises(ValueError, match="two ranked lists for qid '1_1'"):
+        write_run(path, {"1_1": full, "1_2": full.truncated(1)})
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("nan", ["nan", "NaN", "-nan"])
+def test_nan_score_names_its_line(tmp_path, nan):
+    path = tmp_path / "x.run"
+    path.write_text(
+        f"q1 Q0 a 1 1.0 t\nq2 Q0 x 1 2.0 t\nq1 Q0 b 2 0.5 t\nq1 Q0 c 3 {nan} t\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=r"x\.run:4: qid q1: score is NaN"):
+        read_run(path)
