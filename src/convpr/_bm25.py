@@ -1,10 +1,14 @@
 """BM25 scoring kernels over the flat postings layout of index.InvertedIndex.
 
 Both kernels work term at a time: each query term's posting slice is
-scored as one vectorized numpy expression.
+scored as one vectorized numpy expression. Term frequencies are stored as
+unsigned integers; each slice is converted to float64 once (exactly), so
+the arithmetic is float64 throughout.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def get_backend() -> str:
@@ -16,7 +20,7 @@ def score_postings(starts, ends, weights, doc_ords, tfs, len_norm, scores) -> No
     for t in range(starts.shape[0]):
         s, e = starts[t], ends[t]
         d = doc_ords[s:e]
-        tf = tfs[s:e]
+        tf = tfs[s:e].astype(np.float64)
         # doc ordinals are unique within one posting list, so fancy-index
         # accumulation is a single add per doc.
         scores[d] += weights[t] * tf / (tf + len_norm[d])
@@ -27,5 +31,5 @@ def max_posting_score(start, end, weight, doc_ords, tfs, len_norm) -> float:
     if end <= start:
         return 0.0
     d = doc_ords[start:end]
-    tf = tfs[start:end]
+    tf = tfs[start:end].astype(np.float64)
     return float((weight * tf / (tf + len_norm[d])).max())

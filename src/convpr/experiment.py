@@ -68,6 +68,10 @@ class MethodSpec:
     pos_annotations: Path | None = None
     rerank_scores: Path | None = None
 
+    def __post_init__(self) -> None:
+        if self.m_window < 0:
+            raise ValueError(f"m_window must be >= 0, got {self.m_window}")
+
     @property
     def uses_pos(self) -> bool:
         return self.type.endswith("-pos")
@@ -576,15 +580,16 @@ def grid_search(
     _require(len(grid) > 0, "grid: no parameters given")
 
     depth = depth or config.depth
-    ws = _open_workspace(config)
     keys = sorted(grid)
+    points = [dict(zip(keys, values)) for values in product(*(grid[k] for k in keys))]
+    # Every point is validated here, before the index is built or loaded.
+    if method.type in ("hqe", "hqe-pos"):
+        variants = [replace(method, hqe=replace(method.hqe, **point)) for point in points]
+    else:
+        variants = [replace(method, m_window=point["m_window"]) for point in points]
+    ws = _open_workspace(config)
     rows: list[dict] = []
-    for values in product(*(grid[k] for k in keys)):
-        point = dict(zip(keys, values))
-        if method.type in ("hqe", "hqe-pos"):
-            variant = replace(method, hqe=replace(method.hqe, **point))
-        else:
-            variant = replace(method, m_window=point["m_window"])
+    for point, variant in zip(points, variants):
         queries = reformulate_method(variant, ws.sessions, ws.searcher, config.tokenizer)
         run = retrieve_all(ws.searcher, queries, depth)
         report = evaluate_run(run, ws.qrels, (f"recall@{depth}", "map"), depth)

@@ -1,8 +1,23 @@
 """Immutable inverted index with BM25 top-k retrieval.
 
 Postings live in a flat term-major layout (one slice per term) so the
-scoring kernels in :mod:`convpr._bm25` can run over plain arrays. The
-scoring variant is the Lucene one:
+scoring kernels in :mod:`convpr._bm25` can run over plain arrays. An index
+directory (layout v2) holds ``meta.json``, ``terms.txt``, ``doc_ids.json``
+and five numpy arrays:
+
+- ``offsets`` (int64, vocab + 1): term ``t``'s postings are
+  ``offsets[t]:offsets[t + 1]``;
+- ``doc_ords`` (int32): each posting's doc ordinal, ascending within a term;
+- ``tfs``: each posting's term frequency, in the smallest unsigned integer
+  dtype that holds the largest one (uint8 unless a passage repeats a term
+  256 times); the kernels promote it to float64 exactly;
+- ``doc_lengths`` (int64): tokens per passage;
+- ``docid_rank`` (int32): each ordinal's position in Python's sort order of
+  the doc ids, the tie-break of every ranking. It is computed once at build
+  time, so loading never sorts the doc ids.
+
+:func:`build_index` inverts the corpus block by block with numpy, so no
+posting is ever a Python object. The scoring variant is the Lucene one:
 
     IDF(t) = ln(1 + (N - df + 0.5) / (df + 0.5))
     score(q, d) = sum over query tokens of IDF * tf*(k1+1) / (tf + k1*(1 - b + b*dl/avgdl))
@@ -17,10 +32,10 @@ the same terms for every turn.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,7 +45,20 @@ from .runs import RankedList
 from .tokenization import TokenizerConfig
 
 _FORMAT = "convpr.index"
-_VERSION = 1
+_VERSION = 2
+# Passages per inverted block of build_index. A block's sort and scatter
+# temporaries grow with it; per-block numpy call overhead shrinks with it.
+_BLOCK_PASSAGES = 256
+
+# The arrays of an index directory, each saved as <name>.npy, with their
+# dtypes; None marks tfs, whose unsigned dtype depends on the largest tf.
+_ARRAYS = {
+    "offsets": np.int64,
+    "doc_ords": np.int32,
+    "tfs": None,
+    "doc_lengths": np.int64,
+    "docid_rank": np.int32,
+}
 
 
 @dataclass(frozen=True)
@@ -56,6 +84,7 @@ class InvertedIndex:
         doc_ords: np.ndarray,
         tfs: np.ndarray,
         doc_lengths: np.ndarray,
+        docid_rank: np.ndarray,
         avg_doc_len: float,
         tokenizer: TokenizerConfig,
     ):
@@ -65,6 +94,8 @@ class InvertedIndex:
         self.doc_ords = doc_ords
         self.tfs = tfs
         self.doc_lengths = doc_lengths
+        # Lexicographic rank of each ordinal's doc_id; used for tie-breaks.
+        self.docid_rank = docid_rank
         self.avg_doc_len = avg_doc_len
         self.tokenizer = tokenizer
 
@@ -76,11 +107,6 @@ class InvertedIndex:
         df = (offsets[1:] - offsets[:-1]).astype(np.float64)
         n = float(len(doc_ids))
         self.idf = np.log1p((n - df + 0.5) / (df + 0.5))
-        # Lexicographic rank of each ordinal's doc_id; used for tie-breaks.
-        order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
-        self.docid_rank = np.empty(len(doc_ids), dtype=np.int64)
-        for pos, ordinal in enumerate(order):
-            self.docid_rank[ordinal] = pos
 
     @property
     def doc_count(self) -> int:
@@ -122,13 +148,14 @@ class InvertedIndex:
         with (path / "doc_ids.json").open("w", encoding="utf-8", newline="\n") as fh:
             json.dump(self.doc_ids, fh, ensure_ascii=True, separators=(",", ":"))
             fh.write("\n")
-        np.save(path / "offsets.npy", self.offsets)
-        np.save(path / "doc_ords.npy", self.doc_ords)
-        np.save(path / "tfs.npy", self.tfs)
-        np.save(path / "doc_lengths.npy", self.doc_lengths)
+        for name in _ARRAYS:
+            np.save(path / f"{name}.npy", getattr(self, name))
 
     @classmethod
     def load(cls, path: str | Path) -> "InvertedIndex":
+        """Read a directory written by :meth:`save`. Its arrays are checked
+        against each other first, so a damaged directory is a ValueError
+        here and not a wrong score or an IndexError in some later query."""
         path = Path(path)
         with (path / "meta.json").open("r", encoding="utf-8") as fh:
             meta = json.load(fh)
@@ -137,56 +164,116 @@ class InvertedIndex:
         terms = (path / "terms.txt").read_text(encoding="utf-8").splitlines()
         with (path / "doc_ids.json").open("r", encoding="utf-8") as fh:
             doc_ids = json.load(fh)
-        index = cls(
+        if len(doc_ids) != meta["doc_count"] or len(terms) != meta["vocab_size"]:
+            raise ValueError(f"{path}: metadata does not match stored arrays")
+        arrays = {name: np.load(path / f"{name}.npy") for name in _ARRAYS}
+        try:
+            _check_arrays(arrays, len(terms), len(doc_ids))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        return cls(
             terms=terms,
             doc_ids=doc_ids,
-            offsets=np.load(path / "offsets.npy"),
-            doc_ords=np.load(path / "doc_ords.npy"),
-            tfs=np.load(path / "tfs.npy"),
-            doc_lengths=np.load(path / "doc_lengths.npy"),
             avg_doc_len=float(meta["avg_doc_len"]),
             tokenizer=TokenizerConfig.from_dict(meta.get("tokenizer", {})),
+            **arrays,
         )
-        if index.doc_count != meta["doc_count"] or index.vocab_size != meta["vocab_size"]:
-            raise ValueError(f"{path}: metadata does not match stored arrays")
-        return index
+
+
+def _check_arrays(arrays: dict[str, np.ndarray], vocab_size: int, doc_count: int) -> None:
+    """Raise ValueError unless ``arrays`` form a consistent v2 index of
+    ``vocab_size`` terms and ``doc_count`` passages. Each check is O(n)."""
+    for name, dtype in _ARRAYS.items():
+        a = arrays[name]
+        ok = a.dtype.kind == "u" if dtype is None else a.dtype == dtype
+        if not ok or a.ndim != 1:
+            want = "unsigned integer" if dtype is None else np.dtype(dtype).name
+            raise ValueError(f"{name}.npy must be a 1-d {want} array, got {a.ndim}-d {a.dtype}")
+    offsets, doc_ords, tfs = arrays["offsets"], arrays["doc_ords"], arrays["tfs"]
+    if len(offsets) != vocab_size + 1:
+        raise ValueError(f"offsets.npy holds {len(offsets)} entries for {vocab_size} terms")
+    if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
+        raise ValueError("offsets.npy must start at 0 and never decrease")
+    if not offsets[-1] == len(doc_ords) == len(tfs):
+        raise ValueError(
+            f"offsets.npy ends at {offsets[-1]}, but doc_ords.npy holds {len(doc_ords)} "
+            f"postings and tfs.npy {len(tfs)}"
+        )
+    for name in ("doc_lengths", "docid_rank"):
+        if len(arrays[name]) != doc_count:
+            raise ValueError(f"{name}.npy holds {len(arrays[name])} entries for {doc_count} passages")
+    if len(doc_ords) and (doc_ords.min() < 0 or doc_ords.max() >= doc_count):
+        raise ValueError(f"doc_ords.npy holds an ordinal outside 0..{doc_count - 1}")
+    rank = arrays["docid_rank"]
+    if doc_count and (rank.min() < 0 or rank.max() >= doc_count):
+        raise ValueError(f"docid_rank.npy holds a rank outside 0..{doc_count - 1}")
+    seen = np.zeros(doc_count, dtype=bool)
+    seen[rank] = True
+    if not seen.all():
+        raise ValueError("docid_rank.npy is not a permutation of the doc ordinals")
 
 
 def build_index(passages: Iterable[Passage], tokenizer: TokenizerConfig | None = None) -> InvertedIndex:
     """Single-pass, deterministic build: term and doc ordinals follow first
-    occurrence in the input stream."""
+    occurrence in the input stream, which is iterated once.
+
+    Each passage is tokenized once and its tokens become an int32 term-id
+    stream. Every ``_BLOCK_PASSAGES`` passages that stream is inverted with
+    one numpy sort of (term id, passage) keys; at the end the blocks are
+    scattered, in doc order, into postings arrays allocated once, so doc
+    ordinals ascend within every term. No posting is ever a Python object,
+    and the files saved are the same for any block size.
+    """
     tokenizer = tokenizer or TokenizerConfig()
-    term_ids: dict[str, int] = {}
-    per_term_docs: list[list[int]] = []
-    per_term_tfs: list[list[int]] = []
+    # A term seen for the first time gets the vocabulary size as its id.
+    term_ids: defaultdict[str, int] = defaultdict()
+    term_ids.default_factory = term_ids.__len__
     doc_ids: list[str] = []
     doc_lengths: list[int] = []
+    blocks: list[_Block] = []
+    stream: list[str] = []
 
-    for ordinal, passage in enumerate(passages):
+    def flush() -> None:
+        first = len(blocks) * _BLOCK_PASSAGES
+        ids = np.fromiter(map(term_ids.__getitem__, stream), dtype=np.int32, count=len(stream))
+        blocks.append(_invert_block(ids, np.asarray(doc_lengths[first:], dtype=np.int64), first))
+        stream.clear()
+
+    for passage in passages:
         doc_ids.append(passage.doc_id)
         tokens = tokenizer(passage.text)
         doc_lengths.append(len(tokens))
-        for term, tf in Counter(tokens).items():
-            tid = term_ids.get(term)
-            if tid is None:
-                tid = len(term_ids)
-                term_ids[term] = tid
-                per_term_docs.append([])
-                per_term_tfs.append([])
-            per_term_docs[tid].append(ordinal)
-            per_term_tfs[tid].append(tf)
-
+        stream += tokens
+        if len(doc_ids) % _BLOCK_PASSAGES == 0:
+            flush()
     if not doc_ids:
         raise ValueError("cannot build an index from an empty passage collection")
+    if len(doc_ids) % _BLOCK_PASSAGES:
+        flush()
 
+    df = np.zeros(len(term_ids), dtype=np.int64)
+    for block in blocks:
+        df[block.terms] += block.counts
     offsets = np.zeros(len(term_ids) + 1, dtype=np.int64)
-    for tid, docs in enumerate(per_term_docs):
-        offsets[tid + 1] = offsets[tid] + len(docs)
+    np.cumsum(df, out=offsets[1:])
+    max_tf = max(int(block.tfs.max(initial=0)) for block in blocks)
     doc_ords = np.empty(int(offsets[-1]), dtype=np.int32)
-    tfs = np.empty(int(offsets[-1]), dtype=np.float64)
-    for tid, (docs, freqs) in enumerate(zip(per_term_docs, per_term_tfs)):
-        doc_ords[offsets[tid] : offsets[tid + 1]] = docs
-        tfs[offsets[tid] : offsets[tid + 1]] = freqs
+    tfs = np.empty(int(offsets[-1]), dtype=np.min_scalar_type(max_tf))
+    # fill[t]: where the next posting of term t goes. Blocks arrive in doc
+    # order, so each term's postings land in ascending doc order.
+    fill = offsets[:-1].copy()
+    for block in blocks:
+        group_starts = np.cumsum(block.counts) - block.counts
+        pos = np.repeat(fill[block.terms] - group_starts, block.counts)
+        pos += np.arange(len(pos))
+        doc_ords[pos] = block.docs
+        tfs[pos] = block.tfs
+        fill[block.terms] += block.counts
+
+    # Python's string order, not numpy's: numpy's ignores trailing NULs.
+    order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
+    docid_rank = np.empty(len(doc_ids), dtype=np.int32)
+    docid_rank[np.asarray(order, dtype=np.int64)] = np.arange(len(doc_ids), dtype=np.int32)
 
     lengths = np.asarray(doc_lengths, dtype=np.int64)
     return InvertedIndex(
@@ -196,8 +283,36 @@ def build_index(passages: Iterable[Passage], tokenizer: TokenizerConfig | None =
         doc_ords=doc_ords,
         tfs=tfs,
         doc_lengths=lengths,
+        docid_rank=docid_rank,
         avg_doc_len=float(lengths.mean()),
         tokenizer=tokenizer,
+    )
+
+
+class _Block(NamedTuple):
+    """The postings of one block of passages, grouped by term: ``terms``
+    (ascending) each own the next ``counts`` entries of ``docs`` (global
+    doc ordinals, ascending within a term) and ``tfs``."""
+
+    terms: np.ndarray
+    counts: np.ndarray
+    docs: np.ndarray
+    tfs: np.ndarray
+
+
+def _invert_block(ids: np.ndarray, lengths: np.ndarray, first_doc: int) -> _Block:
+    """Invert the term-id stream of the passages ``first_doc, first_doc + 1,
+    ...``, whose token counts are ``lengths``, with one sort."""
+    n = len(lengths)
+    owner = np.repeat(np.arange(n, dtype=np.int64), lengths)
+    keys, tfs = np.unique(ids.astype(np.int64) * n + owner, return_counts=True)
+    tids, local = np.divmod(keys, n)
+    group_starts = np.flatnonzero(np.diff(tids, prepend=-1))
+    return _Block(
+        terms=tids[group_starts].astype(np.int32),
+        counts=np.diff(group_starts, append=len(keys)).astype(np.int32),
+        docs=(local + first_doc).astype(np.int32),
+        tfs=tfs.astype(np.min_scalar_type(int(tfs.max(initial=0)))),
     )
 
 

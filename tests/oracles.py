@@ -9,6 +9,9 @@ code. Slow on purpose; only run on toy-sized inputs.
 from __future__ import annotations
 
 import math
+from collections import Counter
+
+import numpy as np
 
 
 # -- BM25 ---------------------------------------------------------------------
@@ -63,6 +66,55 @@ def qpp_score(docs: dict[str, list[str]], tokens: list[str], k1: float, b: float
     for doc_id in docs:
         best = max(best, bm25_score(docs, tokens, doc_id, k1, b))
     return best
+
+
+# -- index layout --------------------------------------------------------------
+
+
+def reference_index(passages, tokenizer):
+    """The v2 index arrays built the direct way: one Python list of doc
+    ordinals and one of tfs per term, filled passage by passage, and the
+    doc_id rank written ordinal by ordinal."""
+    from convpr.index import InvertedIndex
+
+    term_ids: dict[str, int] = {}
+    per_term_docs: list[list[int]] = []
+    per_term_tfs: list[list[int]] = []
+    doc_ids: list[str] = []
+    doc_lengths: list[int] = []
+    for ordinal, passage in enumerate(passages):
+        doc_ids.append(passage.doc_id)
+        tokens = tokenizer(passage.text)
+        doc_lengths.append(len(tokens))
+        for term, tf in Counter(tokens).items():
+            if term not in term_ids:
+                term_ids[term] = len(term_ids)
+                per_term_docs.append([])
+                per_term_tfs.append([])
+            per_term_docs[term_ids[term]].append(ordinal)
+            per_term_tfs[term_ids[term]].append(tf)
+
+    offsets = np.zeros(len(term_ids) + 1, dtype=np.int64)
+    for tid, docs in enumerate(per_term_docs):
+        offsets[tid + 1] = offsets[tid] + len(docs)
+    all_tfs = [tf for freqs in per_term_tfs for tf in freqs]
+    doc_ords = np.array([d for docs in per_term_docs for d in docs], dtype=np.int32)
+    tfs = np.array(all_tfs, dtype=np.min_scalar_type(max(all_tfs, default=0)))
+    docid_rank = np.empty(len(doc_ids), dtype=np.int32)
+    for pos, ordinal in enumerate(sorted(range(len(doc_ids)), key=doc_ids.__getitem__)):
+        docid_rank[ordinal] = pos
+    lengths = np.array(doc_lengths, dtype=np.int64)
+    return InvertedIndex(
+        terms=list(term_ids),
+        doc_ids=doc_ids,
+        offsets=offsets,
+        doc_ords=doc_ords,
+        tfs=tfs,
+        doc_lengths=lengths,
+        docid_rank=docid_rank,
+        avg_doc_len=float(lengths.mean()),
+        tokenizer=tokenizer,
+    )
 
 
 # -- historical query expansion, transcribed line by line ----------------------

@@ -12,7 +12,8 @@ import workloads  # noqa: E402
 
 from conftest import index_from  # noqa: E402
 from convpr import _bm25, experiment, runs  # noqa: E402
-from convpr.index import Searcher  # noqa: E402
+from convpr.corpus import Passage  # noqa: E402
+from convpr.index import Searcher, build_index  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -121,3 +122,31 @@ def test_warm_experiment_fires_the_run_spans(tmp_path):
     summary = t.summary()
     for span in ("runs.read_run", "runs.RankedList"):
         assert summary.get(span, {}).get("calls", 0) > 0, span
+
+
+def test_build_index_tokenizes_each_passage_once():
+    # The build workload's tokenization.tokens counter sums the tokenizer's
+    # results, so it equals the corpus's token count only at one call per passage.
+    passages = [Passage(f"d{i}", f"w{i % 7} w{i % 3} and w{i % 7}") for i in range(600)]
+    t = tracer.Tracer()
+    try:
+        tracer.install(t, 12.5)
+        build_index(iter(passages))
+    finally:
+        t.restore()
+    assert t.summary()["tokenization.tokenize"]["calls"] == len(passages)
+    assert t.counts["tokenization.tokens"] == 4 * len(passages)
+
+
+def test_cold_experiment_builds_through_the_traced_name(tmp_path):
+    # A cold run builds its index through experiment.build_index, which the
+    # tracer wraps as the index.build_index span.
+    config = experiment.load_config(FIXTURES / "config.yaml", {"output_dir": str(tmp_path / "out")})
+    t = tracer.Tracer()
+    try:
+        tracer.install(t, 12.5)
+        ws = experiment._open_workspace(config)
+    finally:
+        t.restore()
+    assert t.summary()["index.build_index"]["calls"] == 1
+    assert t.counts["index.postings"] == ws.searcher.index.doc_ords.size > 0

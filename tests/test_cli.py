@@ -1,6 +1,10 @@
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from convpr.cli import main
@@ -162,6 +166,29 @@ def test_validation_failures_exit_1(workdir, tmp_path, capsys):
     assert _run("grid", "--config", workdir / "config.yaml", "--method", "hqe",
                 "--param", "m_window=1,1.5", "--set", f"output_dir={tmp_path / 'out'}") == 1
     assert "m_window must be an integer, got 1.5" in capsys.readouterr().err
+    # a negative window is rejected before anything is built or written
+    neg = workdir / "neg.yaml"
+    neg.write_text((workdir / "config.yaml").read_text().replace("m_window: 2\n", "m_window: -1\n"))
+    assert _run("experiment", "--config", neg) == 1
+    assert "m_window must be >= 0, got -1" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+    assert _run("reformulate", "--method", "concat", "--topics", workdir / "topics.json",
+                "--m-window", "-1", "--out", tmp_path / "r.tsv") == 1
+    assert "m_window must be >= 0, got -1" in capsys.readouterr().err
+    for method, param in (("concat-pos", "m_window=1,-1"), ("hqe", "r_sub=1.0,2.5")):
+        assert _run("grid", "--config", workdir / "config.yaml", "--method", method,
+                    "--param", param, "--set", f"output_dir={tmp_path / 'grid'}") == 1
+    assert "r_topic (1.9) must exceed r_sub (2.5)" in capsys.readouterr().err
+    assert not (tmp_path / "grid").exists()
+    # an index directory whose arrays disagree is a validation error
+    idx = tmp_path / "damaged"
+    assert _run("index", "build", "--input", workdir / "corpus.tsv", "--output", idx) == 0
+    doc_ords = np.load(idx / "doc_ords.npy")
+    doc_ords[-1] = len(np.load(idx / "doc_lengths.npy"))
+    np.save(idx / "doc_ords.npy", doc_ords)
+    assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv",
+                "--out", tmp_path / "x.run") == 1
+    assert "doc_ords.npy holds an ordinal outside" in capsys.readouterr().err
     # a NaN score in a run or a rerank-score file, named with its line
     run = tmp_path / "nan.run"
     run.write_text("7_1 Q0 d1 1 2.0 t\n7_1 Q0 d2 2 nan t\n", encoding="utf-8")
@@ -189,3 +216,22 @@ def test_external_reformulate_requires_rewrites(workdir, tmp_path):
                 "--out", tmp_path / "r.tsv") == 1
     assert _run("reformulate", "--method", "external", "--topics", workdir / "topics.json",
                 "--rewrites", workdir / "t5.tsv", "--out", tmp_path / "r.tsv") == 0
+
+
+def test_index_build_does_not_depend_on_the_hash_seed(tmp_path):
+    # String hashing is salted per process; no set or dict order that
+    # depends on it may reach term ids or any other file of the index.
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for seed in ("1", "2"):
+        subprocess.run(
+            [sys.executable, "-m", "convpr.cli", "index", "build",
+             "--input", str(FIXTURES / "corpus.tsv"), "--output", str(tmp_path / seed)],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            check=True, capture_output=True, timeout=120,
+        )
+    files = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert "docid_rank.npy" in files
+    assert files == sorted(p.name for p in (tmp_path / "2").iterdir())
+    for name in files:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name

@@ -132,6 +132,8 @@ def test_early_fusion_needs_scores(tmp_path):
             "methods: [{name: a, type: hqe, hqe: {m_window: 2.5}}]\n",
             r"methods\[0\]\.hqe\.m_window must be an integer, got 2\.5",
         ),
+        ("methods: [{name: a, type: concat-pos, m_window: -1}]\n", "m_window must be >= 0, got -1"),
+        ("methods: [{name: a, type: hqe, hqe: {m_window: -1}}]\n", "m_window must be >= 0, got -1"),
     ],
 )
 def test_malformed_config_sections_are_validation_errors(tmp_path, snippet, message):
@@ -431,6 +433,14 @@ def test_grid_rejects_a_fractional_window(fixture_config):
         grid_search(fixture_config, "hqe", {"m_window": [1.0, 1.5]})
     with pytest.raises(ValueError, match=r"grid: m_window must be an integer, got 2\.5"):
         grid_search(fixture_config, "concat-pos", {"m_window": [2.5]})
+
+
+def test_grid_rejects_a_bad_point_before_building_the_index(fixture_config):
+    with pytest.raises(ValueError, match="m_window must be >= 0, got -1"):
+        grid_search(fixture_config, "concat-pos", {"m_window": [1, -1]})
+    with pytest.raises(ValueError, match=r"r_topic \(1\.9\) must exceed r_sub \(2\.0\)"):
+        grid_search(fixture_config, "hqe", {"r_sub": [1.0, 2.0]})
+    assert not (fixture_config.output_dir / "cache").exists()
 
 
 def test_unanswerable_turn_stays_deterministic_across_cache_reuse(tmp_path):

@@ -3,8 +3,10 @@ import pytest
 
 import oracles
 from conftest import index_from, passages_from
+from convpr import index as index_mod
 from convpr.corpus import Passage
 from convpr.index import Bm25Params, InvertedIndex, Searcher, build_index
+from convpr.tokenization import TokenizerConfig
 
 TOY = {
     "d1": ["cat", "sat", "on", "mat"],
@@ -41,6 +43,7 @@ def test_stored_average_length_must_match_lengths():
             doc_ords=index.doc_ords,
             tfs=index.tfs,
             doc_lengths=index.doc_lengths,
+            docid_rank=index.docid_rank,
             avg_doc_len=index.avg_doc_len + 1e-6,
             tokenizer=index.tokenizer,
         )
@@ -62,8 +65,9 @@ def test_repeated_term_reflected_in_tf():
 
 
 def test_empty_collection_rejected():
-    with pytest.raises(ValueError, match="empty"):
-        build_index([])
+    for passages in ([], iter([]), (p for p in [])):
+        with pytest.raises(ValueError, match="empty"):
+            build_index(passages)
 
 
 def test_rebuild_is_byte_identical(tmp_path):
@@ -87,6 +91,126 @@ def test_save_load_round_trip_preserves_results(tmp_path, kernel):
         query = oracles.random_query(rng)
         r1, r2 = s1.search(query, k=10, qid="q"), s2.search(query, k=10, qid="q")
         assert r1.entries == r2.entries
+
+
+def _files(path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def _texts(n: int, rng) -> list[str]:
+    words = "red green blue cat dog bird sat ran on the mat".split()
+    return [" ".join(rng.choice(words, size=int(rng.integers(0, 9)))) for _ in range(n)]
+
+
+def _block_corpora(block: int) -> dict[str, tuple[list[Passage], TokenizerConfig]]:
+    """Corpora that put block boundaries in the awkward places for a block
+    of ``block`` passages."""
+    rng = np.random.default_rng(block)
+    plain = TokenizerConfig()
+    corpora = {
+        f"random{i}": (passages_from(oracles.random_corpus(rng, max_docs=60)), plain) for i in range(3)
+    }
+    # The first block holds only empty passages; more sit inside later blocks.
+    texts = [""] * block + ["alpha beta alpha", "", "beta", ""] + _texts(block, rng) + [""]
+    corpora["empty"] = ([Passage(f"e{i}", t) for i, t in enumerate(texts)], plain)
+    texts = _texts(2 * block + 1, rng) + ["red newcomer newcomer"]
+    corpora["new-term-last"] = ([Passage(f"n{i}", t) for i, t in enumerate(texts)], plain)
+    texts = _texts(3 * block, rng)
+    corpora["whole-blocks"] = ([Passage(f"w{i}", t) for i, t in enumerate(texts)], plain)
+    corpora["one"] = ([Passage("only", "one passage, one term twice: passage")], plain)
+    sentences = ["The cats are running to the rivers", "A runner ran and is running", "rivers of the cat"]
+    texts = [sentences[i % 3] for i in range(2 * block + 2)]
+    corpora["analyzed"] = (
+        [Passage(f"s{i}", t) for i, t in enumerate(texts)],
+        TokenizerConfig(stem=True, remove_stopwords=True),
+    )
+    return corpora
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, index_mod._BLOCK_PASSAGES])
+def test_block_build_matches_reference_byte_for_byte(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(index_mod, "_BLOCK_PASSAGES", block)
+    for name, (passages, tokenizer) in _block_corpora(block).items():
+        build_index(iter(passages), tokenizer).save(tmp_path / name / "block")
+        oracles.reference_index(passages, tokenizer).save(tmp_path / name / "reference")
+        assert _files(tmp_path / name / "block") == _files(tmp_path / name / "reference"), name
+
+
+def test_build_pulls_each_passage_once():
+    passages = passages_from(oracles.random_corpus(np.random.default_rng(3), max_docs=40))
+    pulled = []
+
+    def stream():
+        for passage in passages:
+            pulled.append(passage.doc_id)
+            yield passage
+
+    index = build_index(stream())
+    assert pulled == index.doc_ids == [p.doc_id for p in passages]
+
+
+def test_integer_tfs_score_bitwise_like_float64(kernel):
+    rng = np.random.default_rng(23)
+    docs = oracles.random_corpus(rng, max_docs=60)
+    docs["long"] = ["w1"] * 300 + ["w2"]
+    for corpus, dtype in ((oracles.random_corpus(rng, max_docs=60), np.uint8), (docs, np.uint16)):
+        index = index_from(corpus)
+        assert index.tfs.dtype == dtype
+        as_float = InvertedIndex(
+            terms=index.terms,
+            doc_ids=index.doc_ids,
+            offsets=index.offsets,
+            doc_ords=index.doc_ords,
+            tfs=index.tfs.astype(np.float64),
+            doc_lengths=index.doc_lengths,
+            docid_rank=index.docid_rank,
+            avg_doc_len=index.avg_doc_len,
+            tokenizer=index.tokenizer,
+        )
+        ints, floats = Searcher(index), Searcher(as_float)
+        for _ in range(30):
+            query = oracles.random_query(rng)
+            got, want = ints.search(query, k=1000, qid="q"), floats.search(query, k=1000, qid="q")
+            assert got.ids == want.ids
+            assert got.scores.tobytes() == want.scores.tobytes()
+        for term in index.terms:
+            assert np.float64(ints.max_score_term(term)).tobytes() == np.float64(
+                floats.max_score_term(term)
+            ).tobytes()
+
+
+def _with_last(a: np.ndarray, value) -> np.ndarray:
+    a = a.copy()
+    a[-1] = value
+    return a
+
+
+@pytest.mark.parametrize(
+    "name,tamper,message",
+    [
+        ("tfs", lambda a: np.concatenate([a, np.ones(7, a.dtype)]), "holds 9 postings and tfs.npy 16"),
+        ("tfs", lambda a: a[:-1], "holds 9 postings and tfs.npy 8"),
+        ("tfs", lambda a: a.astype(np.float64), "tfs.npy must be a 1-d unsigned integer array"),
+        ("doc_ords", lambda a: _with_last(a, 3), "ordinal outside 0..2"),
+        ("doc_ords", lambda a: _with_last(a, -1), "ordinal outside 0..2"),
+        ("doc_ords", lambda a: a.astype(np.int64), "doc_ords.npy must be a 1-d int32 array"),
+        ("offsets", lambda a: a[:-1], "offsets.npy holds 8 entries for 8 terms"),
+        ("offsets", lambda a: a + 1, "must start at 0"),
+        ("offsets", lambda a: _with_last(a, a[-2] - 1), "never decrease"),
+        ("doc_lengths", lambda a: a[:2], "doc_lengths.npy holds 2 entries for 3 passages"),
+        ("docid_rank", lambda a: np.zeros_like(a), "not a permutation"),
+        ("docid_rank", lambda a: _with_last(a, 3), "rank outside 0..2"),
+        ("docid_rank", lambda a: a[:2], "docid_rank.npy holds 2 entries"),
+        ("docid_rank", lambda a: a.reshape(1, 3), "must be a 1-d int32 array, got 2-d int32"),
+    ],
+)
+def test_load_rejects_inconsistent_arrays(tmp_path, name, tamper, message):
+    index_from(TOY).save(tmp_path)
+    path = tmp_path / f"{name}.npy"
+    np.save(path, tamper(np.load(path)))
+    with pytest.raises(ValueError, match=message) as exc:
+        InvertedIndex.load(tmp_path)
+    assert str(exc.value).startswith(f"{tmp_path}: ")
 
 
 def test_load_rejects_foreign_directory(tmp_path):
