@@ -33,21 +33,11 @@ class Qrels:
             qid: dict(docs) for qid, docs in (grades or {}).items()
         }
 
-    def grade(self, qid: str, doc_id: str) -> int:
-        return self._grades.get(qid, {}).get(doc_id, 0)
-
-    def judged_qids(self) -> list[str]:
-        return sorted(self._grades, key=qid_sort_key)
-
     def doc_grades(self, qid: str) -> dict[str, int]:
         return dict(self._grades.get(qid, {}))
 
     def relevant_docs(self, qid: str, threshold: int = 1) -> set[str]:
         return {d for d, g in self._grades.get(qid, {}).items() if g >= threshold}
-
-    def grade_histogram(self) -> dict[int, int]:
-        counts = Counter(g for docs in self._grades.values() for g in docs.values())
-        return {g: counts.get(g, 0) for g in range(MAX_GRADE + 1)}
 
     def __len__(self) -> int:
         return sum(len(docs) for docs in self._grades.values())

@@ -161,6 +161,9 @@ class InvertedIndex:
             meta = json.load(fh)
         if meta.get("format") != _FORMAT or meta.get("version") != _VERSION:
             raise ValueError(f"{path}: not a {_FORMAT} v{_VERSION} directory")
+        for key in ("doc_count", "vocab_size", "avg_doc_len"):
+            if key not in meta:
+                raise ValueError(f"{path}: meta.json lacks {key!r}")
         terms = (path / "terms.txt").read_text(encoding="utf-8").splitlines()
         with (path / "doc_ids.json").open("r", encoding="utf-8") as fh:
             doc_ids = json.load(fh)
@@ -169,13 +172,14 @@ class InvertedIndex:
         arrays = {name: np.load(path / f"{name}.npy") for name in _ARRAYS}
         try:
             _check_arrays(arrays, len(terms), len(doc_ids))
+            tokenizer = TokenizerConfig.from_dict(meta.get("tokenizer", {}))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         return cls(
             terms=terms,
             doc_ids=doc_ids,
             avg_doc_len=float(meta["avg_doc_len"]),
-            tokenizer=TokenizerConfig.from_dict(meta.get("tokenizer", {})),
+            tokenizer=tokenizer,
             **arrays,
         )
 

@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 import subprocess
@@ -200,6 +201,23 @@ def test_validation_failures_exit_1(workdir, tmp_path, capsys):
     good.write_text("7_1 Q0 d1 1 2.0 t\n", encoding="utf-8")
     assert _run("rerank", "--run", good, "--scores", scores, "--out", tmp_path / "x.run") == 1
     assert "nan.tsv:1: score is NaN" in capsys.readouterr().err
+
+
+def test_damaged_index_meta_and_quoted_tokenizer_flags_exit_1(workdir, tmp_path, capsys):
+    idx = tmp_path / "idx"
+    assert _run("index", "build", "--input", workdir / "corpus.tsv", "--output", idx) == 0
+    meta_path = idx / "meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    del meta["avg_doc_len"]
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv",
+                "--out", tmp_path / "x.run") == 1
+    assert "meta.json lacks 'avg_doc_len'" in capsys.readouterr().err
+    # bool("false") is True: a quoted flag must not build a stemmed index
+    assert _run("experiment", "--config", workdir / "config.yaml", "--output-dir",
+                tmp_path / "out", "--set", "tokenizer.stem='false'") == 1
+    assert "tokenizer.stem must be true or false, got 'false'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_usage_exits_1():

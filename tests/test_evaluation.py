@@ -33,7 +33,7 @@ def _qrels(qid, grades):
 # -- qrels ---------------------------------------------------------------------
 
 
-def test_load_qrels_counts_and_histogram(tmp_path):
+def test_load_qrels_counts_and_grades(tmp_path):
     path = tmp_path / "qrels.txt"
     path.write_text(
         "1_1 0 dA 2\n1_1 0 dB 0\n1_2 0 dA 4\n2_1 0 dC 1\n",
@@ -41,10 +41,9 @@ def test_load_qrels_counts_and_histogram(tmp_path):
     )
     qrels = load_qrels(path)
     assert len(qrels) == 4
-    assert qrels.grade("1_1", "dA") == 2
-    assert qrels.grade("1_1", "unjudged") == 0
-    assert qrels.grade_histogram() == {0: 1, 1: 1, 2: 1, 3: 0, 4: 1}
-    assert qrels.judged_qids() == ["1_1", "1_2", "2_1"]
+    assert qrels.doc_grades("1_1") == {"dA": 2, "dB": 0}
+    assert qrels.doc_grades("unjudged") == {}
+    assert qrels.relevant_docs("1_1") == {"dA"}
 
 
 def test_load_qrels_rejects_grade_out_of_scale(tmp_path):

@@ -106,6 +106,14 @@ def test_early_fusion_needs_scores(tmp_path):
         ),
         ("tokenizer: nope\nmethods: [{name: a, type: raw}]\n", "tokenizer must be a mapping"),
         (
+            "tokenizer: {stem: 'false'}\nmethods: [{name: a, type: raw}]\n",
+            "tokenizer.stem must be true or false, got 'false'",
+        ),
+        (
+            "tokenizer: {remove_stopwords: 1}\nmethods: [{name: a, type: raw}]\n",
+            "tokenizer.remove_stopwords must be true or false, got 1",
+        ),
+        (
             "methods: [{name: a, type: raw, rerank_scores: q.txt}, {name: b, type: raw}]\n"
             "fusion: {mode: early, methods: [a, b], rerank_with: a}\n",
             "fusion: unknown key 'rerank_with'",

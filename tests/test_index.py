@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,27 @@ def test_load_rejects_inconsistent_arrays(tmp_path, name, tamper, message):
     index_from(TOY).save(tmp_path)
     path = tmp_path / f"{name}.npy"
     np.save(path, tamper(np.load(path)))
+    with pytest.raises(ValueError, match=message) as exc:
+        InvertedIndex.load(tmp_path)
+    assert str(exc.value).startswith(f"{tmp_path}: ")
+
+
+@pytest.mark.parametrize(
+    "tamper,message",
+    [
+        (lambda m: m.pop("avg_doc_len"), "meta.json lacks 'avg_doc_len'"),
+        (lambda m: m.pop("doc_count"), "meta.json lacks 'doc_count'"),
+        (lambda m: m.pop("vocab_size"), "meta.json lacks 'vocab_size'"),
+        (lambda m: m["tokenizer"].update(stem="false"), "tokenizer.stem must be true or false"),
+        (lambda m: m["tokenizer"].update(remove_stopwords=0), "tokenizer.remove_stopwords must be"),
+    ],
+)
+def test_load_rejects_incomplete_meta(tmp_path, tamper, message):
+    index_from(TOY).save(tmp_path)
+    path = tmp_path / "meta.json"
+    meta = json.loads(path.read_text(encoding="utf-8"))
+    tamper(meta)
+    path.write_text(json.dumps(meta), encoding="utf-8")
     with pytest.raises(ValueError, match=message) as exc:
         InvertedIndex.load(tmp_path)
     assert str(exc.value).startswith(f"{tmp_path}: ")
