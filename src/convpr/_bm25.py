@@ -3,7 +3,9 @@
 Both kernels work term at a time: each query term's posting slice is
 scored as one vectorized numpy expression. Term frequencies are stored as
 unsigned integers; each slice is converted to float64 once (exactly), so
-the arithmetic is float64 throughout.
+the arithmetic is float64 throughout. Doc ordinals are stored as int32;
+each slice is converted to ``intp`` once, because numpy would otherwise
+convert an int32 index array again on every gather and scatter.
 """
 
 from __future__ import annotations
@@ -19,17 +21,18 @@ def score_postings(starts, ends, weights, doc_ords, tfs, len_norm, scores) -> No
     """scores[d] += w * tf / (tf + len_norm[d]) for each posting of each query term."""
     for t in range(starts.shape[0]):
         s, e = starts[t], ends[t]
-        d = doc_ords[s:e]
+        d = doc_ords[s:e].astype(np.intp)
         tf = tfs[s:e].astype(np.float64)
-        # doc ordinals are unique within one posting list, so fancy-index
-        # accumulation is a single add per doc.
-        scores[d] += weights[t] * tf / (tf + len_norm[d])
+        # Doc ordinals are unique within one posting list and add.at adds in
+        # index order, so each score gets the same single float addition as
+        # with `scores[d] += ...`, only faster.
+        np.add.at(scores, d, weights[t] * tf / (tf + len_norm[d]))
 
 
 def max_posting_score(start, end, weight, doc_ords, tfs, len_norm) -> float:
     """The largest single-posting contribution of one term; 0.0 if it has none."""
     if end <= start:
         return 0.0
-    d = doc_ords[start:end]
+    d = doc_ords[start:end].astype(np.intp)
     tf = tfs[start:end].astype(np.float64)
     return float((weight * tf / (tf + len_norm[d])).max())

@@ -159,7 +159,7 @@ class InvertedIndex:
         path = Path(path)
         with (path / "meta.json").open("r", encoding="utf-8") as fh:
             meta = json.load(fh)
-        if meta.get("format") != _FORMAT or meta.get("version") != _VERSION:
+        if not isinstance(meta, dict) or meta.get("format") != _FORMAT or meta.get("version") != _VERSION:
             raise ValueError(f"{path}: not a {_FORMAT} v{_VERSION} directory")
         for key in ("doc_count", "vocab_size", "avg_doc_len"):
             if key not in meta:
@@ -377,7 +377,10 @@ class Searcher:
             cand_scores = scores[cand]
             kth = np.partition(cand_scores, cand.size - k)[cand.size - k]
             cand = cand[cand_scores >= kth]
-        top = cand[np.lexsort((self.index.docid_rank[cand], -scores[cand]))[:k]]
+        # Order by doc_id rank, then stably by descending score: ties keep
+        # Python's doc_id order.
+        cand = cand[np.argsort(self.index.docid_rank[cand])]
+        top = cand[np.argsort(-scores[cand], kind="stable")[:k]]
         ids = list(map(self.index.doc_ids.__getitem__, top.tolist()))
         return RankedList(qid, ids, scores[top])
 

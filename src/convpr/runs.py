@@ -85,9 +85,6 @@ class RankedList:
         """The list as (doc_id, score) tuples with Python float scores."""
         return list(map(RankedEntry, self.ids, self.scores.tolist()))
 
-    def doc_ids(self) -> list[str]:
-        return list(self.ids)
-
     def doc_set(self) -> set[str]:
         return set(self.ids)
 

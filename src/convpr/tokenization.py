@@ -13,6 +13,7 @@ in proportion to the collection's share of ASCII passages.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 # Letters and digits only: underscores and all punctuation split tokens,
@@ -61,7 +62,9 @@ class TokenizerConfig:
         return {"stem": self.stem, "remove_stopwords": self.remove_stopwords}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TokenizerConfig":
+    def from_dict(cls, d: Mapping) -> "TokenizerConfig":
+        if not isinstance(d, Mapping):
+            raise ValueError(f"tokenizer must be a mapping of stem and remove_stopwords, got {d!r}")
         # Real booleans only: bool("false") is True and would stem silently.
         for key in ("stem", "remove_stopwords"):
             if not isinstance(d.get(key, False), bool):

@@ -56,7 +56,7 @@ def test_criterion_1_bm25_oracle_equivalence():
             query = oracles.random_query(rng, max_terms=8)
             want = oracles.bm25_rank(docs, query, params.k1, params.b, k=1000)
             got = searcher.search(query, k=1000, qid="q")
-            assert got.doc_ids() == [d for d, _ in want], f"case {case}: order differs"
+            assert got.ids == [d for d, _ in want], f"case {case}: order differs"
             for entry, (_, score) in zip(got.entries, want):
                 assert abs(entry.score - score) < 1e-9, f"case {case}: score diff"
     elapsed = time.perf_counter() - started
@@ -168,7 +168,7 @@ def test_criterion_4_rrf_exactness():
     assert abs(fused.entries[0].score - 2.0 / 61.0) < 1e-12
 
     single = _ranked("q", ["c", "a", "d", "b"])
-    assert rrf_fuse([single]).doc_ids() == single.doc_ids()
+    assert rrf_fuse([single]).ids == single.ids
 
     rng = np.random.default_rng(404)
     for case in range(500):
@@ -179,12 +179,12 @@ def test_criterion_4_rrf_exactness():
             lists.append(_ranked("q", perm[: int(rng.integers(1, len(doc_pool) + 1))]))
         k = float(rng.uniform(1.0, 100.0))
         fused = rrf_fuse(lists, RrfParams(k), depth=1000)
-        want = oracles.rrf_rank([l.doc_ids() for l in lists], k, 1000)
+        want = oracles.rrf_rank([l.ids for l in lists], k, 1000)
         assert [(e.doc_id, e.score) for e in fused.entries] == want, f"case {case}"
 
         position = {e.doc_id: rank for rank, e in enumerate(fused.entries, start=1)}
         ranks = {
-            doc: [l.doc_ids().index(doc) if doc in l.doc_set() else None for l in lists]
+            doc: [l.ids.index(doc) if doc in l.doc_set() else None for l in lists]
             for doc in doc_pool
         }
 

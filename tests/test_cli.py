@@ -208,11 +208,17 @@ def test_damaged_index_meta_and_quoted_tokenizer_flags_exit_1(workdir, tmp_path,
     assert _run("index", "build", "--input", workdir / "corpus.tsv", "--output", idx) == 0
     meta_path = idx / "meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    del meta["avg_doc_len"]
+    avg_doc_len = meta.pop("avg_doc_len")
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
     assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv",
                 "--out", tmp_path / "x.run") == 1
     assert "meta.json lacks 'avg_doc_len'" in capsys.readouterr().err
+    meta["avg_doc_len"], meta["tokenizer"] = avg_doc_len, "stem"
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv",
+                "--out", tmp_path / "x.run") == 1
+    err = capsys.readouterr().err
+    assert f"{idx}: tokenizer must be a mapping" in err and "internal error" not in err
     # bool("false") is True: a quoted flag must not build a stemmed index
     assert _run("experiment", "--config", workdir / "config.yaml", "--output-dir",
                 tmp_path / "out", "--set", "tokenizer.stem='false'") == 1

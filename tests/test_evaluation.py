@@ -90,7 +90,7 @@ def test_ap_matches_oracle_on_random_instances():
         qrels = _qrels("q", judged)
         relevant = {d for d, g in judged.items() if g >= 1}
         assert average_precision(run, qrels) == oracles.average_precision(
-            run.doc_ids(), relevant, 1000
+            run.ids, relevant, 1000
         )
 
 
@@ -154,7 +154,7 @@ def test_recall_fraction():
     qrels = _qrels("q", grades)
     run = _list("q", [f"r{i}" for i in range(7)] + ["x", "y"])
     assert recall_at_k(run, qrels, 1000) == pytest.approx(7 / 19)
-    assert recall_at_k(run, qrels, 1000) == oracles.recall(run.doc_ids(), set(grades), 1000)
+    assert recall_at_k(run, qrels, 1000) == oracles.recall(run.ids, set(grades), 1000)
 
 
 def test_ap_and_recall_stable_under_tail_padding():

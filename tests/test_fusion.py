@@ -38,7 +38,7 @@ def test_rank1_in_two_lists_scores_two_over_sixtyone():
 def test_single_list_order_preserved():
     lst = _list("q", ["c", "a", "b", "e", "d"])
     fused = rrf_fuse([lst], RrfParams(60.0))
-    assert fused.doc_ids() == lst.doc_ids()
+    assert fused.ids == lst.ids
 
 
 def test_three_synthetic_lists_match_oracle():
@@ -48,7 +48,7 @@ def test_three_synthetic_lists_match_oracle():
         _list("q", ["f", "c", "a", "h", "b"]),
     ]
     fused = rrf_fuse(lists, RrfParams(60.0), depth=100)
-    want = oracles.rrf_rank([l.doc_ids() for l in lists], 60.0, 100)
+    want = oracles.rrf_rank([l.ids for l in lists], 60.0, 100)
     assert [(e.doc_id, e.score) for e in fused.entries] == want
 
 
@@ -60,7 +60,7 @@ def test_random_lists_match_oracle_at_every_depth():
         k = rng.choice([60.0, 1.0, 2.5])
         depth = rng.randint(1, len(pool) + 1)
         fused = rrf_fuse(lists, RrfParams(k), depth=depth)
-        want = oracles.rrf_rank([l.doc_ids() for l in lists], k, depth)
+        want = oracles.rrf_rank([l.ids for l in lists], k, depth)
         assert [(e.doc_id, e.score) for e in fused.entries] == want, case
 
 
@@ -82,7 +82,7 @@ def test_permutation_invariance():
     ]
     fused_1 = rrf_fuse(lists, RrfParams(60.0))
     fused_2 = rrf_fuse(lists[::-1], RrfParams(60.0))
-    assert fused_1.doc_ids() == fused_2.doc_ids()
+    assert fused_1.ids == fused_2.ids
     for e1, e2 in zip(fused_1.entries, fused_2.entries):
         assert e1.score == pytest.approx(e2.score, rel=1e-15)
 
@@ -105,15 +105,15 @@ def test_pareto_dominance_on_random_instances():
             lists.append(_list("q", perm[: int(rng.integers(1, len(docs) + 1))]))
         fused = rrf_fuse(lists, RrfParams(60.0), depth=100)
         position = {e.doc_id: rank for rank, e in enumerate(fused.entries, start=1)}
-        want = oracles.rrf_rank([l.doc_ids() for l in lists], 60.0, 100)
+        want = oracles.rrf_rank([l.ids for l in lists], 60.0, 100)
         assert [(e.doc_id, e.score) for e in fused.entries] == want
         for a in docs:
             for b in docs:
                 if a == b:
                     continue
                 ranks = [
-                    (l.doc_ids().index(a) if a in l.doc_set() else None,
-                     l.doc_ids().index(b) if b in l.doc_set() else None)
+                    (l.ids.index(a) if a in l.doc_set() else None,
+                     l.ids.index(b) if b in l.doc_set() else None)
                     for l in lists
                 ]
                 # a beats b in every list where either appears, and a appears somewhere
@@ -131,16 +131,16 @@ def test_pareto_dominance_on_random_instances():
 
 def test_rerank_with_identical_scores_keeps_order_up_to_tiebreak():
     lst = _list("q", ["b", "a", "c"])
-    scores = {("q", d): e.score for d, e in zip(lst.doc_ids(), lst.entries)}
+    scores = {("q", d): e.score for d, e in zip(lst.ids, lst.entries)}
     out = rerank(lst, scores)
-    assert out.doc_ids() == lst.doc_ids()
+    assert out.ids == lst.ids
 
 
 def test_rerank_reversed_scores_reverses_list():
     lst = _list("q", ["a", "b", "c"])
     scores = {("q", "a"): 1.0, ("q", "b"): 2.0, ("q", "c"): 3.0}
     out = rerank(lst, scores)
-    assert out.doc_ids() == ["c", "b", "a"]
+    assert out.ids == ["c", "b", "a"]
     assert [e.score for e in out.entries] == [3.0, 2.0, 1.0]
 
 
@@ -195,11 +195,11 @@ def test_nan_rerank_score_names_its_line(tmp_path, nan):
 
 def test_identical_inputs_equal_single_source_pipeline():
     lst = _list("q", ["a", "b", "c", "d"])
-    scores = {("q", d): float(i) for i, d in enumerate(lst.doc_ids())}
+    scores = {("q", d): float(i) for i, d in enumerate(lst.ids)}
     fused = rerank(rrf_fuse([lst, lst, lst]), scores)
     single = rerank(rrf_fuse([lst]), scores)
-    assert fused.doc_ids() == single.doc_ids()
-    assert rrf_fuse([lst, lst]).doc_ids() == lst.doc_ids()
+    assert fused.ids == single.ids
+    assert rrf_fuse([lst, lst]).ids == lst.ids
 
 
 def test_disjoint_relevant_docs_union_recall():
@@ -207,7 +207,7 @@ def test_disjoint_relevant_docs_union_recall():
     relevant = {"r1", "r2", "r3", "r4"}
     list_a = _list("q", ["r1", "x1", "r2", "x2"])
     list_b = _list("q", ["r3", "y1", "r4", "y2"])
-    scores = {("q", d): 1.0 for d in set(list_a.doc_ids()) | set(list_b.doc_ids())}
+    scores = {("q", d): 1.0 for d in set(list_a.ids) | set(list_b.ids)}
     fused = rerank(rrf_fuse([list_a, list_b], depth=100), scores)
     assert relevant <= fused.doc_set()
     found_a = len(relevant & list_a.doc_set()) / len(relevant)
@@ -227,7 +227,7 @@ def test_hand_built_two_list_trace():
         "p3": 1 / 63 + 1 / 61,
         "p4": 1 / 64,
     }
-    assert fused.doc_ids() == ["p1", "p3", "p2", "p4"]
+    assert fused.ids == ["p1", "p3", "p2", "p4"]
     for e in fused.entries:
         assert e.score == pytest.approx(expected[e.doc_id], abs=1e-15)
 
@@ -244,4 +244,4 @@ def test_rerank_run_applies_per_qid():
     run = {"q1": _list("q1", ["a", "b"])}
     scores = {("q1", "a"): 0.1, ("q1", "b"): 0.9}
     out = rerank_run(run, scores)
-    assert out["q1"].doc_ids() == ["b", "a"]
+    assert out["q1"].ids == ["b", "a"]

@@ -181,6 +181,76 @@ def test_integer_tfs_score_bitwise_like_float64(kernel):
             ).tobytes()
 
 
+def _score_postings_reference(starts, ends, weights, doc_ords, tfs, len_norm, scores) -> None:
+    """The kernel as a fancy-index `+=` over the int32 slices: the
+    expression the `np.add.at` kernel must match bit for bit."""
+    for t in range(starts.shape[0]):
+        s, e = starts[t], ends[t]
+        d = doc_ords[s:e]
+        tf = tfs[s:e].astype(np.float64)
+        scores[d] += weights[t] * tf / (tf + len_norm[d])
+
+
+@pytest.mark.parametrize("tf_dtype", [np.uint8, np.uint16])
+def test_score_postings_matches_fancy_index_add_bytewise(kernel, tf_dtype):
+    rng = np.random.default_rng(41)
+    n_docs = 500
+    # Posting lists of 0, 1 and up to n_docs postings, ordinals ascending.
+    sizes = [0, 1, 0, 1, 2, n_docs, *rng.integers(0, n_docs, size=40).tolist()]
+    lists = [np.sort(rng.choice(n_docs, size=size, replace=False)) for size in sizes]
+    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    doc_ords = np.concatenate(lists).astype(np.int32)
+    tfs = rng.integers(1, np.iinfo(tf_dtype).max, size=len(doc_ords), endpoint=True).astype(tf_dtype)
+    len_norm = rng.uniform(0.05, 3.0, size=n_docs)
+    for trial in range(60):
+        # Terms 0-3 are the empty and one-posting lists; a repeat lists a
+        # term twice, as a query that repeats a token would if it were not
+        # folded into one weight.
+        terms = rng.choice(len(sizes), size=int(rng.integers(1, 12)))
+        if trial % 3 == 0:
+            terms = np.concatenate((terms, terms[:1], [trial % 4]))
+        starts, ends = offsets[terms], offsets[terms + 1]
+        weights = rng.uniform(0.0, 20.0, size=len(terms))
+        base = np.zeros(n_docs) if trial % 2 else rng.uniform(0.0, 5.0, size=n_docs)
+        got, want = base.copy(), base.copy()
+        index_mod._bm25.score_postings(starts, ends, weights, doc_ords, tfs, len_norm, got)
+        _score_postings_reference(starts, ends, weights, doc_ords, tfs, len_norm, want)
+        assert got.tobytes() == want.tobytes()
+    for t in range(len(sizes)):
+        s, e = offsets[t], offsets[t + 1]
+        want = 0.0
+        if e > s:
+            d, tf = doc_ords[s:e], tfs[s:e].astype(np.float64)
+            want = float((7.5 * tf / (tf + len_norm[d])).max())
+        got = index_mod._bm25.max_posting_score(int(s), int(e), 7.5, doc_ords, tfs, len_norm)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_search_breaks_ties_in_python_string_order(kernel):
+    # numpy's fixed-width strings drop trailing NULs, so it sees "a" and
+    # "a\x00" as equal; "\uffff" sorts after "\U00010000" in UTF-16.
+    # Python compares code points: every id here is distinct and ordered.
+    tied = {"a", "a\x00", "a\x00\x00", "a\x00b", "b\x00", "b", "\xe9", "e\u0301",
+            "\u0130", "\uffff", "\U00010000", "\U0001f600", "\x00", "z"}
+    rng = np.random.default_rng(7)
+    alphabet = ["a", "b", "\x00", "\xe9", "\uffff", "\U00010000"]
+    while len(tied) < 80:
+        tied.add("".join(rng.choice(alphabet, size=int(rng.integers(1, 5)))))
+    docs = {"hi": ["tie", "tie"]}
+    # Reverse Python order, so ordinal order is no help.
+    docs.update((doc_id, ["tie", "pad"]) for doc_id in sorted(tied, reverse=True))
+    docs["lo"] = ["tie", "pad", "pad", "pad"]
+    searcher = Searcher(index_from(docs))
+    ranked = ["hi", *sorted(tied), "lo"]
+    full = searcher.search(["tie"], k=1000, qid="q")
+    assert full.ids == ranked
+    assert full.scores[0] > full.scores[1] == full.scores[80] > full.scores[81]
+    for k in (1, 2, 3, 5, 8, 17, 40, 80, 81, 82, 100):
+        got = searcher.search(["tie"], k=k, qid="q")
+        assert got.ids == ranked[:k], k
+        assert got.scores.tobytes() == full.scores[:k].tobytes()
+
+
 def _with_last(a: np.ndarray, value) -> np.ndarray:
     a = a.copy()
     a[-1] = value
@@ -223,6 +293,8 @@ def test_load_rejects_inconsistent_arrays(tmp_path, name, tamper, message):
         (lambda m: m.pop("vocab_size"), "meta.json lacks 'vocab_size'"),
         (lambda m: m["tokenizer"].update(stem="false"), "tokenizer.stem must be true or false"),
         (lambda m: m["tokenizer"].update(remove_stopwords=0), "tokenizer.remove_stopwords must be"),
+        (lambda m: m.update(tokenizer="stem"), "tokenizer must be a mapping"),
+        (lambda m: m.update(tokenizer=None), "tokenizer must be a mapping"),
     ],
 )
 def test_load_rejects_incomplete_meta(tmp_path, tamper, message):
@@ -236,8 +308,9 @@ def test_load_rejects_incomplete_meta(tmp_path, tamper, message):
     assert str(exc.value).startswith(f"{tmp_path}: ")
 
 
-def test_load_rejects_foreign_directory(tmp_path):
-    (tmp_path / "meta.json").write_text('{"format": "other"}', encoding="utf-8")
+@pytest.mark.parametrize("meta", ['{"format": "other"}', '["convpr.index", 2]'])
+def test_load_rejects_foreign_directory(tmp_path, meta):
+    (tmp_path / "meta.json").write_text(meta, encoding="utf-8")
     with pytest.raises(ValueError, match="not a convpr.index"):
         InvertedIndex.load(tmp_path)
 
@@ -288,7 +361,7 @@ def test_search_matches_oracle_ranking(kernel):
         query = oracles.random_query(rng)
         want = oracles.bm25_rank(docs, query, params.k1, params.b, k=1000)
         got = searcher.search(query, k=1000, qid="q")
-        assert got.doc_ids() == [d for d, _ in want]
+        assert got.ids == [d for d, _ in want]
         for entry, (_, score) in zip(got.entries, want):
             assert entry.score == pytest.approx(score, abs=1e-9)
 
@@ -301,7 +374,7 @@ def test_search_k1_is_oracle_argmax(kernel):
     query = ["w1", "w2", "w3"]
     want = oracles.bm25_rank(docs, query, params.k1, params.b, k=1)
     got = searcher.search(query, k=1, qid="q")
-    assert got.doc_ids() == [d for d, _ in want]
+    assert got.ids == [d for d, _ in want]
 
 
 def test_search_prefix_consistency(kernel):
@@ -328,7 +401,7 @@ def test_search_keeps_ties_across_the_k_boundary(kernel):
     for k in (1, 2, 3, 7, 11, 12, 13, 14, 15, 100):
         want = oracles.bm25_rank(docs, ["tie"], params.k1, params.b, k=k)
         got = searcher.search(["tie"], k=k, qid="q")
-        assert got.doc_ids() == [d for d, _ in want], k
+        assert got.ids == [d for d, _ in want], k
         assert [e.score for e in got.entries] == pytest.approx([s for _, s in want], abs=1e-12)
         assert got.entries == full.entries[:k]
 
@@ -400,7 +473,7 @@ def test_tf_saturation_monotone(kernel):
 def test_docid_tiebreak_is_ascending(kernel):
     docs = {"z": ["same"], "a": ["same"], "m": ["same"]}
     searcher = Searcher(index_from(docs))
-    assert searcher.search(["same"], k=10, qid="q").doc_ids() == ["a", "m", "z"]
+    assert searcher.search(["same"], k=10, qid="q").ids == ["a", "m", "z"]
 
 
 def test_index_uses_its_own_tokenizer():

@@ -33,12 +33,12 @@ def test_duplicate_doc_rejected():
 def test_non_monotone_scores_warn_but_load():
     with pytest.warns(RunFileWarning):
         rl = RankedList("q", ["a", "b"], [1.0, 2.0])
-    assert rl.doc_ids() == ["a", "b"]
+    assert rl.ids == ["a", "b"]
 
 
 def test_from_scores_ties_break_by_doc_id():
     rl = RankedList.from_scores("q", ["b", "a", "c"], [1.0, 1.0, 2.0])
-    assert rl.doc_ids() == ["c", "a", "b"]
+    assert rl.ids == ["c", "a", "b"]
     assert [e.score for e in rl.entries] == [2.0, 1.0, 1.0]
     rng = random.Random(11)
     for case in range(300):
@@ -88,7 +88,7 @@ def test_increasing_scores_in_file_warn(tmp_path):
     path.write_text("q Q0 a 1 1.0 t\nq Q0 b 2 2.0 t\n", encoding="utf-8")
     with pytest.warns(RunFileWarning):
         run = read_run(path)
-    assert run["q"].doc_ids() == ["a", "b"]
+    assert run["q"].ids == ["a", "b"]
 
 
 def test_wrong_column_count_is_an_error(tmp_path):
