@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from scipy.stats import t as _student_t
-
 from .runs import RankedList, qid_sort_key
 
 MAX_GRADE = 4
@@ -76,6 +74,8 @@ def average_precision(
 ) -> float:
     """Sum of precision at each relevant hit within ``depth``, divided by the
     total number of relevant docs. 0.0 when nothing relevant is judged."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     relevant = qrels.relevant_docs(ranked.qid, rel_threshold)
     if not relevant:
         return 0.0
@@ -198,6 +198,8 @@ def evaluate_run(
     Empty lists count as absent: run files cannot represent them, so this
     keeps in-memory and round-tripped runs equivalent.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     for m in metrics:
         parse_metric(m)
     qids = [
@@ -223,6 +225,8 @@ def win_tie_loss(
 
     Compared over the qid intersection, which must be non-empty.
     """
+    if not tie_epsilon >= 0.0:
+        raise ValueError(f"tie epsilon must be >= 0, got {tie_epsilon}")
     shared = sorted(set(a) & set(b), key=qid_sort_key)
     if not shared:
         raise ValueError("win_tie_loss: no shared qids to compare")
@@ -244,6 +248,11 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
     Returns (t, p). The p-value comes from the Student-t survival function
     (regularized incomplete beta), exact to machine precision. Zero-variance
     differences are defined as (t, p) = (0.0, 1.0).
+
+    scipy is imported here, on first use, and not with this module: no
+    other part of convpr needs it, and importing ``scipy.stats`` would
+    otherwise be most of the time and memory that every convpr process
+    spends on imports.
     """
     if len(a) != len(b):
         raise ValueError(f"paired samples differ in length: {len(a)} vs {len(b)}")
@@ -255,8 +264,10 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
     var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
     if var == 0.0:
         return 0.0, 1.0
+    from scipy.stats import t as student_t
+
     t_stat = mean / math.sqrt(var / n)
-    p = 2.0 * float(_student_t.sf(abs(t_stat), n - 1))
+    p = 2.0 * float(student_t.sf(abs(t_stat), n - 1))
     return t_stat, p
 
 
@@ -290,6 +301,8 @@ def corpus_bleu(
         )
     if not hypotheses:
         raise ValueError("corpus_bleu needs at least one sentence pair")
+    if max_order < 1:
+        raise ValueError(f"max_order must be >= 1, got {max_order}")
     matches = [0] * max_order
     totals = [0] * max_order
     hyp_len = 0

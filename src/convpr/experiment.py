@@ -579,7 +579,8 @@ def grid_search(
         grid = {**grid, "m_window": [_integer(v, "grid: m_window") for v in grid["m_window"]]}
     _require(len(grid) > 0, "grid: no parameters given")
 
-    depth = depth or config.depth
+    depth = config.depth if depth is None else depth
+    _require(depth >= 1, f"grid: depth must be >= 1, got {depth}")
     keys = sorted(grid)
     points = [dict(zip(keys, values)) for values in product(*(grid[k] for k in keys))]
     # Every point is validated here, before the index is built or loaded.

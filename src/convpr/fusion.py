@@ -30,8 +30,8 @@ class RrfParams:
     k: float = 60.0
 
     def __post_init__(self) -> None:
-        if not self.k > 0:
-            raise ValueError(f"rrf k must be > 0, got {self.k}")
+        if not 0 < self.k < math.inf:
+            raise ValueError(f"rrf k must be finite and > 0, got {self.k}")
 
 
 def rrf_fuse(
@@ -43,6 +43,8 @@ def rrf_fuse(
     truncated to ``depth``."""
     if not lists:
         raise ValueError("rrf_fuse needs at least one ranked list")
+    if depth < 1:
+        raise ValueError(f"fusion depth must be >= 1, got {depth}")
     params = params or RrfParams()
     qid = lists[0].qid
     for rl in lists[1:]:
@@ -113,6 +115,8 @@ def fuse_runs(
     are fused over the lists that do have them."""
     if not runs:
         raise ValueError("fuse_runs needs at least one run")
+    if depth < 1:
+        raise ValueError(f"fusion depth must be >= 1, got {depth}")
     qids = sorted({qid for run in runs for qid in run}, key=qid_sort_key)
     return {
         qid: rrf_fuse([run[qid] for run in runs if qid in run], params, depth) for qid in qids

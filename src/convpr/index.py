@@ -32,6 +32,7 @@ the same terms for every turn.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,8 +70,8 @@ class Bm25Params:
     b: float = 0.68
 
     def __post_init__(self) -> None:
-        if self.k1 < 0:
-            raise ValueError(f"k1 must be >= 0, got {self.k1}")
+        if not 0 <= self.k1 < math.inf:
+            raise ValueError(f"k1 must be finite and >= 0, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
 

@@ -89,6 +89,8 @@ class RankedList:
         return set(self.ids)
 
     def truncated(self, depth: int) -> "RankedList":
+        if depth < 1:
+            raise ValueError(f"depth must be >= 1, got {depth}")
         return RankedList(self.qid, self.ids[:depth], self.scores[:depth])
 
     @classmethod

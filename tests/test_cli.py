@@ -201,6 +201,44 @@ def test_validation_failures_exit_1(workdir, tmp_path, capsys):
     good.write_text("7_1 Q0 d1 1 2.0 t\n", encoding="utf-8")
     assert _run("rerank", "--run", good, "--scores", scores, "--out", tmp_path / "x.run") == 1
     assert "nan.tsv:1: score is NaN" in capsys.readouterr().err
+    # a depth below 1, a non-finite k1 or RRF k, a BLEU order below 1 and a
+    # negative tie epsilon each fail instead of changing the result
+    idx, run = tmp_path / "idx", tmp_path / "t5.run"
+    assert _run("index", "build", "--input", workdir / "corpus.tsv", "--output", idx) == 0
+    assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv", "--out", run) == 0
+    capsys.readouterr()
+    qrels, out = workdir / "qrels.txt", tmp_path / "bad.run"
+    cases = [
+        (("eval", "--run", run, "--qrels", qrels, "--depth", "-1"), "depth must be >= 1, got -1"),
+        (("fuse", "--runs", run, run, "--out", out, "--depth", "-2"),
+         "fusion depth must be >= 1, got -2"),
+        (("fuse", "--runs", run, "--out", out, "--depth", "0"), "fusion depth must be >= 1, got 0"),
+        (("analyze", "jaccard", "--run-a", run, "--run-b", run, "--depth", "0"),
+         "depth must be >= 1, got 0"),
+        (("analyze", "jaccard", "--run", run, "--adjacent", "--depth", "0"),
+         "depth must be >= 1, got 0"),
+        (("grid", "--config", workdir / "config.yaml", "--method", "hqe", "--param", "eta=3",
+          "--depth", "0", "--set", f"output_dir={tmp_path / 'grid'}"),
+         "grid: depth must be >= 1, got 0"),
+        (("retrieve", "--index", idx, "--queries", workdir / "t5.tsv", "--out", out,
+          "--k1", "nan"), "k1 must be finite and >= 0, got nan"),
+        (("retrieve", "--index", idx, "--queries", workdir / "t5.tsv", "--out", out,
+          "--k1", "inf"), "k1 must be finite and >= 0, got inf"),
+        (("experiment", "--config", workdir / "config.yaml", "--output-dir", tmp_path / "exp",
+          "--set", "bm25.k1=.nan"), "k1 must be finite and >= 0, got nan"),
+        (("fuse", "--runs", run, run, "--out", out, "--k", "inf"),
+         "rrf k must be finite and > 0, got inf"),
+        (("analyze", "bleu", "--hypotheses", workdir / "t5.tsv", "--references",
+          workdir / "t5.tsv", "--max-order", "0"), "max_order must be >= 1, got 0"),
+        (("compare", "--run-a", run, "--run-b", run, "--qrels", qrels, "--tie-eps", "-1"),
+         "tie epsilon must be >= 0, got -1"),
+    ]
+    for argv, message in cases:
+        assert _run(*argv) == 1, argv
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err, (argv, err)
+    assert not out.exists()
+    assert not (tmp_path / "grid").exists() and not (tmp_path / "exp").exists()
 
 
 def test_damaged_index_meta_and_quoted_tokenizer_flags_exit_1(workdir, tmp_path, capsys):
@@ -259,3 +297,58 @@ def test_index_build_does_not_depend_on_the_hash_seed(tmp_path):
     assert files == sorted(p.name for p in (tmp_path / "2").iterdir())
     for name in files:
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
+_SCIPY_GUARD = """
+import sys
+
+import convpr, convpr.cli
+from convpr.evaluation import evaluate_run, load_qrels, paired_t_test
+from convpr.runs import read_run
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+fixtures, work = sys.argv[1:]
+idx, qrels = f"{work}/idx", f"{fixtures}/qrels.txt"
+for argv in (
+    ["index", "build", "--input", f"{fixtures}/corpus.tsv", "--output", idx],
+    ["retrieve", "--index", idx, "--queries", f"{fixtures}/t5.tsv", "--out", f"{work}/a.run"],
+    ["retrieve", "--index", idx, "--queries", f"{fixtures}/t5.tsv", "--out", f"{work}/b.run",
+     "--k", "2"],
+    ["eval", "--run", f"{work}/a.run", "--qrels", qrels],
+    ["experiment", "--config", f"{fixtures}/config.yaml", "--output-dir", f"{work}/exp"],
+):
+    assert convpr.cli.main(argv) == 0, argv
+    assert not scipy_modules(), (argv, scipy_modules())
+assert convpr.cli.main(
+    ["compare", "--run-a", f"{work}/a.run", "--run-b", f"{work}/b.run", "--qrels", qrels]
+) == 0
+assert "scipy.stats" in sys.modules
+
+from scipy.stats import t as student_t
+
+reports = [evaluate_run(read_run(f"{work}/{n}.run"), load_qrels(qrels), ("map",)) for n in "ab"]
+a, b = ([r.per_query["map"][q] for q in reports[0].qids] for r in reports)
+t_stat, p = paired_t_test(a, b)
+assert t_stat != 0.0 and p == 2.0 * float(student_t.sf(abs(t_stat), len(a) - 1)), (t_stat, p)
+print(f"paired t-test: t={t_stat:.4f}, p={p:.6f}")
+"""
+
+
+def test_scipy_is_imported_only_by_the_t_test(tmp_path):
+    # scipy.stats is most of convpr's import time and memory; only the
+    # paired t-test of `compare` may load it, and it must still compute p.
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_GUARD, str(FIXTURES), str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    # the CLI printed the same t and p as the library call checked above
+    assert lines[-1] in lines[:-1], done.stdout

@@ -98,6 +98,10 @@ def test_ap_ignores_hits_beyond_depth():
     qrels = _qrels("q", {"z": 1, "a": 1})
     run = _list("q", ["a", "x", "y", "z"])
     assert average_precision(run, qrels, depth=2) == pytest.approx(0.5)
+    # ids[:-1] would drop the last hit instead of failing
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match=f"depth must be >= 1, got {depth}"):
+            average_precision(run, qrels, depth=depth)
 
 
 # -- ndcg -------------------------------------------------------------------------
@@ -189,6 +193,9 @@ def test_evaluate_run_mean_is_arithmetic():
     run = {"q1": _list("q1", ["a"]), "q2": _list("q2", ["x", "b"])}
     report = evaluate_run(run, qrels, ("map",))
     assert report.means["map"] == pytest.approx((1.0 + 0.5) / 2)
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match=f"depth must be >= 1, got {depth}"):
+            evaluate_run(run, qrels, ("ndcg@1",), depth=depth)
 
 
 def test_parse_metric_names():
@@ -223,6 +230,11 @@ def test_win_tie_loss_epsilon_boundary():
     a = {"q1": 0.50005, "q2": 0.6, "q3": 0.3}
     b = {"q1": 0.5, "q2": 0.5, "q3": 0.5}
     assert win_tie_loss(a, b, tie_epsilon=1e-4) == (1, 1, 1)
+    assert win_tie_loss(a, b, tie_epsilon=0.0) == (2, 0, 1)
+    # a negative or NaN epsilon would count equal values as losses
+    for eps in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="tie epsilon must be >= 0"):
+            win_tie_loss(a, dict(a), tie_epsilon=eps)
 
 
 def test_win_tie_loss_counts_sum_to_qids():
@@ -317,3 +329,6 @@ def test_bleu_brevity_penalty():
 def test_bleu_validates_lengths():
     with pytest.raises(ValueError, match="differ in length"):
         corpus_bleu([["a"]], [])
+    for order in (0, -1):
+        with pytest.raises(ValueError, match=f"max_order must be >= 1, got {order}"):
+            corpus_bleu([["a"]], [["a"]], max_order=order)

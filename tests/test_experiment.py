@@ -142,6 +142,9 @@ def test_early_fusion_needs_scores(tmp_path):
         ),
         ("methods: [{name: a, type: concat-pos, m_window: -1}]\n", "m_window must be >= 0, got -1"),
         ("methods: [{name: a, type: hqe, hqe: {m_window: -1}}]\n", "m_window must be >= 0, got -1"),
+        ("bm25: {k1: .nan}\nmethods: [{name: a, type: raw}]\n", "k1 must be finite and >= 0, got nan"),
+        ("bm25: {k1: .inf}\nmethods: [{name: a, type: raw}]\n", "k1 must be finite and >= 0, got inf"),
+        ("rrf: {k: .inf}\nmethods: [{name: a, type: raw}]\n", "rrf k must be finite and > 0, got inf"),
     ],
 )
 def test_malformed_config_sections_are_validation_errors(tmp_path, snippet, message):

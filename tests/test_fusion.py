@@ -23,6 +23,10 @@ def _list(qid, doc_ids):
 def test_params_validated():
     with pytest.raises(ValueError):
         RrfParams(k=0.0)
+    # k = inf gives every doc 0.0, so the fused lists would be in doc_id order
+    for k in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rrf k must be finite and > 0"):
+            RrfParams(k=k)
     assert RrfParams.k == 60.0
     from convpr.fusion import DEFAULT_FUSION_DEPTH
 
@@ -72,6 +76,14 @@ def test_mismatched_qids_rejected():
 def test_depth_truncates():
     fused = rrf_fuse([_list("q", list("abcdefgh"))], depth=3)
     assert len(fused) == 3
+    # a depth below 1 would slice from the end, or give an empty list
+    for depth in (0, -2):
+        with pytest.raises(ValueError, match=f"fusion depth must be >= 1, got {depth}"):
+            rrf_fuse([_list("q", list("abcdefgh"))], depth=depth)
+        with pytest.raises(ValueError, match=f"fusion depth must be >= 1, got {depth}"):
+            fuse_runs([{"q": _list("q", list("abc"))}], depth=depth)
+        with pytest.raises(ValueError, match=f"fusion depth must be >= 1, got {depth}"):
+            fuse_runs([{}], depth=depth)
 
 
 def test_permutation_invariance():

@@ -32,6 +32,10 @@ def test_bm25_params_validated():
         Bm25Params(k1=-0.1)
     with pytest.raises(ValueError):
         Bm25Params(b=1.5)
+    # a non-finite k1 would score every document NaN or 0 and return nothing
+    for k1 in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="k1 must be finite and >= 0"):
+            Bm25Params(k1=k1)
     assert (Bm25Params.k1, Bm25Params.b) == (0.82, 0.68)
 
 

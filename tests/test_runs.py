@@ -23,6 +23,9 @@ def test_rank_must_be_contiguous(tmp_path):
         ranks.setdefault(qid, []).append(int(rank))
     assert ranks == {"1_1": [1, 2, 3, 4], "1_2": [1, 2]}
     assert read_run(path) == {"1_1": full, "1_2": cut}
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match=f"depth must be >= 1, got {depth}"):
+            full.truncated(depth)
 
 
 def test_duplicate_doc_rejected():
