@@ -6,6 +6,13 @@ unsigned integers; each slice is converted to float64 once (exactly), so
 the arithmetic is float64 throughout. Doc ordinals are stored as int32;
 each slice is converted to ``intp`` once, because numpy would otherwise
 convert an int32 index array again on every gather and scatter.
+
+A term's contribution ``w * tf / (tf + len_norm[d])`` is computed in place
+on those per-slice copies and on the gathered ``len_norm[d]``, so no other
+temporary is allocated per term. IEEE addition and multiplication are
+commutative, so ``len_norm[d] + tf`` and ``tf * w`` are the same bits as
+the expression's ``tf + len_norm[d]`` and ``w * tf``. The index arrays
+themselves are never written.
 """
 
 from __future__ import annotations
@@ -17,6 +24,16 @@ def get_backend() -> str:
     return "numpy"
 
 
+def _contributions(d, tf, weight, len_norm):
+    """``weight * tf / (tf + len_norm[d])``, computed in ``tf``, which must
+    be a float64 copy of the slice's term frequencies."""
+    den = len_norm[d]
+    den += tf
+    tf *= weight
+    tf /= den
+    return tf
+
+
 def score_postings(starts, ends, weights, doc_ords, tfs, len_norm, scores) -> None:
     """scores[d] += w * tf / (tf + len_norm[d]) for each posting of each query term."""
     for t in range(starts.shape[0]):
@@ -26,7 +43,7 @@ def score_postings(starts, ends, weights, doc_ords, tfs, len_norm, scores) -> No
         # Doc ordinals are unique within one posting list and add.at adds in
         # index order, so each score gets the same single float addition as
         # with `scores[d] += ...`, only faster.
-        np.add.at(scores, d, weights[t] * tf / (tf + len_norm[d]))
+        np.add.at(scores, d, _contributions(d, tf, weights[t], len_norm))
 
 
 def max_posting_score(start, end, weight, doc_ords, tfs, len_norm) -> float:
@@ -35,4 +52,4 @@ def max_posting_score(start, end, weight, doc_ords, tfs, len_norm) -> float:
         return 0.0
     d = doc_ords[start:end].astype(np.intp)
     tf = tfs[start:end].astype(np.float64)
-    return float((weight * tf / (tf + len_norm[d])).max())
+    return float(_contributions(d, tf, weight, len_norm).max())

@@ -18,6 +18,7 @@ nouns/adjectives.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -44,6 +45,12 @@ class HqeParams:
     m_window: int = 5
 
     def __post_init__(self) -> None:
+        # A NaN eta would silently switch the subtopic branch off, and a
+        # non-finite threshold admits every keyword or none.
+        for name in ("r_topic", "r_sub", "eta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.r_topic > self.r_sub:
             raise ValueError(f"r_topic ({self.r_topic}) must exceed r_sub ({self.r_sub})")
         if self.m_window < 0:

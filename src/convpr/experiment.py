@@ -578,6 +578,8 @@ def grid_search(
     if "m_window" in grid:
         grid = {**grid, "m_window": [_integer(v, "grid: m_window") for v in grid["m_window"]]}
     _require(len(grid) > 0, "grid: no parameters given")
+    for key, values in grid.items():
+        _require(len(values) > 0, f"grid: parameter {key!r} has no values")
 
     depth = config.depth if depth is None else depth
     _require(depth >= 1, f"grid: depth must be >= 1, got {depth}")

@@ -16,6 +16,10 @@ and five numpy arrays:
   the doc ids, the tie-break of every ranking. It is computed once at build
   time, so loading never sorts the doc ids.
 
+In memory the index also keeps its doc ids as a numpy object array (8 B
+per passage, sharing the str objects of ``doc_ids``; never saved), from
+which a search gathers the ids of its results in one call.
+
 :func:`build_index` inverts the corpus block by block with numpy, so no
 posting is ever a Python object. The scoring variant is the Lucene one:
 
@@ -97,6 +101,7 @@ class InvertedIndex:
         self.doc_lengths = doc_lengths
         # Lexicographic rank of each ordinal's doc_id; used for tie-breaks.
         self.docid_rank = docid_rank
+        self._doc_id_array = np.array(doc_ids, dtype=object)
         self.avg_doc_len = avg_doc_len
         self.tokenizer = tokenizer
 
@@ -367,23 +372,35 @@ class Searcher:
 
     def search(self, tokens: Sequence[str], k: int = 1000, qid: str = "0") -> RankedList:
         """Top-k by BM25; only docs scoring > 0 appear, ties break by
-        ascending doc_id. Fewer than k positive scorers yields a shorter list."""
+        ascending doc_id. Fewer than k positive scorers yields a shorter list.
+
+        Only the survivors of a partition at the k-th best score are sorted:
+        once by score, then once by (score place, doc_id rank) keys."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         scores = self._score_all(tokens)
         cand = np.flatnonzero(scores > 0.0)
+        neg = -scores[cand]
         if cand.size > k:
             # Keep every candidate tied with the k-th best score: which of
             # them make the cut is decided by doc_id in the sort below.
-            cand_scores = scores[cand]
-            kth = np.partition(cand_scores, cand.size - k)[cand.size - k]
-            cand = cand[cand_scores >= kth]
-        # Order by doc_id rank, then stably by descending score: ties keep
-        # Python's doc_id order.
-        cand = cand[np.argsort(self.index.docid_rank[cand])]
-        top = cand[np.argsort(-scores[cand], kind="stable")[:k]]
-        ids = list(map(self.index.doc_ids.__getitem__, top.tolist()))
-        return RankedList(qid, ids, scores[top])
+            kth = np.partition(neg, k - 1)[k - 1]
+            keep = neg <= kth
+            cand, neg = cand[keep], neg[keep]
+        # Sort by score, then once more by unique int64 keys (place, doc_id
+        # rank), where a survivor's place is the number of distinct scores
+        # above its own: tied scores share a place, so ties fall back to
+        # Python's doc_id order. Keys stay below doc_count**2, which fits
+        # int64 up to 3e9 passages. They are already in place order, which
+        # the stable sort (timsort) exploits; being unique, any sort would do.
+        order = np.argsort(neg)
+        cand, neg = cand[order], neg[order]
+        key = np.zeros(cand.size, dtype=np.int64)
+        np.cumsum(neg[1:] != neg[:-1], out=key[1:])
+        key *= self.index.doc_count
+        key += self.index.docid_rank[cand]
+        top = cand[np.argsort(key, kind="stable")[:k]]
+        return RankedList(qid, self.index._doc_id_array[top].tolist(), scores[top])
 
     def max_score_term(self, term: str) -> float:
         """Best single-document score for a one-token query; 0.0 when the

@@ -208,6 +208,10 @@ def test_validation_failures_exit_1(workdir, tmp_path, capsys):
     assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv", "--out", run) == 0
     capsys.readouterr()
     qrels, out = workdir / "qrels.txt", tmp_path / "bad.run"
+    reformulate = ("reformulate", "--method", "hqe", "--topics", workdir / "topics.json",
+                   "--index", idx, "--out", out)
+    grid = ("grid", "--config", workdir / "config.yaml", "--method", "hqe",
+            "--set", f"output_dir={tmp_path / 'grid'}")
     cases = [
         (("eval", "--run", run, "--qrels", qrels, "--depth", "-1"), "depth must be >= 1, got -1"),
         (("fuse", "--runs", run, run, "--out", out, "--depth", "-2"),
@@ -232,6 +236,14 @@ def test_validation_failures_exit_1(workdir, tmp_path, capsys):
           workdir / "t5.tsv", "--max-order", "0"), "max_order must be >= 1, got 0"),
         (("compare", "--run-a", run, "--run-b", run, "--qrels", qrels, "--tie-eps", "-1"),
          "tie epsilon must be >= 0, got -1"),
+        # a NaN eta would switch HQE's subtopic branch off without a word
+        ((*reformulate, "--eta", "nan"), "eta must be finite, got nan"),
+        ((*reformulate, "--r-topic", "inf"), "r_topic must be finite, got inf"),
+        ((*reformulate, "--r-sub=-inf"), "r_sub must be finite, got -inf"),
+        ((*grid, "--param", "eta=nan"), "eta must be finite, got nan"),
+        # an empty value list would sweep nothing and print a bare header
+        ((*grid, "--param", "eta="), "grid: parameter 'eta' has no values"),
+        ((*grid, "--param", "eta=3", "--param", "r_sub=,"), "grid: parameter 'r_sub' has no values"),
     ]
     for argv, message in cases:
         assert _run(*argv) == 1, argv

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -54,6 +55,15 @@ def test_params_require_topic_above_sub():
         HqeParams(m_window=-1)
 
 
+@pytest.mark.parametrize("name", ["r_topic", "r_sub", "eta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_require_finite_thresholds(name, value):
+    # A NaN eta would switch the subtopic branch off without a word; an
+    # infinite threshold admits every keyword or none.
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+        HqeParams(**{name: value})
+
+
 def test_tuned_defaults():
     assert (
         HQE_RETRIEVAL_DEFAULTS.eta,
@@ -69,10 +79,10 @@ def test_tuned_defaults():
     ) == (12.0, 4.0, 3.0, 1)
 
 
-def test_infinite_topic_threshold_empties_topic_set(searcher):
+def test_topic_threshold_above_every_score_empties_topic_set(searcher):
     utts = _session("what is a quasar", "what about the radio jets")
     w_topic, _ = extract_keywords(
-        searcher, utts, HqeParams(r_topic=math.inf, r_sub=0.1, eta=1, m_window=5)
+        searcher, utts, HqeParams(r_topic=sys.float_info.max, r_sub=0.1, eta=1, m_window=5)
     )
     assert w_topic == []
 
@@ -80,7 +90,7 @@ def test_infinite_topic_threshold_empties_topic_set(searcher):
 def test_vacuous_sub_threshold_collects_all_indexed_tokens(searcher):
     utts = _session("quasar radio glow", "lighthouse beacon quasar")
     _, w_sub = extract_keywords(
-        searcher, utts, HqeParams(r_topic=math.inf, r_sub=0.0, eta=1, m_window=5)
+        searcher, utts, HqeParams(r_topic=sys.float_info.max, r_sub=0.0, eta=1, m_window=5)
     )
     # every distinct indexed token from both turns, first occurrence first
     assert w_sub == ["quasar", "radio", "glow", "lighthouse", "beacon"]

@@ -230,6 +230,33 @@ def test_score_postings_matches_fancy_index_add_bytewise(kernel, tf_dtype):
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+@pytest.mark.parametrize("tf_dtype", [np.uint8, np.uint16, np.float64])
+def test_kernels_leave_their_inputs_unchanged(kernel, tf_dtype):
+    # The kernels compute in place on per-slice copies; arithmetic on a view
+    # of the index arrays instead would corrupt the index without an error.
+    rng = np.random.default_rng(5)
+    n_docs = 300
+    sizes = [0, 1, n_docs, *rng.integers(0, n_docs, size=20).tolist()]
+    lists = [np.sort(rng.choice(n_docs, size=size, replace=False)) for size in sizes]
+    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    doc_ords = np.concatenate(lists).astype(np.int32)
+    tfs = rng.integers(1, 200, size=len(doc_ords)).astype(tf_dtype)
+    len_norm = rng.uniform(0.05, 3.0, size=n_docs)
+    terms = np.arange(len(sizes))
+    starts, ends = offsets[terms], offsets[terms + 1]
+    weights = rng.uniform(0.5, 20.0, size=len(terms))
+    inputs = {"doc_ords": doc_ords, "tfs": tfs, "len_norm": len_norm, "weights": weights,
+              "starts": starts, "ends": ends}
+    before = {name: (a.dtype, a.tobytes()) for name, a in inputs.items()}
+    scores = np.zeros(n_docs)
+    index_mod._bm25.score_postings(starts, ends, weights, doc_ords, tfs, len_norm, scores)
+    assert scores.any()
+    for t in terms:
+        index_mod._bm25.max_posting_score(int(starts[t]), int(ends[t]), float(weights[t]),
+                                          doc_ords, tfs, len_norm)
+    assert {name: (a.dtype, a.tobytes()) for name, a in inputs.items()} == before
+
+
 def test_search_breaks_ties_in_python_string_order(kernel):
     # numpy's fixed-width strings drop trailing NULs, so it sees "a" and
     # "a\x00" as equal; "\uffff" sorts after "\U00010000" in UTF-16.
@@ -253,6 +280,42 @@ def test_search_breaks_ties_in_python_string_order(kernel):
         got = searcher.search(["tie"], k=k, qid="q")
         assert got.ids == ranked[:k], k
         assert got.scores.tobytes() == full.scores[:k].tobytes()
+
+
+def _tie_heavy_corpus(rng) -> dict[str, list[str]]:
+    """Passages of 1-3 tokens over a 3-word vocabulary, so lengths, tfs and
+    scores repeat; some ids differ only by trailing NULs. Inserted in
+    reverse Python order, so ordinal order is the reverse of id order."""
+    n, ids = int(rng.integers(20, 70)), set()
+    while len(ids) < n:
+        ids.add(f"p{int(rng.integers(0, 40))}" + "\x00" * int(rng.integers(0, 3)))
+    return {
+        doc_id: [f"w{int(w)}" for w in rng.integers(0, 3, size=int(rng.integers(1, 4)))]
+        for doc_id in sorted(ids, reverse=True)
+    }
+
+
+def test_search_equals_sorted_scores_on_tie_heavy_corpora(kernel):
+    rng = np.random.default_rng(2024)
+    cuts = ties_at_cut = 0
+    for _ in range(6):
+        searcher = Searcher(index_from(_tie_heavy_corpus(rng)))
+        doc_ids = searcher.index.doc_ids
+        n = len(doc_ids)
+        for query in (["w0"], ["w1", "w2"], ["w0", "w0", "w2"], ["w2", "w1", "w0", "oov"]):
+            scores = searcher._score_all(query)
+            order = sorted(np.flatnonzero(scores > 0.0).tolist(), key=lambda d: (-scores[d], doc_ids[d]))
+            want_ids = [doc_ids[d] for d in order]
+            want_scores = scores[np.asarray(order, dtype=np.intp)]
+            for k in range(1, n + 2):
+                got = searcher.search(query, k=k, qid="q")
+                assert got.ids == want_ids[:k], (query, k)
+                assert got.scores.tobytes() == want_scores[:k].tobytes(), (query, k)
+                if k < len(order):
+                    cuts += 1
+                    ties_at_cut += bool(want_scores[k - 1] == want_scores[k])
+    # Most cuts fall inside a run of tied scores: the case the sort must get right.
+    assert ties_at_cut > cuts / 2, (ties_at_cut, cuts)
 
 
 def _with_last(a: np.ndarray, value) -> np.ndarray:
