@@ -76,11 +76,17 @@ def cmd_index_build(args) -> int:
 
 
 def cmd_reformulate(args) -> int:
-    preset = HQE_RERANK_DEFAULTS if args.hqe_preset == "rerank" else HQE_RETRIEVAL_DEFAULTS
-    hqe = dataclasses.asdict(preset)
-    hqe.update((key, getattr(args, key)) for key in hqe if getattr(args, key) is not None)
-    optional = {"m_window": args.m_window, "rewrites": args.rewrites, "pos_annotations": args.pos}
-    raw = {"name": args.method, "type": args.method, "hqe": hqe}
+    flags = ("r_topic", "r_sub", "eta", "m_window")
+    hqe = {key: getattr(args, key) for key in flags if getattr(args, key) is not None}
+    optional = {"rewrites": args.rewrites, "pos_annotations": args.pos}
+    if args.method in ("hqe", "hqe-pos"):
+        preset = HQE_RERANK_DEFAULTS if args.hqe_preset == "rerank" else HQE_RETRIEVAL_DEFAULTS
+        optional["hqe"] = {**dataclasses.asdict(preset), **hqe}
+    else:
+        optional["m_window"] = hqe.pop("m_window", None)
+        if hqe or args.hqe_preset:
+            optional["hqe"] = hqe  # only HQE methods read it: an error below
+    raw = {"name": args.method, "type": args.method}
     raw.update((key, value) for key, value in optional.items() if value is not None)
     spec = _method_from_dict(Path("."), raw, "reformulate")
 
@@ -294,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", help="index directory (required for hqe/hqe-pos)")
     p.add_argument("--pos", help="POS annotations JSONL for the -pos variants")
     p.add_argument("--rewrites", help="external rewrites TSV (required for external)")
-    p.add_argument("--hqe-preset", choices=("retrieval", "rerank"), default="retrieval",
-                   help="tuned parameter set to start from (default %(default)s)")
+    p.add_argument("--hqe-preset", choices=("retrieval", "rerank"),
+                   help="tuned parameter set to start from (default retrieval)")
     p.add_argument("--r-topic", type=float, default=None, help="topic keyword threshold")
     p.add_argument("--r-sub", type=float, default=None, help="subtopic keyword threshold")
     p.add_argument("--eta", type=float, default=None, help="ambiguity threshold")

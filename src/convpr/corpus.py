@@ -73,8 +73,8 @@ def load_passages(path: str | Path, format: str = "tsv") -> Iterator[Passage]:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                if "id" not in obj or "contents" not in obj:
-                    raise ValueError(f"{path}:{lineno}: object must have 'id' and 'contents'")
+                if not isinstance(obj, dict) or "id" not in obj or "contents" not in obj:
+                    raise ValueError(f"{path}:{lineno}: expected an object with 'id' and 'contents'")
                 doc_id, text = str(obj["id"]), str(obj["contents"])
             # A run file holds the doc_id as one whitespace-separated column.
             if doc_id.split() != [doc_id]:
@@ -121,14 +121,26 @@ def load_sessions(path: str | Path) -> list[Session]:
         raise ValueError(f"{path}: topic file must be a JSON array of sessions")
     sessions = []
     for entry in data:
-        if "number" not in entry or "turn" not in entry:
-            raise ValueError(f"{path}: session objects need 'number' and 'turn' fields")
+        if not isinstance(entry, dict) or "number" not in entry or "turn" not in entry:
+            raise ValueError(f"{path}: sessions must be objects with 'number' and 'turn' fields")
         sid = str(entry["number"])
         if sid.split() != [sid]:
             raise ValueError(f"{path}: session number {sid!r} is empty or has whitespace")
+        if not isinstance(entry["turn"], list):
+            raise ValueError(f"{path}: session {sid}: 'turn' must be a JSON array of turns")
         utterances = []
         for i, t in enumerate(entry["turn"], start=1):
-            turn_no = int(t["number"])
+            if not isinstance(t, dict) or "number" not in t or "raw_utterance" not in t:
+                raise ValueError(
+                    f"{path}: session {sid}: turn {i} must be an object with 'number' "
+                    "and 'raw_utterance' fields"
+                )
+            try:
+                turn_no = int(t["number"])
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"{path}: session {sid}: turn {i} has number {t['number']!r}, not an integer"
+                ) from None
             if turn_no != i:
                 raise ValueError(
                     f"{path}: session {sid}: non-contiguous turn numbers "

@@ -137,13 +137,7 @@ class MetricReport:
         }
 
     def format_table(self, label: str = "run") -> str:
-        means = self.means
-        width = max(len(label), 12)
-        lines = [f"{label:<{width}}  " + "  ".join(f"{m:>12}" for m in self.metrics)]
-        lines.append(
-            f"{'all':<{width}}  " + "  ".join(f"{means[m]:>12.4f}" for m in self.metrics)
-        )
-        return "\n".join(lines)
+        return format_summary(label, self.metrics, {"all": self.means}, min_width=12)
 
     def csv_rows(self, run_name: str) -> list[str]:
         rows = []
@@ -153,6 +147,19 @@ class MetricReport:
         means = self.means
         rows.append(f"{run_name},all," + ",".join(f"{means[m]:.6f}" for m in self.metrics))
         return rows
+
+
+def format_summary(
+    header: str, metrics: Sequence[str], means: Mapping[str, Mapping[str, float]], min_width: int
+) -> str:
+    """A header line naming ``metrics``, then one line of four-decimal values
+    per name in ``means``; the first column is as wide as the widest of
+    ``header``, ``min_width`` and the names. No trailing newline."""
+    width = max(len(header), min_width, *map(len, means))
+    lines = [f"{header:<{width}}  " + "  ".join(f"{m:>12}" for m in metrics)]
+    for name, row in means.items():
+        lines.append(f"{name:<{width}}  " + "  ".join(f"{row[m]:>12.4f}" for m in metrics))
+    return "\n".join(lines)
 
 
 def write_metrics_csv(

@@ -42,6 +42,7 @@ from .evaluation import (
     MetricReport,
     Qrels,
     evaluate_run,
+    format_summary,
     load_qrels,
     parse_metric,
     write_metrics_csv,
@@ -53,7 +54,17 @@ from .tokenization import TokenizerConfig
 
 logger = logging.getLogger("convpr")
 
-METHOD_TYPES = ("raw", "concat", "concat-pos", "hqe", "hqe-pos", "external")
+# The optional keys each method type reads, besides the rerank_scores that
+# every type reads. Any other key would be ignored, so it is an error.
+_METHOD_KEYS = {
+    "raw": (),
+    "concat": ("m_window",),
+    "concat-pos": ("m_window", "pos_annotations"),
+    "hqe": ("hqe",),
+    "hqe-pos": ("hqe", "pos_annotations"),
+    "external": ("rewrites",),
+}
+METHOD_TYPES = tuple(_METHOD_KEYS)
 FUSION_MODES = ("early", "late", "none")
 FUSED_RUN_NAME = "fusion"
 
@@ -173,16 +184,17 @@ def _method_from_dict(base: Path, raw: Mapping, where: str) -> MethodSpec:
     def path_of(key: str) -> Path | None:
         return _existing(_as_path(base, raw[key], f"{where}.{key}"), key) if key in raw else None
 
+    reads = ("name", "type", "rerank_scores", *_METHOD_KEYS[mtype])
+    ignored = [key for key in raw if key not in reads]
+    if ignored:
+        readers = " or ".join(t for t, keys in _METHOD_KEYS.items() if ignored[0] in keys)
+        raise ValueError(f"config: {where} ({name}): {ignored[0]!r} is only read by type {readers}")
     hqe = HqeParams()
     if "hqe" in raw:
         hqe = _build(HqeParams, raw["hqe"], f"{where}.hqe")
         hqe = replace(hqe, m_window=_integer(hqe.m_window, f"config: {where}.hqe.m_window"))
     if mtype == "external":
         _require("rewrites" in raw, f"config: {where} ({name}): external needs 'rewrites'")
-    else:
-        _require(
-            "rewrites" not in raw, f"config: {where} ({name}): 'rewrites' is only read by type external"
-        )
     return MethodSpec(
         name=name,
         type=mtype,
@@ -238,6 +250,9 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
         _known_keys(fraw, FusionSpec, "fusion")
         mode = str(fraw.get("mode", "early"))
         _require(mode in FUSION_MODES, f"config: fusion.mode must be one of {FUSION_MODES}")
+        others = [key for key in fraw if key != "mode"]
+        if mode == "none" and others:
+            raise ValueError(f"config: fusion: mode none reads no other key, got {others[0]!r}")
         if mode != "none":
             fmethods = tuple(str(m) for m in fraw.get("methods", ()))
             _require(len(fmethods) >= 2, "config: fusion.methods needs at least two methods")
@@ -525,16 +540,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     write_metrics_csv(metrics_csv, config.metrics, reports)
 
     metrics_txt = out_dir / "metrics.txt"
-    width = max(max((len(n) for n in reports), default=4), 4)
-    with metrics_txt.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{'run':<{width}}  " + "  ".join(f"{m:>12}" for m in config.metrics) + "\n")
-        for name, report in reports.items():
-            means = report.means
-            fh.write(
-                f"{name:<{width}}  "
-                + "  ".join(f"{means[m]:>12.4f}" for m in config.metrics)
-                + "\n"
-            )
+    means = {name: report.means for name, report in reports.items()}
+    table = format_summary("run", config.metrics, means, min_width=4)
+    metrics_txt.write_text(table + "\n", encoding="utf-8", newline="\n")
 
     logger.info("experiment outputs in %s", out_dir)
     return ExperimentResult(

@@ -12,9 +12,9 @@ and five numpy arrays:
   dtype that holds the largest one (uint8 unless a passage repeats a term
   256 times); the kernels promote it to float64 exactly;
 - ``doc_lengths`` (int64): tokens per passage;
-- ``docid_rank`` (int32): each ordinal's position in Python's sort order of
-  the doc ids, the tie-break of every ranking. It is computed once at build
-  time, so loading never sorts the doc ids.
+- ``docid_rank`` (int32): :func:`convpr.runs.id_rank` of the doc ids, the
+  tie-break that search hands to :func:`convpr.runs.best_first`. It is
+  computed once at build time, so loading never sorts the doc ids.
 
 In memory the index also keeps its doc ids as a numpy object array (8 B
 per passage, sharing the str objects of ``doc_ids``; never saved), from
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import _bm25
 from .corpus import Passage
-from .runs import RankedList
+from .runs import RankedList, best_first, id_rank
 from .tokenization import TokenizerConfig
 
 _FORMAT = "convpr.index"
@@ -99,7 +99,6 @@ class InvertedIndex:
         self.doc_ords = doc_ords
         self.tfs = tfs
         self.doc_lengths = doc_lengths
-        # Lexicographic rank of each ordinal's doc_id; used for tie-breaks.
         self.docid_rank = docid_rank
         self._doc_id_array = np.array(doc_ids, dtype=object)
         self.avg_doc_len = avg_doc_len
@@ -280,11 +279,6 @@ def build_index(passages: Iterable[Passage], tokenizer: TokenizerConfig | None =
         tfs[pos] = block.tfs
         fill[block.terms] += block.counts
 
-    # Python's string order, not numpy's: numpy's ignores trailing NULs.
-    order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
-    docid_rank = np.empty(len(doc_ids), dtype=np.int32)
-    docid_rank[np.asarray(order, dtype=np.int64)] = np.arange(len(doc_ids), dtype=np.int32)
-
     lengths = np.asarray(doc_lengths, dtype=np.int64)
     return InvertedIndex(
         terms=list(term_ids),
@@ -293,7 +287,7 @@ def build_index(passages: Iterable[Passage], tokenizer: TokenizerConfig | None =
         doc_ords=doc_ords,
         tfs=tfs,
         doc_lengths=lengths,
-        docid_rank=docid_rank,
+        docid_rank=id_rank(doc_ids),
         avg_doc_len=float(lengths.mean()),
         tokenizer=tokenizer,
     )
@@ -371,35 +365,19 @@ class Searcher:
         return scores
 
     def search(self, tokens: Sequence[str], k: int = 1000, qid: str = "0") -> RankedList:
-        """Top-k by BM25; only docs scoring > 0 appear, ties break by
-        ascending doc_id. Fewer than k positive scorers yields a shorter list.
-
-        Only the survivors of a partition at the k-th best score are sorted:
-        once by score, then once by (score place, doc_id rank) keys."""
+        """Top-k by BM25 in :func:`convpr.runs.best_first` order with
+        ``docid_rank``; only docs scoring > 0 appear, so there may be fewer."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         scores = self._score_all(tokens)
         cand = np.flatnonzero(scores > 0.0)
-        neg = -scores[cand]
+        found = scores[cand]
         if cand.size > k:
-            # Keep every candidate tied with the k-th best score: which of
-            # them make the cut is decided by doc_id in the sort below.
-            kth = np.partition(neg, k - 1)[k - 1]
-            keep = neg <= kth
-            cand, neg = cand[keep], neg[keep]
-        # Sort by score, then once more by unique int64 keys (place, doc_id
-        # rank), where a survivor's place is the number of distinct scores
-        # above its own: tied scores share a place, so ties fall back to
-        # Python's doc_id order. Keys stay below doc_count**2, which fits
-        # int64 up to 3e9 passages. They are already in place order, which
-        # the stable sort (timsort) exploits; being unique, any sort would do.
-        order = np.argsort(neg)
-        cand, neg = cand[order], neg[order]
-        key = np.zeros(cand.size, dtype=np.int64)
-        np.cumsum(neg[1:] != neg[:-1], out=key[1:])
-        key *= self.index.doc_count
-        key += self.index.docid_rank[cand]
-        top = cand[np.argsort(key, kind="stable")[:k]]
+            # Sort only the candidates at or above the k-th best score, all
+            # tied with it too: best_first picks which of those make the cut.
+            keep = found >= np.partition(found, cand.size - k)[cand.size - k]
+            cand, found = cand[keep], found[keep]
+        top = cand[best_first(found, lambda: self.index.docid_rank[cand], k)]
         return RankedList(qid, self.index._doc_id_array[top].tolist(), scores[top])
 
     def max_score_term(self, term: str) -> float:

@@ -6,13 +6,16 @@ position. A rank number exists only in run files, whose lines are
 ``qid Q0 doc_id rank score tag`` with ranks 1..n per qid; scores are
 written with full float precision so that write → read round-trips are
 exact.
+
+Every ranking (search, fusion, reranking) is ordered by :func:`best_first`:
+descending score, ties by ascending doc_id in Python's string order.
 """
 
 from __future__ import annotations
 
 import warnings
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +34,33 @@ def _score_column(qid: str, ids: Sequence[str], scores: Iterable[float]) -> np.n
     if scores.shape != (len(ids),):
         raise ValueError(f"qid {qid}: {len(ids)} doc ids but scores of shape {scores.shape}")
     return scores
+
+
+def id_rank(ids: Sequence[str]) -> np.ndarray:
+    """Each id's position in Python's sort order of ``ids``, as int32 (numpy's
+    string order would ignore trailing NULs)."""
+    rank = np.empty(len(ids), dtype=np.int32)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids), dtype=np.int32)
+    return rank
+
+
+def best_first(scores: np.ndarray, tie_rank: Callable[[], np.ndarray], k: int | None = None) -> np.ndarray:
+    """Positions of the first ``k`` (all when None) of ``scores`` (no NaN) by
+    descending score, ties by ascending ``tie_rank()``: unique ranks >= 0, one
+    per score, asked for only when two scores are equal (-0.0 and 0.0 too).
+    If so, all are re-sorted, already nearly in order, by unique int64 keys
+    ``place * (max rank + 1) + rank``; place counts the distinct scores above."""
+    order = np.argsort(-scores)
+    ordered = scores[order]
+    new_place = ordered[1:] != ordered[:-1]
+    if not new_place.all():
+        key = np.zeros(order.size, dtype=np.int64)
+        np.cumsum(new_place, out=key[1:])
+        rank = tie_rank()[order]
+        key *= int(rank.max()) + 1
+        key += rank
+        order = order[np.argsort(key, kind="stable")]
+    return order[:k]
 
 
 class RankedList:
@@ -97,18 +127,10 @@ class RankedList:
     def from_scores(
         cls, qid: str, ids: Sequence[str], scores: Iterable[float], depth: int | None = None
     ) -> "RankedList":
-        """Order doc ids by descending score, ties by ascending doc_id, and
-        keep the first ``depth`` (all when None)."""
+        """Order doc ids by descending score, ties by ascending doc_id
+        (:func:`best_first`), and keep the first ``depth`` (all when None)."""
         scores = _score_column(qid, ids, scores)
-        order = np.argsort(-scores, kind="stable")
-        ordered = scores[order]
-        if np.any(ordered[1:] == ordered[:-1]):
-            # Sort stably from ascending doc_id order, so that equal scores
-            # keep it. Python compares the strings: numpy's fixed-width
-            # strings would ignore trailing NULs.
-            by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
-            order = by_id[np.argsort(-scores[by_id], kind="stable")]
-        order = order[:depth]
+        order = best_first(scores, lambda: id_rank(ids), depth)
         return cls(qid, list(map(ids.__getitem__, order.tolist())), scores[order])
 
 

@@ -212,6 +212,7 @@ def test_validation_failures_exit_1(workdir, tmp_path, capsys):
                    "--index", idx, "--out", out)
     grid = ("grid", "--config", workdir / "config.yaml", "--method", "hqe",
             "--set", f"output_dir={tmp_path / 'grid'}")
+    concat = ("reformulate", "--method", "concat", "--topics", workdir / "topics.json", "--out", out)
     cases = [
         (("eval", "--run", run, "--qrels", qrels, "--depth", "-1"), "depth must be >= 1, got -1"),
         (("fuse", "--runs", run, run, "--out", out, "--depth", "-2"),
@@ -244,6 +245,13 @@ def test_validation_failures_exit_1(workdir, tmp_path, capsys):
         # an empty value list would sweep nothing and print a bare header
         ((*grid, "--param", "eta="), "grid: parameter 'eta' has no values"),
         ((*grid, "--param", "eta=3", "--param", "r_sub=,"), "grid: parameter 'r_sub' has no values"),
+        # a flag that the method would ignore
+        ((*concat, "--eta", "5"), "reformulate (concat): 'hqe' is only read by type hqe or hqe-pos"),
+        ((*concat, "--hqe-preset", "rerank"), "'hqe' is only read by type hqe or hqe-pos"),
+        ((*reformulate, "--pos", workdir / "pos.jsonl"),
+         "reformulate (hqe): 'pos_annotations' is only read by type concat-pos or hqe-pos"),
+        (("reformulate", "--method", "raw", "--topics", workdir / "topics.json", "--out", out,
+          "--m-window", "4"), "reformulate (raw): 'm_window' is only read by type concat or concat-pos"),
     ]
     for argv, message in cases:
         assert _run(*argv) == 1, argv
@@ -251,6 +259,31 @@ def test_validation_failures_exit_1(workdir, tmp_path, capsys):
         assert message in err and "internal error" not in err, (argv, err)
     assert not out.exists()
     assert not (tmp_path / "grid").exists() and not (tmp_path / "exp").exists()
+
+
+def test_malformed_topic_and_passage_files_exit_1(tmp_path, capsys):
+    topics, rewrites = tmp_path / "topics.json", tmp_path / "r.tsv"
+    for text, message in (
+        ('[{"number": 1, "turn": [{"number": 1}]}]', "turn 1 must be an object with"),
+        ("[5]", "sessions must be objects with 'number' and 'turn'"),
+        ('[{"number": 1, "turn": [5]}]', "turn 1 must be an object with"),
+        ('[{"number": 1, "turn": {"number": 1, "raw_utterance": "x"}}]',
+         "session 1: 'turn' must be a JSON array"),
+        ('[{"number": 1, "turn": [{"number": [1], "raw_utterance": "x"}]}]',
+         "turn 1 has number [1], not an integer"),
+    ):
+        topics.write_text(text, encoding="utf-8")
+        assert _run("reformulate", "--method", "raw", "--topics", topics, "--out", rewrites) == 1
+        err = capsys.readouterr().err
+        assert f"error: {topics}: " in err and message in err and "internal error" not in err, text
+    passages = tmp_path / "p.jsonl"
+    for row in ("5", '"id contents"', "[1, 2]", "null"):
+        passages.write_text('{"id": "d1", "contents": "x"}\n' + row + "\n", encoding="utf-8")
+        assert _run("index", "build", "--input", passages, "--format", "jsonl",
+                    "--output", tmp_path / "idx") == 1
+        err = capsys.readouterr().err
+        assert f"error: {passages}:2: expected an object with 'id' and 'contents'" in err, row
+    assert not rewrites.exists() and not (tmp_path / "idx").exists()
 
 
 def test_damaged_index_meta_and_quoted_tokenizer_flags_exit_1(workdir, tmp_path, capsys):

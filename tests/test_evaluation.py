@@ -211,6 +211,22 @@ def test_report_csv_rows_are_stable():
     assert report.csv_rows("raw") == ["raw,q1,0.250000", "raw,all,0.250000"]
 
 
+def test_report_table_is_at_least_12_wide_and_fits_its_label():
+    report = MetricReport(
+        metrics=("map", "ndcg@3"),
+        per_query={"map": {"1": 0.5, "2": 0.25}, "ndcg@3": {"1": 1.0, "2": 0.123456}},
+        qids=["1", "2"],
+    )
+    assert report.format_table() == (
+        "run                    map        ndcg@3\n"
+        "all                 0.3750        0.5617"
+    )
+    assert report.format_table("a-run-label-of-20-ch") == (
+        "a-run-label-of-20-ch           map        ndcg@3\n"
+        "all                         0.3750        0.5617"
+    )
+
+
 # -- comparison statistics ------------------------------------------------------------
 
 

@@ -131,6 +131,36 @@ def test_early_fusion_needs_scores(tmp_path):
             "fusion: {mode: late, methods: [a, b], rerank_scores: q.txt}\n",
             "late fusion takes no fusion.rerank_scores",
         ),
+        # a key that the method's type or the fusion mode would ignore
+        (
+            "methods: [{name: a, type: hqe, pos_annotations: q.txt}]\n",
+            r"methods\[0\] \(a\): 'pos_annotations' is only read by type concat-pos or hqe-pos",
+        ),
+        (
+            "methods: [{name: a, type: concat, pos_annotations: q.txt}]\n",
+            "'pos_annotations' is only read by type concat-pos or hqe-pos",
+        ),
+        (
+            "methods: [{name: a, type: raw, m_window: 3}]\n",
+            "'m_window' is only read by type concat or concat-pos",
+        ),
+        (
+            "methods: [{name: a, type: hqe, m_window: 3}]\n",
+            "'m_window' is only read by type concat or concat-pos",
+        ),
+        (
+            "methods: [{name: a, type: external, rewrites: q.txt, m_window: 3}]\n",
+            "'m_window' is only read by type concat or concat-pos",
+        ),
+        (
+            "methods: [{name: a, type: concat-pos, hqe: {eta: 3.0}}]\n",
+            "'hqe' is only read by type hqe or hqe-pos",
+        ),
+        (
+            "methods: [{name: a, type: raw}, {name: b, type: raw}]\n"
+            "fusion: {mode: none, methods: [a, b]}\n",
+            "fusion: mode none reads no other key, got 'methods'",
+        ),
         ("depth: 10.5\nmethods: [{name: a, type: raw}]\n", r"depth must be an integer, got 10\.5"),
         (
             "methods: [{name: a, type: concat, m_window: 3.7}]\n",
@@ -162,6 +192,11 @@ def test_malformed_config_sections_are_validation_errors(tmp_path, snippet, mess
         load_config(path)
 
 
+def test_fusion_mode_none_alone_loads(tmp_path):
+    overrides = {"fusion": {"mode": "none"}, "output_dir": str(tmp_path / "out")}
+    assert load_config(FIXTURES / "config.yaml", overrides).fusion is None
+
+
 def test_config_hash_tracks_content(tmp_path):
     c1 = load_config(FIXTURES / "config.yaml", {"output_dir": str(tmp_path / "a")})
     c2 = load_config(FIXTURES / "config.yaml", {"output_dir": str(tmp_path / "a")})
@@ -179,6 +214,19 @@ def test_experiment_matches_golden_csv(fixture_config):
     result = run_experiment(fixture_config)
     golden = (FIXTURES / "golden_metrics.csv").read_bytes()
     assert result.metrics_csv.read_bytes() == golden
+
+
+def test_summary_table_layout(fixture_config):
+    result = run_experiment(fixture_config)
+    assert result.metrics_txt.read_text(encoding="utf-8") == (
+        "run                  map        ndcg@3        ndcg@1   recall@1000\n"
+        "raw               0.6000        0.7207        0.7333        0.6000\n"
+        "concat-pos        0.7667        0.9084        0.9333        0.8000\n"
+        "hqe               0.6667        0.8346        0.7333        0.8000\n"
+        "hqe+rerank        0.6500        0.7876        0.7333        0.8000\n"
+        "t5                0.5667        0.6726        0.7333        0.8000\n"
+        "fusion            0.5667        0.6726        0.7333        0.8000\n"
+    )
 
 
 def test_emitted_runs_reevaluate_to_reported_numbers(fixture_config):

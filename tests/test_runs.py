@@ -1,9 +1,20 @@
 import random
 
+import numpy as np
 import pytest
 
 import oracles
-from convpr.runs import RankedEntry, RankedList, RunFileWarning, qid_sort_key, read_run, write_run
+from convpr import runs
+from convpr.runs import (
+    RankedEntry,
+    RankedList,
+    RunFileWarning,
+    best_first,
+    id_rank,
+    qid_sort_key,
+    read_run,
+    write_run,
+)
 
 
 def _list(qid, pairs):
@@ -53,6 +64,54 @@ def test_from_scores_ties_break_by_doc_id():
         assert [(e.doc_id, repr(e.score)) for e in got.entries] == [
             (d, repr(s)) for d, s in want
         ], case
+
+
+def _no_ties(*_):
+    raise AssertionError("tie ranks asked for, but no two scores are equal")
+
+
+def test_best_first_asks_for_tie_ranks_only_when_scores_tie(monkeypatch):
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 2, 7, 300):
+        scores = rng.permutation(n) - n / 2 + rng.random(n) / 4
+        assert best_first(scores, _no_ties).tolist() == np.argsort(-scores).tolist()
+        assert best_first(scores, _no_ties, 3).tolist() == np.argsort(-scores)[:3].tolist()
+    # Neither fusion nor reranking sorts the doc ids of a tie-free list.
+    monkeypatch.setattr(runs, "id_rank", _no_ties)
+    rl = RankedList.from_scores("q", ["b", "c", "a"], [1.0, -0.5, 2.0])
+    assert rl.ids == ["a", "b", "c"]
+    with pytest.raises(AssertionError, match="tie ranks asked for"):
+        RankedList.from_scores("q", ["b", "a"], [1.0, 1.0])
+
+
+def test_best_first_edge_cases():
+    empty = best_first(np.array([], dtype=np.float64), _no_ties)
+    assert empty.size == 0 and empty.dtype.kind == "i"
+    assert best_first(np.array([1.0, 3.0, 2.0]), _no_ties, k=5).tolist() == [1, 2, 0]
+    # -0.0 ties 0.0, so the rank decides, whatever the sign bit.
+    for scores in ([0.0, -0.0, 1.0], [-0.0, 0.0, 1.0]):
+        got = best_first(np.array(scores), lambda: np.array([1, 0, 2], dtype=np.int32))
+        assert got.tolist() == [2, 1, 0], scores
+    assert best_first(np.full(4, 2.5), lambda: np.array([3, 0, 2, 1]), k=2).tolist() == [1, 3]
+
+
+def test_id_rank_is_python_string_order():
+    assert id_rank([]).tolist() == []
+    rank = id_rank(["b", "a\x00", "a", "B", "10", "9"])
+    assert rank.dtype == np.int32
+    assert rank.tolist() == [5, 4, 3, 2, 0, 1]
+
+
+def test_best_first_matches_the_score_order_oracle():
+    rng = random.Random(17)
+    for case in range(150):
+        ids, scores = oracles.random_scored(rng, rng.randint(1, len(oracles.TIE_ID_POOL)))
+        want = [(d, repr(s)) for d, s in oracles.score_order(zip(ids, scores))]
+        column = np.array(scores)
+        for k in range(1, len(ids) + 2):
+            got = best_first(column, lambda: id_rank(ids), k)
+            # repr compares bitwise: -0.0 must stay -0.0.
+            assert [(ids[i], repr(scores[i])) for i in got] == want[:k], (case, k)
 
 
 def test_write_read_round_trip(tmp_path):
