@@ -60,8 +60,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_bm25_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k1", type=float, default=Bm25Params.k1, help="BM25 k1 (default %(default)s)")
-    p.add_argument("--b", type=float, default=Bm25Params.b, help="BM25 b (default %(default)s)")
+    # A default of None tells a given flag from an omitted one.
+    p.add_argument("--k1", type=float, help=f"BM25 k1 (default {Bm25Params.k1})")
+    p.add_argument("--b", type=float, help=f"BM25 b (default {Bm25Params.b})")
+
+
+def _bm25_params(args) -> Bm25Params:
+    given = {key: getattr(args, key) for key in ("k1", "b")}
+    return Bm25Params(**{key: value for key, value in given.items() if value is not None})
 
 
 def cmd_index_build(args) -> int:
@@ -86,6 +92,11 @@ def cmd_reformulate(args) -> int:
         optional["m_window"] = hqe.pop("m_window", None)
         if hqe or args.hqe_preset:
             optional["hqe"] = hqe  # only HQE methods read it: an error below
+        for flag, value in (("--index", args.index), ("--k1", args.k1), ("--b", args.b)):
+            if value is not None:
+                raise ValueError(
+                    f"reformulate ({args.method}): {flag} is only read by method hqe or hqe-pos"
+                )
     raw = {"name": args.method, "type": args.method}
     raw.update((key, value) for key, value in optional.items() if value is not None)
     spec = _method_from_dict(Path("."), raw, "reformulate")
@@ -98,7 +109,7 @@ def cmd_reformulate(args) -> int:
             raise ValueError(f"--index is required for method {args.method}")
         index = InvertedIndex.load(args.index)
         tokenizer = index.tokenizer
-        searcher = Searcher(index, Bm25Params(k1=args.k1, b=args.b))
+        searcher = Searcher(index, _bm25_params(args))
     queries = reformulate_method(spec, sessions, searcher, tokenizer)
     write_rewrites(args.out, queries)
     print(f"wrote {len(queries)} rewrites -> {args.out}")
@@ -107,7 +118,7 @@ def cmd_reformulate(args) -> int:
 
 def cmd_retrieve(args) -> int:
     index = InvertedIndex.load(args.index)
-    searcher = Searcher(index, Bm25Params(k1=args.k1, b=args.b))
+    searcher = Searcher(index, _bm25_params(args))
     queries = load_external_rewrites(args.queries, index.tokenizer)
     run = retrieve_all(searcher, queries.values(), args.k)
     write_run(args.out, run, tag=args.tag)
@@ -116,7 +127,8 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    runs = [read_run(p) for p in args.runs]
+    pool: dict[str, str] = {}
+    runs = [read_run(p, pool=pool) for p in args.runs]
     fused = fuse_runs(runs, RrfParams(k=args.k), args.depth)
     write_run(args.out, fused, tag=args.tag)
     print(f"fused {len(runs)} runs over {len(fused)} qids -> {args.out}")
@@ -124,8 +136,9 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_rerank(args) -> int:
-    run = read_run(args.run)
-    reranked = rerank_run(run, load_rerank_scores(args.scores))
+    pool: dict[str, str] = {}
+    run = read_run(args.run, pool=pool)
+    reranked = rerank_run(run, load_rerank_scores(args.scores, pool=pool))
     write_run(args.out, reranked, tag=args.tag)
     print(f"reranked {len(run)} qids -> {args.out}")
     return 0
@@ -149,7 +162,8 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     qrels = load_qrels(args.qrels)
-    run_a, run_b = read_run(args.run_a), read_run(args.run_b)
+    pool: dict[str, str] = {}
+    run_a, run_b = read_run(args.run_a, pool=pool), read_run(args.run_b, pool=pool)
     rep_a = evaluate_run(run_a, qrels, (args.metric,), depth=args.depth)
     rep_b = evaluate_run(run_b, qrels, (args.metric,), depth=args.depth)
     a_vals, b_vals = rep_a.per_query[args.metric], rep_b.per_query[args.metric]
@@ -200,7 +214,8 @@ def cmd_analyze_jaccard(args) -> int:
 
     if not (args.run_a and args.run_b):
         raise ValueError("analyze jaccard requires --run-a and --run-b (or --adjacent)")
-    run_a, run_b = read_run(args.run_a), read_run(args.run_b)
+    pool: dict[str, str] = {}
+    run_a, run_b = read_run(args.run_a, pool=pool), read_run(args.run_b, pool=pool)
     shared = sorted(set(run_a) & set(run_b), key=qid_sort_key)
     if not shared:
         raise ValueError("the two runs share no qids")

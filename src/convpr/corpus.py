@@ -49,6 +49,14 @@ class Session:
                 )
 
 
+def is_integral(value) -> bool:
+    """Whether ``value`` is a whole number: an int, or a float without a
+    fraction. A bool is not, though Python counts it as an int."""
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool) and float(value).is_integer()
+    )
+
+
 def load_passages(path: str | Path, format: str = "tsv") -> Iterator[Passage]:
     """Stream passages from a TSV (``doc_id<TAB>text``) or JSONL file.
 
@@ -111,8 +119,9 @@ def save_passages(path: str | Path, passages: Iterable[Passage], format: str = "
 def load_sessions(path: str | Path) -> list[Session]:
     """Parse a topic file: a JSON array of ``{number, turn: [{number, raw_utterance}]}``.
 
-    Turn numbers must be contiguous starting at 1; query ids are rendered
-    as ``<session>_<turn>`` downstream.
+    Turn numbers must be whole numbers, contiguous starting at 1, and
+    session numbers distinct: query ids are rendered as ``<session>_<turn>``
+    downstream.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
@@ -120,12 +129,16 @@ def load_sessions(path: str | Path) -> list[Session]:
     if not isinstance(data, list):
         raise ValueError(f"{path}: topic file must be a JSON array of sessions")
     sessions = []
+    seen: set[str] = set()
     for entry in data:
         if not isinstance(entry, dict) or "number" not in entry or "turn" not in entry:
             raise ValueError(f"{path}: sessions must be objects with 'number' and 'turn' fields")
         sid = str(entry["number"])
         if sid.split() != [sid]:
             raise ValueError(f"{path}: session number {sid!r} is empty or has whitespace")
+        if sid in seen:
+            raise ValueError(f"{path}: two sessions have number {sid}, so their qids would collide")
+        seen.add(sid)
         if not isinstance(entry["turn"], list):
             raise ValueError(f"{path}: session {sid}: 'turn' must be a JSON array of turns")
         utterances = []
@@ -135,12 +148,11 @@ def load_sessions(path: str | Path) -> list[Session]:
                     f"{path}: session {sid}: turn {i} must be an object with 'number' "
                     "and 'raw_utterance' fields"
                 )
-            try:
-                turn_no = int(t["number"])
-            except (TypeError, ValueError):
+            if not is_integral(t["number"]):
                 raise ValueError(
                     f"{path}: session {sid}: turn {i} has number {t['number']!r}, not an integer"
-                ) from None
+                )
+            turn_no = int(t["number"])
             if turn_no != i:
                 raise ValueError(
                     f"{path}: session {sid}: non-contiguous turn numbers "

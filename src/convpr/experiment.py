@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import yaml
 
 from . import index as index_format
-from .corpus import Session, load_passages, load_sessions
+from .corpus import Session, is_integral, load_passages, load_sessions
 from .cqr import (
     CONCAT_DEFAULT_WINDOW,
     HqeParams,
@@ -128,10 +128,7 @@ def _require(cond: bool, msg: str) -> None:
 
 def _integer(value, what: str) -> int:
     """``value`` as an int; a fraction is an error rather than truncated."""
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool) and float(value).is_integer(),
-        f"{what} must be an integer, got {value!r}",
-    )
+    _require(is_integral(value), f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -359,12 +356,16 @@ class _Workspace:
     cache_dir: Path
     index_key: str
     ke_path: Path
+    # Every query's text and qid comes from the topics, so every run key
+    # covers them.
+    topics_digest: str
 
 
 def _open_workspace(config: ExperimentConfig) -> _Workspace:
     """Load topics and qrels, and the index and keyword-extractor scores
-    from ``output_dir/cache`` (building the index on a miss). The corpus is
-    hashed once here; everything downstream reuses ``index_key``."""
+    from ``output_dir/cache`` (building the index on a miss). The corpus and
+    topics are hashed once here; everything downstream reuses ``index_key``
+    and ``topics_digest``."""
     cache_dir = config.output_dir / "cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
     sessions = load_sessions(config.topics)
@@ -389,12 +390,15 @@ def _open_workspace(config: ExperimentConfig) -> _Workspace:
     ke_path = cache_dir / f"ke-{ke_key}.json"
     if ke_path.exists():
         searcher._term_max.update(json.loads(ke_path.read_text(encoding="utf-8")))
-    return _Workspace(sessions, qrels, searcher, cache_dir, index_key, ke_path)
+    return _Workspace(
+        sessions, qrels, searcher, cache_dir, index_key, ke_path, _file_digest(config.topics)
+    )
 
 
 def _run_cache_path(ws: _Workspace, config: ExperimentConfig, method: MethodSpec) -> Path:
     key = _cache_key(
         index=ws.index_key,
+        topics=ws.topics_digest,
         bm25=astuple(config.bm25),
         depth=config.depth,
         method={
@@ -485,8 +489,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     ws = _open_workspace(config)
     searcher = ws.searcher
-    # Methods and early fusion often share one scores file; parse each once.
-    rerank_scores = functools.cache(load_rerank_scores)
+    # Every run and scores file read here shares one string per doc id and
+    # qid. Methods and early fusion often share one scores file; parse each
+    # once.
+    pool: dict[str, str] = {}
+    rerank_scores = functools.cache(functools.partial(load_rerank_scores, pool=pool))
 
     final_runs: dict[str, dict[str, RankedList]] = {}
     run_files: dict[str, Path] = {}
@@ -508,7 +515,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
         if cached_run.exists():
             logger.info("method %s: using cached first-stage run", method.name)
-            run = read_run(cached_run)
+            run = read_run(cached_run, pool=pool)
         else:
             run = retrieve_all(searcher, queries, config.depth)
             _write_atomically(cached_run, lambda tmp: write_run(tmp, run, tag=method.name))

@@ -60,10 +60,17 @@ def rrf_fuse(
     return RankedList.from_scores(qid, list(slot), fused, depth)
 
 
-def load_rerank_scores(path: str | Path) -> dict[tuple[str, str], float]:
+def load_rerank_scores(
+    path: str | Path, *, pool: dict[str, str] | None = None
+) -> dict[tuple[str, str], float]:
     """Read ``qid<TAB>doc_id<TAB>score`` rows; one score per (qid, doc) pair,
-    and no NaN, which would order a reranked list arbitrarily."""
+    and no NaN, which would order a reranked list arbitrarily.
+
+    Every qid and doc id of a key is stored as ``pool.setdefault(s, s)``, so
+    equal ids share one string object, within the file and with the runs
+    read with the same ``pool`` (a fresh one when None)."""
     path = Path(path)
+    intern = (pool if pool is not None else {}).setdefault
     scores: dict[tuple[str, str], float] = {}
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -73,11 +80,12 @@ def load_rerank_scores(path: str | Path) -> dict[tuple[str, str], float]:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected qid<TAB>doc_id<TAB>score")
-            key = (parts[0], parts[1])
+            qid, doc_id, score_s = parts
+            key = (intern(qid, qid), intern(doc_id, doc_id))
             if key in scores:
                 raise ValueError(f"{path}:{lineno}: duplicate score for {key}")
             try:
-                score = float(parts[2])
+                score = float(score_s)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad score: {exc}") from exc
             if math.isnan(score):

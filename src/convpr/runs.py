@@ -9,6 +9,13 @@ exact.
 
 Every ranking (search, fusion, reranking) is ordered by :func:`best_first`:
 descending score, ties by ascending doc_id in Python's string order.
+
+The same doc ids recur in every run of one experiment, so the readers
+(:func:`read_run` and ``fusion.load_rerank_scores``) take an optional
+``pool``: a dict that maps each id string to the one object that stands for
+it. Readers given one pool return ``is``-identical ids for equal ids, and
+fusion and reranking reuse the id objects of their inputs, so an id is held
+once however many lists hold it.
 """
 
 from __future__ import annotations
@@ -159,15 +166,20 @@ def write_run(path: str | Path, run: Mapping[str, RankedList] | Sequence[RankedL
             fh.write("".join([f"{head}{d} {rank} {s!r}{tail}" for rank, d, s in rows]))
 
 
-def read_run(path: str | Path) -> dict[str, RankedList]:
+def read_run(path: str | Path, *, pool: dict[str, str] | None = None) -> dict[str, RankedList]:
     """Parse a 6-column run file into one RankedList per qid.
 
     Rank gaps and NaN scores are errors; non-monotone scores produce a
-    RunFileWarning.
+    RunFileWarning. Every qid and doc id is stored as ``pool.setdefault(s,
+    s)``, so equal ids share one string object, within the file and with
+    every other reader given the same ``pool`` (a fresh one when None).
     """
     path = Path(path)
+    if pool is None:
+        pool = {}
     per_qid: dict[str, tuple[list[str], list[float]]] = {}
     qid_now = None
+    ids: list[str] = []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -184,7 +196,10 @@ def read_run(path: str | Path) -> dict[str, RankedList]:
             if score != score:  # NaN would order the list arbitrarily
                 raise ValueError(f"{path}:{lineno}: qid {qid}: score is NaN")
             if qid != qid_now:  # a qid's lines are usually consecutive
-                qid_now = qid
+                # Pool the finished qid's ids in one map call rather than one
+                # call per line, so only one qid's unpooled strings are alive.
+                ids[:] = map(pool.setdefault, ids, ids)
+                qid_now = qid = pool.setdefault(qid, qid)
                 ids, scores = per_qid.setdefault(qid, ([], []))
             if rank != len(ids) + 1:
                 raise ValueError(
@@ -192,4 +207,5 @@ def read_run(path: str | Path) -> dict[str, RankedList]:
                 )
             ids.append(doc_id)
             scores.append(score)
+    ids[:] = map(pool.setdefault, ids, ids)
     return {qid: RankedList(qid, ids, scores) for qid, (ids, scores) in per_qid.items()}

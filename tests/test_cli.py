@@ -212,7 +212,11 @@ def test_validation_failures_exit_1(workdir, tmp_path, capsys):
                    "--index", idx, "--out", out)
     grid = ("grid", "--config", workdir / "config.yaml", "--method", "hqe",
             "--set", f"output_dir={tmp_path / 'grid'}")
-    concat = ("reformulate", "--method", "concat", "--topics", workdir / "topics.json", "--out", out)
+
+    def method(name):
+        return ("reformulate", "--method", name, "--topics", workdir / "topics.json", "--out", out)
+
+    concat = method("concat")
     cases = [
         (("eval", "--run", run, "--qrels", qrels, "--depth", "-1"), "depth must be >= 1, got -1"),
         (("fuse", "--runs", run, run, "--out", out, "--depth", "-2"),
@@ -252,6 +256,14 @@ def test_validation_failures_exit_1(workdir, tmp_path, capsys):
          "reformulate (hqe): 'pos_annotations' is only read by type concat-pos or hqe-pos"),
         (("reformulate", "--method", "raw", "--topics", workdir / "topics.json", "--out", out,
           "--m-window", "4"), "reformulate (raw): 'm_window' is only read by type concat or concat-pos"),
+        # an index or BM25 flag for a method that reads no index
+        ((*method("raw"), "--index", idx),
+         "reformulate (raw): --index is only read by method hqe or hqe-pos"),
+        ((*concat, "--k1", "0.9"), "reformulate (concat): --k1 is only read by method hqe or hqe-pos"),
+        ((*method("concat-pos"), "--b", "0.5"),
+         "reformulate (concat-pos): --b is only read by method hqe or hqe-pos"),
+        ((*method("external"), "--rewrites", workdir / "t5.tsv", "--index", idx),
+         "reformulate (external): --index is only read by method hqe or hqe-pos"),
     ]
     for argv, message in cases:
         assert _run(*argv) == 1, argv

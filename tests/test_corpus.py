@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -133,3 +134,27 @@ def test_session_number_with_whitespace_is_an_error(tmp_path):
                  encoding="utf-8")
     with pytest.raises(ValueError, match="session number '31 b'"):
         load_sessions(p)
+
+
+def test_two_sessions_with_one_number_are_an_error(tmp_path):
+    # Their qids would collide, and a run keeps one list per qid.
+    turn = [{"number": 1, "raw_utterance": "x"}]
+    p = _topic_file(tmp_path, [{"number": 3, "turn": turn}, {"number": "3", "turn": turn}])
+    with pytest.raises(ValueError, match=re.escape(f"{p}: two sessions have number 3")):
+        load_sessions(p)
+
+
+@pytest.mark.parametrize("number", [1.5, True, "1", None])
+def test_turn_number_that_is_not_a_whole_number_is_an_error(tmp_path, number):
+    turns = [{"number": number, "raw_utterance": "x"}]
+    p = _topic_file(tmp_path, [{"number": 4, "turn": turns}])
+    message = f"{p}: session 4: turn 1 has number {number!r}, not an integer"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_sessions(p)
+
+
+def test_integral_float_turn_numbers_load(tmp_path):
+    turns = [{"number": 1.0, "raw_utterance": "x"}, {"number": 2, "raw_utterance": "y"}]
+    (session,) = load_sessions(_topic_file(tmp_path, [{"number": 4, "turn": turns}]))
+    assert [u.qid for u in session.utterances] == ["4_1", "4_2"]
+    assert type(session.utterances[0].turn) is int

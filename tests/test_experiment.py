@@ -418,6 +418,53 @@ def test_index_format_version_is_part_of_the_index_key(fixture_config, monkeypat
     assert _outputs(fixture_config.output_dir) == outputs
 
 
+def test_edited_topics_are_not_served_stale_runs(tmp_path):
+    """Every query comes from the topics, so they are part of every run key:
+    after an utterance changes, a warm run gives the outputs of a cold one."""
+    for name in ("config.yaml", "corpus.tsv", "topics.json", "qrels.txt", "pos.jsonl",
+                 "scores.tsv", "t5.tsv"):
+        shutil.copy(FIXTURES / name, tmp_path / name)
+    config, topics = tmp_path / "config.yaml", tmp_path / "topics.json"
+    run_experiment(load_config(config, {"output_dir": "warm"}))
+    before = (tmp_path / "warm" / "runs" / "raw.run").read_bytes()
+    text = topics.read_text(encoding="utf-8")
+    assert text.count("What about its glow?") == 1
+    topics.write_text(text.replace("What about its glow?", "What about its jets?"), encoding="utf-8")
+    run_experiment(load_config(config, {"output_dir": "warm"}))
+    run_experiment(load_config(config, {"output_dir": "cold"}))
+    assert (tmp_path / "warm" / "runs" / "raw.run").read_bytes() != before
+    assert _outputs(tmp_path / "warm") == _outputs(tmp_path / "cold")
+    assert len(list((tmp_path / "warm" / "cache").glob("run-*.run"))) == 8
+
+
+def test_warm_run_holds_one_string_per_doc_id(fixture_config, monkeypatch):
+    """The cached runs and the rerank scores of one experiment are read with
+    one pool, so equal doc ids and qids across all of them are one object."""
+    import convpr.experiment as experiment
+
+    run_experiment(fixture_config)
+    runs, scores = [], []
+    real_read_run, real_load = experiment.read_run, experiment.load_rerank_scores
+
+    def read_run(*args, **kwargs):
+        runs.append(real_read_run(*args, **kwargs))
+        return runs[-1]
+
+    def load_rerank_scores(*args, **kwargs):
+        scores.append(real_load(*args, **kwargs))
+        return scores[-1]
+
+    monkeypatch.setattr(experiment, "read_run", read_run)
+    monkeypatch.setattr(experiment, "load_rerank_scores", load_rerank_scores)
+    run_experiment(fixture_config)
+    assert len(runs) == len(fixture_config.methods) and len(scores) == 1
+    lists = [rl for run in runs for rl in run.values()]
+    doc_ids = [d for rl in lists for d in rl.ids] + [d for _, d in scores[0]]
+    qids = [rl.qid for rl in lists] + [q for q, _ in scores[0]]
+    for strings in (doc_ids, qids):
+        assert len({id(s) for s in strings}) == len(set(strings)) < len(strings)
+
+
 def test_readme_config_example_loads(tmp_path):
     """The README's example config is valid under the strict key check."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

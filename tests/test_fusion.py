@@ -12,7 +12,7 @@ from convpr.fusion import (
     rerank_run,
     rrf_fuse,
 )
-from convpr.runs import RankedList
+from convpr.runs import RankedList, read_run
 
 
 def _list(qid, doc_ids):
@@ -192,6 +192,22 @@ def test_load_rerank_scores(tmp_path):
     path.write_text("q1\td1\t0.5\nq1\td1\t0.7\n", encoding="utf-8")
     with pytest.raises(ValueError, match="duplicate score"):
         load_rerank_scores(path)
+
+
+def test_rerank_scores_share_ids_with_runs_read_with_one_pool(tmp_path):
+    run_path, scores_path = tmp_path / "a.run", tmp_path / "s.tsv"
+    run_path.write_text("q1 Q0 doc1 1 3.0 t\nq1 Q0 doc2 2 1.0 t\n", encoding="utf-8")
+    scores_path.write_text("q1\tdoc2\t0.5\nq1\tdoc1\t0.25\n", encoding="utf-8")
+    pool: dict[str, str] = {}
+    ranked = read_run(run_path, pool=pool)["q1"]
+    scores = load_rerank_scores(scores_path, pool=pool)
+    assert scores == load_rerank_scores(scores_path)
+    (qid_2, doc_2), (qid_1, doc_1) = scores
+    assert qid_1 is qid_2 is ranked.qid
+    assert (doc_1, doc_2) == (ranked.ids[0], ranked.ids[1])
+    assert doc_1 is ranked.ids[0] and doc_2 is ranked.ids[1]
+    reranked = rerank(ranked, scores)
+    assert reranked.ids == ["doc2", "doc1"] and reranked.ids[0] is doc_2
 
 
 @pytest.mark.parametrize("nan", ["nan", "NaN", "-nan"])

@@ -184,6 +184,25 @@ def test_interleaved_qids_and_blank_lines_are_read_per_qid(tmp_path):
     assert repr(run["q2"].entries[1].score) == "-0.0"
 
 
+def test_readers_given_one_pool_share_id_objects(tmp_path):
+    """Equal ids of one file, or of files read with one pool, are one string
+    object. (The ids are longer than one character, which CPython shares
+    anyway.)"""
+    a, b = tmp_path / "a.run", tmp_path / "b.run"
+    a.write_text("q1 Q0 doc1 1 3.0 t\nq2 Q0 doc1 1 2.0 t\nq1 Q0 doc2 2 1.0 t\n", encoding="utf-8")
+    b.write_text("q2 Q0 doc2 1 1.0 t\nq2 Q0 doc1 2 0.5 t\n", encoding="utf-8")
+    alone = read_run(a)
+    assert alone["q1"].ids[0] is alone["q2"].ids[0]
+    pool: dict[str, str] = {}
+    run_a, run_b = read_run(a, pool=pool), read_run(b, pool=pool)
+    assert run_a == alone
+    assert run_a["q1"].ids[0] is run_b["q2"].ids[1]
+    assert run_a["q1"].ids[1] is run_b["q2"].ids[0]
+    assert run_a["q2"].qid is run_b["q2"].qid
+    # without a pool, each call has its own
+    assert run_a["q1"].ids[0] is not alone["q1"].ids[0]
+
+
 def test_scores_round_trip_exactly(tmp_path):
     scores = [1.0 / 3.0, 2.0 / 61.0, 9.87654321e-5]
     run = {"q": _list("q", [(f"d{i}", s) for i, s in enumerate(sorted(scores, reverse=True))])}
