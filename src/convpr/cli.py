@@ -29,6 +29,7 @@ from .evaluation import (
 )
 from .experiment import (
     METHOD_TYPES,
+    _METHOD_KEYS,
     _method_from_dict,
     grid_search,
     load_config,
@@ -85,7 +86,8 @@ def cmd_reformulate(args) -> int:
     flags = ("r_topic", "r_sub", "eta", "m_window")
     hqe = {key: getattr(args, key) for key in flags if getattr(args, key) is not None}
     optional = {"rewrites": args.rewrites, "pos_annotations": args.pos}
-    if args.method in ("hqe", "hqe-pos"):
+    reads_hqe = "hqe" in _METHOD_KEYS[args.method]
+    if reads_hqe:
         preset = HQE_RERANK_DEFAULTS if args.hqe_preset == "rerank" else HQE_RETRIEVAL_DEFAULTS
         optional["hqe"] = {**dataclasses.asdict(preset), **hqe}
     else:
@@ -104,7 +106,7 @@ def cmd_reformulate(args) -> int:
     sessions = load_sessions(args.topics)
     searcher = None
     tokenizer = TokenizerConfig()
-    if args.method in ("hqe", "hqe-pos"):
+    if reads_hqe:
         if not args.index:
             raise ValueError(f"--index is required for method {args.method}")
         index = InvertedIndex.load(args.index)

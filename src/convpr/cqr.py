@@ -225,8 +225,9 @@ def raw_query(utterance: Utterance, tokenizer=tokenize) -> ReformulatedQuery:
 
 def load_external_rewrites(path: str | Path, tokenizer=tokenize) -> dict[str, ReformulatedQuery]:
     """Read a ``qid<TAB>text`` file of externally produced rewrites
-    (manual annotations, seq2seq output, ...). Duplicate qids are an error;
-    a qid missing at use time is the caller's error to raise."""
+    (manual annotations, seq2seq output, ...). A qid must be one run-file
+    column, so an empty one or one with whitespace is an error, and so is a
+    duplicate; a qid missing at use time is the caller's error to raise."""
     path = Path(path)
     rewrites: dict[str, ReformulatedQuery] = {}
     with path.open("r", encoding="utf-8") as fh:
@@ -237,6 +238,8 @@ def load_external_rewrites(path: str | Path, tokenizer=tokenize) -> dict[str, Re
             if "\t" not in line:
                 raise ValueError(f"{path}:{lineno}: expected qid<TAB>text")
             qid, text = line.split("\t", 1)
+            if qid.split() != [qid]:
+                raise ValueError(f"{path}:{lineno}: qid {qid!r} is empty or has whitespace")
             if qid in rewrites:
                 raise ValueError(f"{path}:{lineno}: duplicate qid {qid!r}")
             rewrites[qid] = ReformulatedQuery(qid, tuple(tokenizer(text)), text)

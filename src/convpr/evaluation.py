@@ -7,10 +7,12 @@ and queries without any judged-relevant document are excluded from means.
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .runs import RankedList, qid_sort_key
@@ -21,21 +23,21 @@ DEFAULT_TIE_EPSILON = 1e-4
 
 
 class Qrels:
-    """Graded relevance judgments: (qid, doc_id) -> grade in 0..4.
-
-    Unjudged pairs implicitly have grade 0.
-    """
+    """Graded relevance judgments ``{qid: {doc_id: grade in 0..4}}``, and each
+    qid's relevant set (grade >= 1), built once. Unjudged pairs have grade 0."""
 
     def __init__(self, grades: Mapping[str, Mapping[str, int]] | None = None):
-        self._grades: dict[str, dict[str, int]] = {
-            qid: dict(docs) for qid, docs in (grades or {}).items()
+        self._grades = {qid: dict(docs) for qid, docs in (grades or {}).items()}
+        self._relevant = {
+            qid: frozenset(d for d, g in docs.items() if g >= 1) for qid, docs in self._grades.items()
         }
 
-    def doc_grades(self, qid: str) -> dict[str, int]:
-        return dict(self._grades.get(qid, {}))
+    def doc_grades(self, qid: str) -> Mapping[str, int]:
+        """A read-only view of the stored grades, not a copy."""
+        return MappingProxyType(self._grades.get(qid, {}))
 
-    def relevant_docs(self, qid: str, threshold: int = 1) -> set[str]:
-        return {d for d, g in self._grades.get(qid, {}).items() if g >= threshold}
+    def relevant_docs(self, qid: str) -> frozenset[str]:
+        return self._relevant.get(qid, frozenset())
 
     def __len__(self) -> int:
         return sum(len(docs) for docs in self._grades.values())
@@ -69,14 +71,12 @@ def load_qrels(path: str | Path) -> Qrels:
 # -- per-query metrics ------------------------------------------------------
 
 
-def average_precision(
-    ranked: RankedList, qrels: Qrels, depth: int = 1000, rel_threshold: int = 1
-) -> float:
+def average_precision(ranked: RankedList, qrels: Qrels, depth: int = 1000) -> float:
     """Sum of precision at each relevant hit within ``depth``, divided by the
     total number of relevant docs. 0.0 when nothing relevant is judged."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    relevant = qrels.relevant_docs(ranked.qid, rel_threshold)
+    relevant = qrels.relevant_docs(ranked.qid)
     if not relevant:
         return 0.0
     hits = 0
@@ -108,10 +108,8 @@ def ndcg_at_k(ranked: RankedList, qrels: Qrels, k: int) -> float:
     return dcg / idcg
 
 
-def recall_at_k(
-    ranked: RankedList, qrels: Qrels, k: int = 1000, rel_threshold: int = 1
-) -> float:
-    relevant = qrels.relevant_docs(ranked.qid, rel_threshold)
+def recall_at_k(ranked: RankedList, qrels: Qrels, k: int = 1000) -> float:
+    relevant = qrels.relevant_docs(ranked.qid)
     if not relevant:
         return 0.0
     found = sum(1 for doc_id in ranked.ids[:k] if doc_id in relevant)
@@ -139,14 +137,13 @@ class MetricReport:
     def format_table(self, label: str = "run") -> str:
         return format_summary(label, self.metrics, {"all": self.means}, min_width=12)
 
-    def csv_rows(self, run_name: str) -> list[str]:
-        rows = []
-        for qid in self.qids:
-            vals = ",".join(f"{self.per_query[m][qid]:.6f}" for m in self.metrics)
-            rows.append(f"{run_name},{qid},{vals}")
+    def csv_rows(self, run_name: str) -> list[list[str]]:
+        """One ``run,qid,<metrics>`` row of fields per qid, then the means
+        under qid ``all``."""
         means = self.means
-        rows.append(f"{run_name},all," + ",".join(f"{means[m]:.6f}" for m in self.metrics))
-        return rows
+        rows = [(qid, [self.per_query[m][qid] for m in self.metrics]) for qid in self.qids]
+        rows.append(("all", [means[m] for m in self.metrics]))
+        return [[run_name, qid, *(f"{v:.6f}" for v in values)] for qid, values in rows]
 
 
 def format_summary(
@@ -165,11 +162,13 @@ def format_summary(
 def write_metrics_csv(
     path: str | Path, metrics: Sequence[str], reports: Mapping[str, MetricReport]
 ) -> None:
-    """Write ``run,qid,<metrics>`` rows for each named report, in order."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("run,qid," + ",".join(metrics) + "\n")
+    """Write ``run,qid,<metrics>`` rows for each named report, in order; a
+    field that holds a comma or a quote is quoted."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["run", "qid", *metrics])
         for name, report in reports.items():
-            fh.writelines(row + "\n" for row in report.csv_rows(name))
+            writer.writerows(report.csv_rows(name))
 
 
 def parse_metric(name: str) -> tuple[str, int | None]:
@@ -184,13 +183,8 @@ def parse_metric(name: str) -> tuple[str, int | None]:
     raise ValueError(f"unknown metric {name!r} (expected map, ndcg@k or recall@k)")
 
 
-def _metric_value(name: str, ranked: RankedList, qrels: Qrels, depth: int) -> float:
-    base, k = parse_metric(name)
-    if base == "map":
-        return average_precision(ranked, qrels, depth=depth)
-    if base == "ndcg":
-        return ndcg_at_k(ranked, qrels, k)
-    return recall_at_k(ranked, qrels, k)
+# Each takes (ranked, qrels, cutoff): map cuts at the depth, the others at k.
+_METRIC_FNS = {"map": average_precision, "ndcg": ndcg_at_k, "recall": recall_at_k}
 
 
 def evaluate_run(
@@ -207,8 +201,7 @@ def evaluate_run(
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    for m in metrics:
-        parse_metric(m)
+    parsed = {m: parse_metric(m) for m in metrics}
     qids = [
         qid
         for qid in sorted(run, key=qid_sort_key)
@@ -217,8 +210,10 @@ def evaluate_run(
     if not qids:
         raise ValueError("no judged queries: run and qrels share no qid with relevant docs")
     report = MetricReport(metrics=tuple(metrics), qids=qids)
-    for m in metrics:
-        report.per_query[m] = {qid: _metric_value(m, run[qid], qrels, depth) for qid in qids}
+    for m, (base, k) in parsed.items():
+        fn = _METRIC_FNS[base]
+        cutoff = depth if k is None else k
+        report.per_query[m] = {qid: fn(run[qid], qrels, cutoff) for qid in qids}
     return report
 
 

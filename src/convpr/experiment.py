@@ -55,7 +55,8 @@ from .tokenization import TokenizerConfig
 logger = logging.getLogger("convpr")
 
 # The optional keys each method type reads, besides the rerank_scores that
-# every type reads. Any other key would be ignored, so it is an error.
+# every type reads. Any other key would be ignored, so it is an error. Code
+# that treats types differently asks this table which keys a type reads.
 _METHOD_KEYS = {
     "raw": (),
     "concat": ("m_window",),
@@ -82,10 +83,6 @@ class MethodSpec:
     def __post_init__(self) -> None:
         if self.m_window < 0:
             raise ValueError(f"m_window must be >= 0, got {self.m_window}")
-
-    @property
-    def uses_pos(self) -> bool:
-        return self.type.endswith("-pos")
 
 
 @dataclass(frozen=True)
@@ -418,7 +415,7 @@ def _run_cache_path(ws: _Workspace, config: ExperimentConfig, method: MethodSpec
 
 
 def _pos_for(method: MethodSpec) -> PosAnnotations | None:
-    if not method.uses_pos:
+    if "pos_annotations" not in _METHOD_KEYS[method.type]:
         return None
     if method.pos_annotations is not None:
         return PosAnnotations.load(method.pos_annotations)
@@ -437,24 +434,23 @@ def reformulate_method(
     """Produce one rewrite per turn, session by session."""
     pos = _pos_for(method)
     out: list[ReformulatedQuery] = []
-    external = load_external_rewrites(method.rewrites, tokenizer) if method.type == "external" else None
+    reads = _METHOD_KEYS[method.type]
+    external = load_external_rewrites(method.rewrites, tokenizer) if "rewrites" in reads else None
     for session in sessions:
         for i in range(1, len(session.utterances) + 1):
             prefix = session.utterances[:i]
             current = prefix[-1]
             if method.type == "raw":
                 out.append(raw_query(current, tokenizer))
-            elif method.type in ("concat", "concat-pos"):
+            elif "m_window" in reads:
                 out.append(concat_rewrite(prefix, method.m_window, pos, tokenizer))
-            elif method.type in ("hqe", "hqe-pos"):
+            elif "hqe" in reads:
                 assert searcher is not None
                 out.append(hqe_rewrite(searcher, prefix, method.hqe, pos))
-            else:
-                if current.qid not in external:
-                    raise ValueError(
-                        f"method {method.name}: no external rewrite for qid {current.qid!r}"
-                    )
+            elif current.qid in external:
                 out.append(external[current.qid])
+            else:
+                raise ValueError(f"method {method.name}: no external rewrite for qid {current.qid!r}")
     return out
 
 
@@ -582,9 +578,10 @@ def grid_search(
     by_name = {m.name: m for m in config.methods}
     _require(method_name in by_name, f"grid: unknown method {method_name!r}")
     method = by_name[method_name]
-    if method.type in ("hqe", "hqe-pos"):
+    reads = _METHOD_KEYS[method.type]
+    if "hqe" in reads:
         allowed = _HQE_GRID_KEYS
-    elif method.type in ("concat", "concat-pos"):
+    elif "m_window" in reads:
         allowed = ("m_window",)
     else:
         raise ValueError(f"grid: method {method_name!r} of type {method.type!r} has no grid parameters")
@@ -601,7 +598,7 @@ def grid_search(
     keys = sorted(grid)
     points = [dict(zip(keys, values)) for values in product(*(grid[k] for k in keys))]
     # Every point is validated here, before the index is built or loaded.
-    if method.type in ("hqe", "hqe-pos"):
+    if "hqe" in reads:
         variants = [replace(method, hqe=replace(method.hqe, **point)) for point in points]
     else:
         variants = [replace(method, m_window=point["m_window"]) for point in points]

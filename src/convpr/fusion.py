@@ -22,9 +22,6 @@ from .runs import RankedList, qid_sort_key
 
 DEFAULT_FUSION_DEPTH = 1000
 
-RerankScores = Mapping[tuple[str, str], float]
-
-
 @dataclass(frozen=True)
 class RrfParams:
     k: float = 60.0
@@ -62,16 +59,15 @@ def rrf_fuse(
 
 def load_rerank_scores(
     path: str | Path, *, pool: dict[str, str] | None = None
-) -> dict[tuple[str, str], float]:
-    """Read ``qid<TAB>doc_id<TAB>score`` rows; one score per (qid, doc) pair,
-    and no NaN, which would order a reranked list arbitrarily.
-
-    Every qid and doc id of a key is stored as ``pool.setdefault(s, s)``, so
-    equal ids share one string object, within the file and with the runs
-    read with the same ``pool`` (a fresh one when None)."""
+) -> dict[str, dict[str, float]]:
+    """Read ``qid<TAB>doc_id<TAB>score`` rows into ``{qid: {doc_id: score}}``,
+    one score per (qid, doc) pair and no NaN, which would order a reranked
+    list arbitrarily. Every qid and doc id is stored as ``pool.setdefault(s,
+    s)``, so equal ids share one string object, within the file and with the
+    runs read with the same ``pool`` (a fresh one when None)."""
     path = Path(path)
     intern = (pool if pool is not None else {}).setdefault
-    scores: dict[tuple[str, str], float] = {}
+    scores: dict[str, dict[str, float]] = {}
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -81,30 +77,34 @@ def load_rerank_scores(
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected qid<TAB>doc_id<TAB>score")
             qid, doc_id, score_s = parts
-            key = (intern(qid, qid), intern(doc_id, doc_id))
-            if key in scores:
-                raise ValueError(f"{path}:{lineno}: duplicate score for {key}")
+            by_doc = scores.get(qid)
+            if by_doc is None:
+                by_doc = scores[intern(qid, qid)] = {}
+            doc_id = intern(doc_id, doc_id)
+            if doc_id in by_doc:
+                raise ValueError(f"{path}:{lineno}: duplicate score for ({qid!r}, {doc_id!r})")
             try:
                 score = float(score_s)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad score: {exc}") from exc
             if math.isnan(score):
                 raise ValueError(f"{path}:{lineno}: score is NaN")
-            scores[key] = score
+            by_doc[doc_id] = score
     return scores
 
 
-def rerank(ranked: RankedList, scores: RerankScores) -> RankedList:
-    """Reorder a list by external scores, keeping membership identical.
+def rerank(ranked: RankedList, scores: Mapping[str, Mapping[str, float]]) -> RankedList:
+    """Reorder a list by ``{qid: {doc_id: score}}``, keeping membership identical.
 
     Every (qid, doc) pair must be covered; missing pairs are an error so a
     partial score file cannot silently drop or misplace candidates.
     """
     qid = ranked.qid
+    by_doc = scores.get(qid, {})
     try:
-        rescored = [scores[(qid, d)] for d in ranked.ids]
+        rescored = list(map(by_doc.__getitem__, ranked.ids))
     except KeyError:
-        missing = [d for d in ranked.ids if (qid, d) not in scores]
+        missing = [d for d in ranked.ids if d not in by_doc]
         shown = ", ".join(repr(d) for d in missing[:5])
         more = f" (+{len(missing) - 5} more)" if len(missing) > 5 else ""
         raise ValueError(
@@ -131,5 +131,7 @@ def fuse_runs(
     }
 
 
-def rerank_run(run: Mapping[str, RankedList], scores: RerankScores) -> dict[str, RankedList]:
+def rerank_run(
+    run: Mapping[str, RankedList], scores: Mapping[str, Mapping[str, float]]
+) -> dict[str, RankedList]:
     return {qid: rerank(rl, scores) for qid, rl in run.items()}

@@ -11,11 +11,11 @@ Every ranking (search, fusion, reranking) is ordered by :func:`best_first`:
 descending score, ties by ascending doc_id in Python's string order.
 
 The same doc ids recur in every run of one experiment, so the readers
-(:func:`read_run` and ``fusion.load_rerank_scores``) take an optional
-``pool``: a dict that maps each id string to the one object that stands for
-it. Readers given one pool return ``is``-identical ids for equal ids, and
-fusion and reranking reuse the id objects of their inputs, so an id is held
-once however many lists hold it.
+(:func:`read_run`, and ``fusion.load_rerank_scores`` into ``{qid: {doc_id:
+score}}``) take an optional ``pool``: a dict that maps each id string to the
+one object that stands for it. Readers given one pool return ``is``-identical
+ids for equal ids, and fusion and reranking reuse the id objects of their
+inputs, so an id is held once however many lists and score maps hold it.
 """
 
 from __future__ import annotations

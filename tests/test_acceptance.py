@@ -289,7 +289,7 @@ def test_criterion_7_fusion_benefit_fixture():
     assert ntr_list.doc_set() == {"dB"}
 
     qrels = Qrels({"3_2": {"dA": 1, "dB": 1}})
-    scores = {("3_2", "dA"): 0.9, ("3_2", "dB"): 0.7}
+    scores = {"3_2": {"dA": 0.9, "dB": 0.7}}
     fused = rerank(rrf_fuse([hqe_list, ntr_list], RrfParams(60.0), depth), scores)
 
     assert recall_at_k(hqe_list, qrels, depth) == 0.5

@@ -330,6 +330,25 @@ def test_bad_usage_exits_1():
     assert exc.value.code == 1
 
 
+def test_retrieve_rejects_a_query_qid_that_is_not_one_token(workdir, tmp_path, capsys):
+    # Such a qid would be written as zero or two columns of the run file.
+    idx, run, queries = tmp_path / "idx", tmp_path / "r.run", tmp_path / "q.tsv"
+    assert _run("index", "build", "--input", workdir / "corpus.tsv", "--output", idx) == 0
+    for qid in ("a b", ""):
+        queries.write_text(f"{qid}\tWhat is a quasar?\n", encoding="utf-8")
+        assert _run("retrieve", "--index", idx, "--queries", queries, "--out", run) == 1
+        assert f"q.tsv:1: qid {qid!r} is empty or has whitespace" in capsys.readouterr().err
+        assert not run.exists()
+
+
+def test_eval_csv_quotes_a_qid_with_a_comma(tmp_path):
+    run, qrels, out = tmp_path / "c.run", tmp_path / "q.txt", tmp_path / "m.csv"
+    run.write_text("7,1_1 Q0 d1 1 2.0 t\n", encoding="utf-8")
+    qrels.write_text("7,1_1 0 d1 1\n", encoding="utf-8")
+    assert _run("eval", "--run", run, "--qrels", qrels, "--metrics", "map", "--csv", out) == 0
+    assert out.read_bytes() == b'run,qid,map\nc,"7,1_1",1.000000\nc,all,1.000000\n'
+
+
 def test_external_reformulate_requires_rewrites(workdir, tmp_path):
     assert _run("reformulate", "--method", "external", "--topics", workdir / "topics.json",
                 "--out", tmp_path / "r.tsv") == 1

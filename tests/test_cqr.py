@@ -296,6 +296,16 @@ def test_external_rewrites_malformed_row(tmp_path):
         load_external_rewrites(path)
 
 
+@pytest.mark.parametrize("qid", ["a b", "", " ", "7_1 "])
+def test_external_rewrites_reject_empty_or_spaced_qids(tmp_path, qid):
+    # A run file holds the qid as one whitespace-separated column.
+    path = tmp_path / "rw.tsv"
+    path.write_text(f"1_1\ta\n{qid}\tWhat is a quasar?\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_external_rewrites(path)
+    assert str(exc.value) == f"{path}:2: qid {qid!r} is empty or has whitespace"
+
+
 def test_random_sessions_match_pseudocode_oracle(searcher):
     rng = np.random.default_rng(29)
     vocab = sorted({t for toks in DOCS.values() for t in toks}) + ["offtopic", "novel"]

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from convpr.evaluation import (
     parse_metric,
     recall_at_k,
     win_tie_loss,
+    write_metrics_csv,
 )
 from convpr.runs import RankedList
 
@@ -208,7 +210,18 @@ def test_parse_metric_names():
 
 def test_report_csv_rows_are_stable():
     report = MetricReport(metrics=("map",), per_query={"map": {"q1": 0.25}}, qids=["q1"])
-    assert report.csv_rows("raw") == ["raw,q1,0.250000", "raw,all,0.250000"]
+    assert report.csv_rows("raw") == [["raw", "q1", "0.250000"], ["raw", "all", "0.250000"]]
+
+
+def test_metrics_csv_quotes_fields_with_a_comma_or_a_quote(tmp_path):
+    report = MetricReport(metrics=("map",), per_query={"map": {"7,1_1": 0.5}}, qids=["7,1_1"])
+    path = tmp_path / "m.csv"
+    write_metrics_csv(path, ("map",), {'a "b"': report})
+    assert path.read_bytes() == (
+        b'run,qid,map\n"a ""b""","7,1_1",0.500000\n"a ""b""",all,0.500000\n'
+    )
+    with path.open(encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh))[1] == ['a "b"', "7,1_1", "0.500000"]
 
 
 def test_report_table_is_at_least_12_wide_and_fits_its_label():

@@ -459,8 +459,8 @@ def test_warm_run_holds_one_string_per_doc_id(fixture_config, monkeypatch):
     run_experiment(fixture_config)
     assert len(runs) == len(fixture_config.methods) and len(scores) == 1
     lists = [rl for run in runs for rl in run.values()]
-    doc_ids = [d for rl in lists for d in rl.ids] + [d for _, d in scores[0]]
-    qids = [rl.qid for rl in lists] + [q for q, _ in scores[0]]
+    doc_ids = [d for rl in lists for d in rl.ids] + [d for by_doc in scores[0].values() for d in by_doc]
+    qids = [rl.qid for rl in lists] + list(scores[0])
     for strings in (doc_ids, qids):
         assert len({id(s) for s in strings}) == len(set(strings)) < len(strings)
 

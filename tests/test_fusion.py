@@ -143,14 +143,14 @@ def test_pareto_dominance_on_random_instances():
 
 def test_rerank_with_identical_scores_keeps_order_up_to_tiebreak():
     lst = _list("q", ["b", "a", "c"])
-    scores = {("q", d): e.score for d, e in zip(lst.ids, lst.entries)}
+    scores = {"q": {d: e.score for d, e in zip(lst.ids, lst.entries)}}
     out = rerank(lst, scores)
     assert out.ids == lst.ids
 
 
 def test_rerank_reversed_scores_reverses_list():
     lst = _list("q", ["a", "b", "c"])
-    scores = {("q", "a"): 1.0, ("q", "b"): 2.0, ("q", "c"): 3.0}
+    scores = {"q": {"a": 1.0, "b": 2.0, "c": 3.0}}
     out = rerank(lst, scores)
     assert out.ids == ["c", "b", "a"]
     assert [e.score for e in out.entries] == [3.0, 2.0, 1.0]
@@ -160,7 +160,7 @@ def test_rerank_matches_sorted_reference_on_random_ties():
     rng = random.Random(5)
     for case in range(300):
         ids, scores = oracles.random_scored(rng, rng.randint(0, len(oracles.TIE_ID_POOL)))
-        out = rerank(_list("q", ids), {("q", d): s for d, s in zip(ids, scores)})
+        out = rerank(_list("q", ids), {"q": dict(zip(ids, scores))})
         want = oracles.score_order(zip(ids, scores))
         assert [(e.doc_id, repr(e.score)) for e in out.entries] == [
             (d, repr(s)) for d, s in want
@@ -169,17 +169,27 @@ def test_rerank_matches_sorted_reference_on_random_ties():
 
 def test_rerank_missing_pair_is_an_error():
     lst = _list("q", ["a", "b", "c"])
-    scores = {("q", "a"): 1.0, ("q", "c"): 3.0}
+    scores = {"q": {"a": 1.0, "c": 3.0}}
     with pytest.raises(ValueError) as exc:
         rerank(lst, scores)
     assert "('q', 'b')" in str(exc.value)
+
+
+def test_rerank_qid_without_scores_is_a_missing_pair_error():
+    lst = _list("q2", ["a", "b"])
+    with pytest.raises(
+        ValueError,
+        match=r"^rerank scores missing for qid 'q2': first missing pair \('q2', 'a'\); "
+        r"all missing: 'a', 'b'$",
+    ):
+        rerank(lst, {"q1": {"a": 1.0, "b": 2.0}})
 
 
 def test_rerank_preserves_membership():
     rng = np.random.default_rng(37)
     docs = [f"d{i}" for i in range(20)]
     lst = _list("q", docs)
-    scores = {("q", d): float(rng.random()) for d in docs}
+    scores = {"q": {d: float(rng.random()) for d in docs}}
     out = rerank(lst, scores)
     assert out.doc_set() == lst.doc_set()
 
@@ -188,9 +198,21 @@ def test_load_rerank_scores(tmp_path):
     path = tmp_path / "s.tsv"
     path.write_text("q1\td1\t0.5\nq1\td2\t-1.25\n", encoding="utf-8")
     scores = load_rerank_scores(path)
-    assert scores == {("q1", "d1"): 0.5, ("q1", "d2"): -1.25}
+    assert scores == {"q1": {"d1": 0.5, "d2": -1.25}}
     path.write_text("q1\td1\t0.5\nq1\td1\t0.7\n", encoding="utf-8")
     with pytest.raises(ValueError, match="duplicate score"):
+        load_rerank_scores(path)
+
+
+def test_load_rerank_scores_groups_interleaved_qids(tmp_path):
+    path = tmp_path / "s.tsv"
+    path.write_text("q1\td1\t0.5\nq2\td1\t2.0\nq1\td2\t-1.25\n", encoding="utf-8")
+    scores = load_rerank_scores(path)
+    assert scores == {"q1": {"d1": 0.5, "d2": -1.25}, "q2": {"d1": 2.0}}
+    assert rerank(_list("q1", ["d2", "d1"]), scores).ids == ["d1", "d2"]
+    # a pair repeated after another qid's rows is still a duplicate
+    path.write_text("q1\td1\t0.5\nq2\td1\t2.0\nq1\td1\t0.7\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"s\.tsv:3: duplicate score for \('q1', 'd1'\)"):
         load_rerank_scores(path)
 
 
@@ -202,8 +224,9 @@ def test_rerank_scores_share_ids_with_runs_read_with_one_pool(tmp_path):
     ranked = read_run(run_path, pool=pool)["q1"]
     scores = load_rerank_scores(scores_path, pool=pool)
     assert scores == load_rerank_scores(scores_path)
-    (qid_2, doc_2), (qid_1, doc_1) = scores
-    assert qid_1 is qid_2 is ranked.qid
+    ((qid, by_doc),) = scores.items()
+    doc_2, doc_1 = by_doc
+    assert qid is ranked.qid
     assert (doc_1, doc_2) == (ranked.ids[0], ranked.ids[1])
     assert doc_1 is ranked.ids[0] and doc_2 is ranked.ids[1]
     reranked = rerank(ranked, scores)
@@ -223,7 +246,7 @@ def test_nan_rerank_score_names_its_line(tmp_path, nan):
 
 def test_identical_inputs_equal_single_source_pipeline():
     lst = _list("q", ["a", "b", "c", "d"])
-    scores = {("q", d): float(i) for i, d in enumerate(lst.ids)}
+    scores = {"q": {d: float(i) for i, d in enumerate(lst.ids)}}
     fused = rerank(rrf_fuse([lst, lst, lst]), scores)
     single = rerank(rrf_fuse([lst]), scores)
     assert fused.ids == single.ids
@@ -235,7 +258,7 @@ def test_disjoint_relevant_docs_union_recall():
     relevant = {"r1", "r2", "r3", "r4"}
     list_a = _list("q", ["r1", "x1", "r2", "x2"])
     list_b = _list("q", ["r3", "y1", "r4", "y2"])
-    scores = {("q", d): 1.0 for d in set(list_a.ids) | set(list_b.ids)}
+    scores = {"q": {d: 1.0 for d in set(list_a.ids) | set(list_b.ids)}}
     fused = rerank(rrf_fuse([list_a, list_b], depth=100), scores)
     assert relevant <= fused.doc_set()
     found_a = len(relevant & list_a.doc_set()) / len(relevant)
@@ -270,6 +293,6 @@ def test_fuse_runs_covers_qid_union():
 
 def test_rerank_run_applies_per_qid():
     run = {"q1": _list("q1", ["a", "b"])}
-    scores = {("q1", "a"): 0.1, ("q1", "b"): 0.9}
+    scores = {"q1": {"a": 0.1, "b": 0.9}}
     out = rerank_run(run, scores)
     assert out["q1"].ids == ["b", "a"]
