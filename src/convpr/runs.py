@@ -157,6 +157,13 @@ def write_run(path: str | Path, run: Mapping[str, RankedList] | Sequence[RankedL
         if rl.qid in seen:
             raise ValueError(f"run has two ranked lists for qid {rl.qid!r}")
         seen.add(rl.qid)
+        # Nor could it split a line whose qid or doc id is empty or has
+        # whitespace into its 6 columns.
+        if rl.qid.split() != [rl.qid]:
+            raise ValueError(f"qid {rl.qid!r} is empty or has whitespace")
+        if " ".join(rl.ids).split() != rl.ids:
+            bad = next(d for d in rl.ids if d.split() != [d])
+            raise ValueError(f"qid {rl.qid}: doc id {bad!r} is empty or has whitespace")
     lists.sort(key=lambda rl: qid_sort_key(rl.qid))
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:

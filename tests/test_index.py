@@ -1,4 +1,6 @@
 import json
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +155,70 @@ def test_build_pulls_each_passage_once():
 
     index = build_index(stream())
     assert pulled == index.doc_ids == [p.doc_id for p in passages]
+
+
+def _random_passages(n: int, seed: int) -> list[Passage]:
+    rng = np.random.default_rng(seed)
+    return [
+        Passage(f"p{i}", " ".join(f"w{w}" for w in rng.integers(0, 3000, size=int(rng.integers(20, 60)))))
+        for i in range(n)
+    ]
+
+
+def test_build_transient_memory_does_not_grow_with_the_postings(monkeypatch):
+    # The tracemalloc peak of a build minus what its index keeps is the
+    # memory the build held only while it ran. Holding every inverted block
+    # until the end costs ~13 B per posting here; spilled blocks leave one
+    # block plus per-passage lists (doc ids, lengths, the id sort).
+    monkeypatch.setattr(index_mod, "_BLOCK_PASSAGES", 16)
+    gaps, postings = [], []
+    for n in (2000, 8000):
+        passages = _random_passages(n, seed=n)
+        tracemalloc.start()
+        try:
+            index = build_index(iter(passages))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        gaps.append(peak - kept)
+        postings.append(int(index.offsets[-1]))
+        del index
+    per_posting = (gaps[1] - gaps[0]) / (postings[1] - postings[0])
+    assert per_posting < 2.0, (gaps, postings)
+
+
+def test_spill_file_is_closed_on_every_exit(monkeypatch):
+    opened = []
+    make = tempfile.TemporaryFile
+
+    def recording(*args, **kwargs):
+        opened.append(make(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+    index_from(TOY)
+    with pytest.raises(ValueError, match="empty"):
+        build_index([])
+
+    monkeypatch.setattr(index_mod, "_BLOCK_PASSAGES", 2)
+    blocks = []
+    invert = index_mod._invert_block
+
+    def counting(*args):
+        blocks.append(invert(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(index_mod, "_invert_block", counting)
+
+    def failing():
+        for i in range(4):
+            yield Passage(f"d{i}", "cat sat")
+        raise OSError("corpus read failed")
+
+    with pytest.raises(OSError, match="corpus read failed"):
+        build_index(failing())
+    assert len(blocks) == 2  # both spilled before the failure
+    assert len(opened) == 3 and all(fh.closed for fh in opened)
 
 
 def test_integer_tfs_score_bitwise_like_float64(kernel):

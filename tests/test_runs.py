@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +219,24 @@ def test_tag_with_whitespace_is_rejected_before_writing(tmp_path):
     path = tmp_path / "x.run"
     with pytest.raises(ValueError, match="run tag 'my raw'"):
         write_run(path, [_list("1_1", [("a", 1.0)])], tag="my raw")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "qid, ids, message",
+    [
+        ("a b", ["d1"], "qid 'a b' is empty or has whitespace"),
+        ("", ["d1"], "qid '' is empty or has whitespace"),
+        ("1_1", ["d1", "d 2"], "qid 1_1: doc id 'd 2' is empty or has whitespace"),
+        ("1_1", ["d1", ""], "qid 1_1: doc id '' is empty or has whitespace"),
+        ("1_1", ["d1\td2"], "qid 1_1: doc id 'd1\\td2' is empty or has whitespace"),
+    ],
+)
+def test_qid_or_doc_id_with_whitespace_is_rejected_before_writing(tmp_path, qid, ids, message):
+    path = tmp_path / "x.run"
+    lists = [_list("0_1", [("a", 1.0)]), RankedList(qid, ids, [1.0] * len(ids))]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_run(path, lists)
     assert not path.exists()
 
 
