@@ -183,7 +183,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_analyze_jaccard(args) -> int:
+    # A flag the chosen mode would not read is an error, not ignored.
     if args.adjacent:
+        for flag, value in (("--run-a", args.run_a), ("--run-b", args.run_b)):
+            if value is not None:
+                raise ValueError(f"analyze jaccard: {flag} is only read without --adjacent")
         if not args.run:
             raise ValueError("analyze jaccard --adjacent requires --run")
         run = read_run(args.run)
@@ -214,6 +218,8 @@ def cmd_analyze_jaccard(args) -> int:
         print(f"all\t{sum(everything) / len(everything):.4f}\t{len(everything)}")
         return 0
 
+    if args.run is not None:
+        raise ValueError("analyze jaccard: --run is only read with --adjacent")
     if not (args.run_a and args.run_b):
         raise ValueError("analyze jaccard requires --run-a and --run-b (or --adjacent)")
     pool: dict[str, str] = {}

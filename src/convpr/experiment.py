@@ -237,6 +237,12 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
     _require(
         FUSED_RUN_NAME not in names, f"config: method name {FUSED_RUN_NAME!r} is reserved"
     )
+    for m in methods:
+        reranked = f"{m.name}+rerank"
+        _require(
+            m.rerank_scores is None or reranked not in names,
+            f"config: method name {reranked!r} is also the reranked run of method {m.name!r}",
+        )
 
     fusion = None
     fraw = raw.get("fusion")
@@ -338,11 +344,6 @@ def _write_atomically(path: Path, write: Callable[[Path], None]) -> None:
         raise
 
 
-def _save_ke_cache(searcher: Searcher, path: Path) -> None:
-    text = json.dumps(searcher._term_max, sort_keys=True) + "\n"
-    _write_atomically(path, lambda tmp: tmp.write_text(text, encoding="utf-8", newline="\n"))
-
-
 @dataclass
 class _Workspace:
     """What every experiment-style command loads before its first query."""
@@ -356,6 +357,9 @@ class _Workspace:
     # Every query's text and qid comes from the topics, so every run key
     # covers them.
     topics_digest: str
+    # How many keyword-extractor scores came from ke_path; the searcher
+    # only ever adds more.
+    ke_loaded: int
 
 
 def _open_workspace(config: ExperimentConfig) -> _Workspace:
@@ -388,8 +392,19 @@ def _open_workspace(config: ExperimentConfig) -> _Workspace:
     if ke_path.exists():
         searcher._term_max.update(json.loads(ke_path.read_text(encoding="utf-8")))
     return _Workspace(
-        sessions, qrels, searcher, cache_dir, index_key, ke_path, _file_digest(config.topics)
+        sessions, qrels, searcher, cache_dir, index_key, ke_path, _file_digest(config.topics),
+        ke_loaded=len(searcher._term_max),
     )
+
+
+def _save_ke_cache(ws: _Workspace) -> None:
+    """Write the searcher's keyword-extractor scores unless ``ke_path``
+    already holds them all: a warm run leaves the file untouched."""
+    scores = ws.searcher._term_max
+    if len(scores) == ws.ke_loaded and ws.ke_path.exists():
+        return
+    text = json.dumps(scores, sort_keys=True) + "\n"
+    _write_atomically(ws.ke_path, lambda tmp: tmp.write_text(text, encoding="utf-8", newline="\n"))
 
 
 def _run_cache_path(ws: _Workspace, config: ExperimentConfig, method: MethodSpec) -> Path:
@@ -521,7 +536,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             scores = rerank_scores(method.rerank_scores)
             emit(f"{method.name}+rerank", rerank_run(run, scores))
 
-    _save_ke_cache(searcher, ws.ke_path)
+    _save_ke_cache(ws)
 
     spec = config.fusion
     if spec is not None:
@@ -610,6 +625,6 @@ def grid_search(
         report = evaluate_run(run, ws.qrels, (f"recall@{depth}", "map"), depth)
         means = report.means
         rows.append({**point, "recall": means[f"recall@{depth}"], "map": means["map"]})
-    _save_ke_cache(ws.searcher, ws.ke_path)
+    _save_ke_cache(ws)
     rows.sort(key=lambda r: tuple(r[k] for k in keys))
     return rows

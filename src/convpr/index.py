@@ -16,9 +16,9 @@ and five numpy arrays:
   tie-break that search hands to :func:`convpr.runs.best_first`. It is
   computed once at build time, so loading never sorts the doc ids.
 
-In memory the index also keeps its doc ids as a numpy object array (8 B
-per passage, sharing the str objects of ``doc_ids``; never saved), from
-which a search gathers the ids of its results in one call.
+In memory the index holds each table once: its terms as one dict from
+term to id, in id order (``terms.txt`` holds its keys), and its doc ids as
+one numpy object array, from which a search gathers result ids in one call.
 
 :func:`build_index` inverts the corpus block by block with numpy, so no
 posting is ever a Python object. The scoring variant is the Lucene one:
@@ -84,32 +84,25 @@ class Bm25Params:
 class InvertedIndex:
     def __init__(
         self,
-        terms: list[str],
-        doc_ids: list[str],
+        term_ids: dict[str, int],
+        doc_ids: np.ndarray,
         offsets: np.ndarray,
         doc_ords: np.ndarray,
         tfs: np.ndarray,
         doc_lengths: np.ndarray,
         docid_rank: np.ndarray,
-        avg_doc_len: float,
         tokenizer: TokenizerConfig,
     ):
-        self.terms = terms
+        self.term_ids = term_ids
         self.doc_ids = doc_ids
         self.offsets = offsets
         self.doc_ords = doc_ords
         self.tfs = tfs
         self.doc_lengths = doc_lengths
         self.docid_rank = docid_rank
-        self._doc_id_array = np.array(doc_ids, dtype=object)
-        self.avg_doc_len = avg_doc_len
         self.tokenizer = tokenizer
+        self.avg_doc_len = float(doc_lengths.mean()) if len(doc_lengths) else 0.0
 
-        mean_len = float(doc_lengths.mean()) if len(doc_ids) else 0.0
-        if abs(mean_len - avg_doc_len) > 1e-9:
-            raise ValueError(f"avg_doc_len {avg_doc_len} inconsistent with doc_lengths mean {mean_len}")
-
-        self._term_ids = {t: i for i, t in enumerate(terms)}
         df = (offsets[1:] - offsets[:-1]).astype(np.float64)
         n = float(len(doc_ids))
         self.idf = np.log1p((n - df + 0.5) / (df + 0.5))
@@ -120,13 +113,13 @@ class InvertedIndex:
 
     @property
     def vocab_size(self) -> int:
-        return len(self.terms)
+        return len(self.term_ids)
 
     def tokenize(self, text: str) -> list[str]:
         return self.tokenizer(text)
 
     def df(self, term: str) -> int:
-        tid = self._term_ids.get(term)
+        tid = self.term_ids.get(term)
         if tid is None:
             return 0
         return int(self.offsets[tid + 1] - self.offsets[tid])
@@ -150,49 +143,56 @@ class InvertedIndex:
             json.dump(meta, fh, sort_keys=True, indent=2)
             fh.write("\n")
         with (path / "terms.txt").open("w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(t + "\n" for t in self.terms)
+            fh.writelines(t + "\n" for t in self.term_ids)
         with (path / "doc_ids.json").open("w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.doc_ids, fh, ensure_ascii=True, separators=(",", ":"))
+            json.dump(self.doc_ids.tolist(), fh, ensure_ascii=True, separators=(",", ":"))
             fh.write("\n")
         for name in _ARRAYS:
             np.save(path / f"{name}.npy", getattr(self, name))
 
     @classmethod
     def load(cls, path: str | Path) -> "InvertedIndex":
-        """Read a directory written by :meth:`save`. Its arrays are checked
-        against each other first, so a damaged directory is a ValueError
-        here and not a wrong score or an IndexError in some later query."""
+        """Read a directory written by :meth:`save`. Its tables are checked
+        against each other and meta.json first, so a damaged directory is a
+        ValueError here and not a wrong score or an error in a later query."""
         path = Path(path)
         with (path / "meta.json").open("r", encoding="utf-8") as fh:
             meta = json.load(fh)
         if not isinstance(meta, dict) or meta.get("format") != _FORMAT or meta.get("version") != _VERSION:
             raise ValueError(f"{path}: not a {_FORMAT} v{_VERSION} directory")
-        for key in ("doc_count", "vocab_size", "avg_doc_len"):
-            if key not in meta:
-                raise ValueError(f"{path}: meta.json lacks {key!r}")
-        terms = (path / "terms.txt").read_text(encoding="utf-8").splitlines()
-        with (path / "doc_ids.json").open("r", encoding="utf-8") as fh:
-            doc_ids = json.load(fh)
-        if len(doc_ids) != meta["doc_count"] or len(terms) != meta["vocab_size"]:
-            raise ValueError(f"{path}: metadata does not match stored arrays")
-        arrays = {name: np.load(path / f"{name}.npy") for name in _ARRAYS}
         try:
-            _check_arrays(arrays, len(terms), len(doc_ids))
+            for key in ("doc_count", "vocab_size", "avg_doc_len"):
+                if key not in meta:
+                    raise ValueError(f"meta.json lacks {key!r}")
+                if isinstance(meta[key], bool) or not isinstance(meta[key], (int, float)):
+                    raise ValueError(f"meta.json {key} must be a number, got {meta[key]!r}")
+            lines = (path / "terms.txt").read_text(encoding="utf-8").splitlines()
+            term_ids = {t: i for i, t in enumerate(lines)}
+            with (path / "doc_ids.json").open("r", encoding="utf-8") as fh:
+                doc_ids = json.load(fh)
+            if not isinstance(doc_ids, list) or not set(map(type, doc_ids)) <= {str}:
+                raise ValueError("doc_ids.json must be a list of strings")
+            if len(doc_ids) != meta["doc_count"]:
+                raise ValueError(f"doc_ids.json holds {len(doc_ids)} ids, meta.json {meta['doc_count']}")
+            # A repeated line in terms.txt leaves fewer distinct terms than lines.
+            if len(term_ids) != meta["vocab_size"]:
+                raise ValueError(f"terms.txt holds {len(term_ids)} distinct terms, meta.json {meta['vocab_size']}")
+            arrays = {name: np.load(path / f"{name}.npy") for name in _ARRAYS}
+            doc_ids = np.array(doc_ids, dtype=object)
+            _check_arrays(arrays, len(term_ids), doc_ids)
             tokenizer = TokenizerConfig.from_dict(meta.get("tokenizer", {}))
+            index = cls(term_ids, doc_ids, tokenizer=tokenizer, **arrays)
+            if not abs(index.avg_doc_len - meta["avg_doc_len"]) <= 1e-9:
+                raise ValueError(f"meta.json avg_doc_len is not the doc_lengths mean {index.avg_doc_len}")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        return cls(
-            terms=terms,
-            doc_ids=doc_ids,
-            avg_doc_len=float(meta["avg_doc_len"]),
-            tokenizer=tokenizer,
-            **arrays,
-        )
+        return index
 
 
-def _check_arrays(arrays: dict[str, np.ndarray], vocab_size: int, doc_count: int) -> None:
+def _check_arrays(arrays: dict[str, np.ndarray], vocab_size: int, doc_ids: np.ndarray) -> None:
     """Raise ValueError unless ``arrays`` form a consistent v2 index of
-    ``vocab_size`` terms and ``doc_count`` passages. Each check is O(n)."""
+    ``vocab_size`` terms and the passages ``doc_ids``. Each check is O(n)."""
+    doc_count = len(doc_ids)
     for name, dtype in _ARRAYS.items():
         a = arrays[name]
         ok = a.dtype.kind == "u" if dtype is None else a.dtype == dtype
@@ -221,6 +221,12 @@ def _check_arrays(arrays: dict[str, np.ndarray], vocab_size: int, doc_count: int
     seen[rank] = True
     if not seen.all():
         raise ValueError("docid_rank.npy is not a permutation of the doc ordinals")
+    # Strictly increasing in rank order: the ids are unique and docid_rank
+    # is their sort order, so search breaks ties as it did at build time.
+    by_rank = np.empty(doc_count, dtype=object)
+    by_rank[rank] = doc_ids
+    if not np.all(by_rank[:-1] < by_rank[1:]):
+        raise ValueError("doc ids must strictly increase in docid_rank order (a repeat or a wrong rank)")
 
 
 def build_index(passages: Iterable[Passage], tokenizer: TokenizerConfig | None = None) -> InvertedIndex:
@@ -310,16 +316,16 @@ def build_index(passages: Iterable[Passage], tokenizer: TokenizerConfig | None =
             tfs[pos] = block.tfs
             fill[block.terms] += block.counts
 
-    lengths = np.asarray(doc_lengths, dtype=np.int64)
+    # The index keeps this dict; from now on a missing term is not added.
+    term_ids.default_factory = None
     return InvertedIndex(
-        terms=list(term_ids),
-        doc_ids=doc_ids,
+        term_ids=term_ids,
+        doc_ids=np.array(doc_ids, dtype=object),
         offsets=offsets,
         doc_ords=doc_ords,
         tfs=tfs,
-        doc_lengths=lengths,
+        doc_lengths=np.asarray(doc_lengths, dtype=np.int64),
         docid_rank=id_rank(doc_ids),
-        avg_doc_len=float(lengths.mean()),
         tokenizer=tokenizer,
     )
 
@@ -372,11 +378,7 @@ class Searcher:
         return self.index.tokenize(text)
 
     def _query_weights(self, tokens: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        counts: Counter[int] = Counter()
-        for tok in tokens:
-            tid = self.index._term_ids.get(tok)
-            if tid is not None:
-                counts[tid] += 1
+        counts = Counter(tid for tid in map(self.index.term_ids.get, tokens) if tid is not None)
         n = len(counts)
         starts = np.empty(n, dtype=np.int64)
         ends = np.empty(n, dtype=np.int64)
@@ -411,7 +413,7 @@ class Searcher:
             keep = found >= np.partition(found, cand.size - k)[cand.size - k]
             cand, found = cand[keep], found[keep]
         top = cand[best_first(found, lambda: self.index.docid_rank[cand], k)]
-        return RankedList(qid, self.index._doc_id_array[top].tolist(), scores[top])
+        return RankedList(qid, self.index.doc_ids[top].tolist(), scores[top])
 
     def max_score_term(self, term: str) -> float:
         """Best single-document score for a one-token query; 0.0 when the
@@ -419,7 +421,7 @@ class Searcher:
         hit = self._term_max.get(term)
         if hit is not None:
             return hit
-        tid = self.index._term_ids.get(term)
+        tid = self.index.term_ids.get(term)
         if tid is None:
             return 0.0
         weight = float(self.index.idf[tid]) * (self.params.k1 + 1.0)
@@ -438,7 +440,4 @@ class Searcher:
         """Top-1 score of the whole token stream; 0.0 when nothing matches."""
         if not tokens:
             return 0.0
-        scores = self._score_all(tokens)
-        if scores.size == 0:
-            return 0.0
-        return float(scores.max())
+        return float(self._score_all(tokens).max(initial=0.0))

@@ -103,16 +103,14 @@ def reference_index(passages, tokenizer):
     docid_rank = np.empty(len(doc_ids), dtype=np.int32)
     for pos, ordinal in enumerate(sorted(range(len(doc_ids)), key=doc_ids.__getitem__)):
         docid_rank[ordinal] = pos
-    lengths = np.array(doc_lengths, dtype=np.int64)
     return InvertedIndex(
-        terms=list(term_ids),
-        doc_ids=doc_ids,
+        term_ids=term_ids,
+        doc_ids=np.array(doc_ids, dtype=object),
         offsets=offsets,
         doc_ords=doc_ords,
         tfs=tfs,
-        doc_lengths=lengths,
+        doc_lengths=np.array(doc_lengths, dtype=np.int64),
         docid_rank=docid_rank,
-        avg_doc_len=float(lengths.mean()),
         tokenizer=tokenizer,
     )
 

@@ -264,6 +264,13 @@ def test_validation_failures_exit_1(workdir, tmp_path, capsys):
          "reformulate (concat-pos): --b is only read by method hqe or hqe-pos"),
         ((*method("external"), "--rewrites", workdir / "t5.tsv", "--index", idx),
          "reformulate (external): --index is only read by method hqe or hqe-pos"),
+        # a run flag that the jaccard mode would ignore
+        (("analyze", "jaccard", "--run-a", run, "--run-b", run, "--run", tmp_path / "nonexistent.run"),
+         "analyze jaccard: --run is only read with --adjacent"),
+        (("analyze", "jaccard", "--adjacent", "--run", run, "--run-a", tmp_path / "nonexistent"),
+         "analyze jaccard: --run-a is only read without --adjacent"),
+        (("analyze", "jaccard", "--adjacent", "--run", run, "--run-b", run),
+         "analyze jaccard: --run-b is only read without --adjacent"),
     ]
     for argv, message in cases:
         assert _run(*argv) == 1, argv
@@ -308,6 +315,12 @@ def test_damaged_index_meta_and_quoted_tokenizer_flags_exit_1(workdir, tmp_path,
     assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv",
                 "--out", tmp_path / "x.run") == 1
     assert "meta.json lacks 'avg_doc_len'" in capsys.readouterr().err
+    meta["avg_doc_len"] = None
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv",
+                "--out", tmp_path / "x.run") == 1
+    err = capsys.readouterr().err
+    assert f"{idx}: meta.json avg_doc_len must be a number, got None" in err and "internal error" not in err
     meta["avg_doc_len"], meta["tokenizer"] = avg_doc_len, "stem"
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
     assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv",

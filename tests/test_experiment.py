@@ -60,6 +60,24 @@ def test_duplicate_method_names_rejected(tmp_path):
         load_config(path)
 
 
+def test_method_name_may_not_be_another_methods_reranked_run(tmp_path):
+    """Both runs would be written to runs/hqe+rerank.run and one lost."""
+    for name in ("corpus.tsv", "topics.json", "qrels.txt", "scores.tsv"):
+        shutil.copy(FIXTURES / name, tmp_path / name)
+    hqe = {"name": "hqe", "type": "hqe", "rerank_scores": "scores.tsv"}
+    raw = {"name": "hqe+rerank", "type": "raw"}
+    for methods in ([hqe, raw], [raw, hqe]):
+        path = _write_config(tmp_path, methods=methods, fusion=None, output_dir="out")
+        with pytest.raises(ValueError, match=r"'hqe\+rerank' is also the reranked run of method 'hqe'"):
+            load_config(path)
+    # without rerank_scores, hqe has no reranked run to clash with
+    path = _write_config(
+        tmp_path, methods=[{"name": "hqe", "type": "hqe"}, {"name": "hqe+rerank", "type": "raw"}],
+        fusion=None, output_dir="out",
+    )
+    assert [m.name for m in load_config(path).methods] == ["hqe", "hqe+rerank"]
+
+
 def test_fusion_must_reference_known_methods(tmp_path):
     for name in ("corpus.tsv", "topics.json", "qrels.txt"):
         shutil.copy(FIXTURES / name, tmp_path / name)
@@ -339,8 +357,8 @@ def test_second_save_to_a_finished_index_entry_uses_it(tmp_path):
 
 def test_warm_rerun_reuses_ke_cache(fixture_config, monkeypatch):
     """A second run takes every keyword-extractor score from ke-*.json and
-    rewrites that file with the same bytes."""
-    from convpr import _bm25
+    leaves that file untouched."""
+    from convpr import _bm25, experiment
 
     calls = []
     real = _bm25.max_posting_score
@@ -356,8 +374,18 @@ def test_warm_rerun_reuses_ke_cache(fixture_config, monkeypatch):
     cold = ke_path.read_bytes()
 
     calls.clear()
+    real_write = experiment._write_atomically
+    written = []
+
+    def recording(path, write):
+        written.append(path)
+        real_write(path, write)
+
+    monkeypatch.setattr(experiment, "_write_atomically", recording)
     run_experiment(fixture_config)
+    grid_search(fixture_config, "hqe", {"eta": [3.0]})
     assert calls == []
+    assert ke_path not in written
     assert ke_path.read_bytes() == cold
 
 

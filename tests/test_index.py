@@ -41,22 +41,6 @@ def test_bm25_params_validated():
     assert (Bm25Params.k1, Bm25Params.b) == (0.82, 0.68)
 
 
-def test_stored_average_length_must_match_lengths():
-    index = index_from(TOY)
-    with pytest.raises(ValueError, match="avg_doc_len"):
-        InvertedIndex(
-            terms=index.terms,
-            doc_ids=index.doc_ids,
-            offsets=index.offsets,
-            doc_ords=index.doc_ords,
-            tfs=index.tfs,
-            doc_lengths=index.doc_lengths,
-            docid_rank=index.docid_rank,
-            avg_doc_len=index.avg_doc_len + 1e-6,
-            tokenizer=index.tokenizer,
-        )
-
-
 def test_build_statistics():
     index = index_from(TOY)
     assert index.doc_count == 3
@@ -154,7 +138,7 @@ def test_build_pulls_each_passage_once():
             yield passage
 
     index = build_index(stream())
-    assert pulled == index.doc_ids == [p.doc_id for p in passages]
+    assert pulled == index.doc_ids.tolist() == [p.doc_id for p in passages]
 
 
 def _random_passages(n: int, seed: int) -> list[Passage]:
@@ -229,14 +213,13 @@ def test_integer_tfs_score_bitwise_like_float64(kernel):
         index = index_from(corpus)
         assert index.tfs.dtype == dtype
         as_float = InvertedIndex(
-            terms=index.terms,
+            term_ids=index.term_ids,
             doc_ids=index.doc_ids,
             offsets=index.offsets,
             doc_ords=index.doc_ords,
             tfs=index.tfs.astype(np.float64),
             doc_lengths=index.doc_lengths,
             docid_rank=index.docid_rank,
-            avg_doc_len=index.avg_doc_len,
             tokenizer=index.tokenizer,
         )
         ints, floats = Searcher(index), Searcher(as_float)
@@ -245,7 +228,7 @@ def test_integer_tfs_score_bitwise_like_float64(kernel):
             got, want = ints.search(query, k=1000, qid="q"), floats.search(query, k=1000, qid="q")
             assert got.ids == want.ids
             assert got.scores.tobytes() == want.scores.tobytes()
-        for term in index.terms:
+        for term in index.term_ids:
             assert np.float64(ints.max_score_term(term)).tobytes() == np.float64(
                 floats.max_score_term(term)
             ).tobytes()
@@ -407,12 +390,25 @@ def _with_last(a: np.ndarray, value) -> np.ndarray:
         ("docid_rank", lambda a: _with_last(a, 3), "rank outside 0..2"),
         ("docid_rank", lambda a: a[:2], "docid_rank.npy holds 2 entries"),
         ("docid_rank", lambda a: a.reshape(1, 3), "must be a 1-d int32 array, got 2-d int32"),
+        # a valid permutation that is not the ids' order would change tie order
+        ("docid_rank", lambda a: a[::-1].copy(), "must strictly increase in docid_rank order"),
+        ("doc_ids", lambda ids: [1, 2, 3], "doc_ids.json must be a list of strings"),
+        ("doc_ids", lambda ids: dict.fromkeys(ids), "doc_ids.json must be a list of strings"),
+        ("doc_ids", lambda ids: [ids[0], ids[0], ids[2]], "must strictly increase in docid_rank order"),
+        ("doc_ids", lambda ids: ids[:2], "doc_ids.json holds 2 ids, meta.json 3"),
+        ("terms", lambda lines: [lines[0], lines[0], *lines[2:]], "holds 7 distinct terms, meta.json 8"),
     ],
 )
 def test_load_rejects_inconsistent_arrays(tmp_path, name, tamper, message):
     index_from(TOY).save(tmp_path)
-    path = tmp_path / f"{name}.npy"
-    np.save(path, tamper(np.load(path)))
+    (path,) = tmp_path.glob(f"{name}.*")
+    if path.suffix == ".npy":
+        np.save(path, tamper(np.load(path)))
+    elif path.suffix == ".json":
+        path.write_text(json.dumps(tamper(json.loads(path.read_text(encoding="utf-8")))), encoding="utf-8")
+    else:
+        lines = tamper(path.read_text(encoding="utf-8").splitlines())
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     with pytest.raises(ValueError, match=message) as exc:
         InvertedIndex.load(tmp_path)
     assert str(exc.value).startswith(f"{tmp_path}: ")
@@ -424,6 +420,11 @@ def test_load_rejects_inconsistent_arrays(tmp_path, name, tamper, message):
         (lambda m: m.pop("avg_doc_len"), "meta.json lacks 'avg_doc_len'"),
         (lambda m: m.pop("doc_count"), "meta.json lacks 'doc_count'"),
         (lambda m: m.pop("vocab_size"), "meta.json lacks 'vocab_size'"),
+        (lambda m: m.update(avg_doc_len=None), "meta.json avg_doc_len must be a number, got None"),
+        (lambda m: m.update(doc_count="3"), "meta.json doc_count must be a number, got '3'"),
+        (lambda m: m.update(vocab_size=True), "meta.json vocab_size must be a number, got True"),
+        (lambda m: m.update(avg_doc_len=m["avg_doc_len"] + 1e-6), "avg_doc_len is not the doc_lengths mean"),
+        (lambda m: m.update(avg_doc_len=float("nan")), "avg_doc_len is not the doc_lengths mean"),
         (lambda m: m["tokenizer"].update(stem="false"), "tokenizer.stem must be true or false"),
         (lambda m: m["tokenizer"].update(remove_stopwords=0), "tokenizer.remove_stopwords must be"),
         (lambda m: m.update(tokenizer="stem"), "tokenizer must be a mapping"),
