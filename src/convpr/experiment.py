@@ -68,6 +68,8 @@ _METHOD_KEYS = {
 METHOD_TYPES = tuple(_METHOD_KEYS)
 FUSION_MODES = ("early", "late", "none")
 FUSED_RUN_NAME = "fusion"
+# A method with rerank_scores also emits its reranked run as <name>+rerank.
+RERANK_SUFFIX = "+rerank"
 
 
 @dataclass(frozen=True)
@@ -238,7 +240,7 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
         FUSED_RUN_NAME not in names, f"config: method name {FUSED_RUN_NAME!r} is reserved"
     )
     for m in methods:
-        reranked = f"{m.name}+rerank"
+        reranked = m.name + RERANK_SUFFIX
         _require(
             m.rerank_scores is None or reranked not in names,
             f"config: method name {reranked!r} is also the reranked run of method {m.name!r}",
@@ -534,7 +536,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
         if method.rerank_scores is not None:
             scores = rerank_scores(method.rerank_scores)
-            emit(f"{method.name}+rerank", rerank_run(run, scores))
+            emit(method.name + RERANK_SUFFIX, rerank_run(run, scores))
 
     _save_ke_cache(ws)
 
@@ -543,7 +545,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         # Early fusion fuses each method's first-stage run and reranks the
         # fused run once; late fusion fuses the reranked runs. load_config
         # gives early fusion, and only early fusion, rerank_scores.
-        suffix = "" if spec.mode == "early" else "+rerank"
+        suffix = "" if spec.mode == "early" else RERANK_SUFFIX
         fused = fuse_runs([final_runs[m + suffix] for m in spec.methods], config.rrf, config.depth)
         if spec.rerank_scores is not None:
             fused = rerank_run(fused, rerank_scores(spec.rerank_scores))

@@ -120,9 +120,7 @@ class InvertedIndex:
 
     def df(self, term: str) -> int:
         tid = self.term_ids.get(term)
-        if tid is None:
-            return 0
-        return int(self.offsets[tid + 1] - self.offsets[tid])
+        return 0 if tid is None else int(self.offsets[tid + 1] - self.offsets[tid])
 
     # -- persistence -------------------------------------------------------
 
@@ -174,17 +172,18 @@ class InvertedIndex:
                 raise ValueError("doc_ids.json must be a list of strings")
             if len(doc_ids) != meta["doc_count"]:
                 raise ValueError(f"doc_ids.json holds {len(doc_ids)} ids, meta.json {meta['doc_count']}")
-            # A repeated line in terms.txt leaves fewer distinct terms than lines.
-            if len(term_ids) != meta["vocab_size"]:
-                raise ValueError(f"terms.txt holds {len(term_ids)} distinct terms, meta.json {meta['vocab_size']}")
+            if len(lines) != meta["vocab_size"]:
+                raise ValueError(f"terms.txt holds {len(lines)} lines, meta.json vocab_size {meta['vocab_size']}")
+            if len(term_ids) != len(lines):
+                raise ValueError(f"terms.txt repeats a term: {len(term_ids)} distinct in {len(lines)} lines")
             arrays = {name: np.load(path / f"{name}.npy") for name in _ARRAYS}
             doc_ids = np.array(doc_ids, dtype=object)
             _check_arrays(arrays, len(term_ids), doc_ids)
             tokenizer = TokenizerConfig.from_dict(meta.get("tokenizer", {}))
             index = cls(term_ids, doc_ids, tokenizer=tokenizer, **arrays)
-            if not abs(index.avg_doc_len - meta["avg_doc_len"]) <= 1e-9:
+            if not abs(index.avg_doc_len - float(meta["avg_doc_len"])) <= 1e-9:
                 raise ValueError(f"meta.json avg_doc_len is not the doc_lengths mean {index.avg_doc_len}")
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: {exc}") from None
         return index
 

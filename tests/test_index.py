@@ -396,7 +396,9 @@ def _with_last(a: np.ndarray, value) -> np.ndarray:
         ("doc_ids", lambda ids: dict.fromkeys(ids), "doc_ids.json must be a list of strings"),
         ("doc_ids", lambda ids: [ids[0], ids[0], ids[2]], "must strictly increase in docid_rank order"),
         ("doc_ids", lambda ids: ids[:2], "doc_ids.json holds 2 ids, meta.json 3"),
-        ("terms", lambda lines: [lines[0], lines[0], *lines[2:]], "holds 7 distinct terms, meta.json 8"),
+        ("terms", lambda lines: [lines[0], *lines], "terms.txt holds 9 lines, meta.json vocab_size 8"),
+        ("terms", lambda lines: [*lines, "zebra"], "terms.txt holds 9 lines, meta.json vocab_size 8"),
+        ("terms", lambda lines: [lines[0], lines[0], *lines[2:]], "repeats a term: 7 distinct in 8 lines"),
     ],
 )
 def test_load_rejects_inconsistent_arrays(tmp_path, name, tamper, message):
@@ -425,6 +427,7 @@ def test_load_rejects_inconsistent_arrays(tmp_path, name, tamper, message):
         (lambda m: m.update(vocab_size=True), "meta.json vocab_size must be a number, got True"),
         (lambda m: m.update(avg_doc_len=m["avg_doc_len"] + 1e-6), "avg_doc_len is not the doc_lengths mean"),
         (lambda m: m.update(avg_doc_len=float("nan")), "avg_doc_len is not the doc_lengths mean"),
+        (lambda m: m.update(avg_doc_len=10**400), "too large to convert to float"),
         (lambda m: m["tokenizer"].update(stem="false"), "tokenizer.stem must be true or false"),
         (lambda m: m["tokenizer"].update(remove_stopwords=0), "tokenizer.remove_stopwords must be"),
         (lambda m: m.update(tokenizer="stem"), "tokenizer must be a mapping"),
