@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topics", required=True, help="topic JSON file")
     p.add_argument("--out", required=True, help="output rewrites TSV")
     p.add_argument("--index", help="index directory (required for hqe/hqe-pos)")
-    p.add_argument("--pos", help="POS annotations JSONL for the -pos variants")
+    p.add_argument("--pos", help="POS annotations JSONL (required for concat-pos/hqe-pos)")
     p.add_argument("--rewrites", help="external rewrites TSV (required for external)")
     p.add_argument("--hqe-preset", choices=("retrieval", "rerank"),
                    help="tuned parameter set to start from (default retrieval)")

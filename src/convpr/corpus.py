@@ -57,8 +57,15 @@ def is_integral(value) -> bool:
     )
 
 
+def _is_id(value) -> bool:
+    """Whether a JSON value may name a passage or a session: a string, or
+    an int that is not a bool (``str(True)`` would be the id ``True``)."""
+    return isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool))
+
+
 def load_passages(path: str | Path, format: str = "tsv") -> Iterator[Passage]:
-    """Stream passages from a TSV (``doc_id<TAB>text``) or JSONL file.
+    """Stream passages from a TSV (``doc_id<TAB>text``) or JSONL file. A
+    JSONL row is ``{"id": <string or integer>, "contents": <string>}``.
 
     Raises ValueError with the offending line number on malformed rows and
     on duplicate doc_ids.
@@ -83,7 +90,12 @@ def load_passages(path: str | Path, format: str = "tsv") -> Iterator[Passage]:
                     raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
                 if not isinstance(obj, dict) or "id" not in obj or "contents" not in obj:
                     raise ValueError(f"{path}:{lineno}: expected an object with 'id' and 'contents'")
-                doc_id, text = str(obj["id"]), str(obj["contents"])
+                doc_id, text = obj["id"], obj["contents"]
+                if not _is_id(doc_id):
+                    raise ValueError(f"{path}:{lineno}: id must be a string or an integer, got {doc_id!r}")
+                if not isinstance(text, str):
+                    raise ValueError(f"{path}:{lineno}: contents must be a string, got {text!r}")
+                doc_id = str(doc_id)
             # A run file holds the doc_id as one whitespace-separated column.
             if doc_id.split() != [doc_id]:
                 raise ValueError(f"{path}:{lineno}: doc_id {doc_id!r} is empty or has whitespace")
@@ -119,9 +131,9 @@ def save_passages(path: str | Path, passages: Iterable[Passage], format: str = "
 def load_sessions(path: str | Path) -> list[Session]:
     """Parse a topic file: a JSON array of ``{number, turn: [{number, raw_utterance}]}``.
 
-    Turn numbers must be whole numbers, contiguous starting at 1, and
-    session numbers distinct: query ids are rendered as ``<session>_<turn>``
-    downstream.
+    Turn numbers must be whole numbers, contiguous starting at 1, session
+    numbers distinct strings or integers, and each utterance a string: query
+    ids are rendered as ``<session>_<turn>`` downstream.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
@@ -133,6 +145,10 @@ def load_sessions(path: str | Path) -> list[Session]:
     for entry in data:
         if not isinstance(entry, dict) or "number" not in entry or "turn" not in entry:
             raise ValueError(f"{path}: sessions must be objects with 'number' and 'turn' fields")
+        if not _is_id(entry["number"]):
+            raise ValueError(
+                f"{path}: session number must be a string or an integer, got {entry['number']!r}"
+            )
         sid = str(entry["number"])
         if sid.split() != [sid]:
             raise ValueError(f"{path}: session number {sid!r} is empty or has whitespace")
@@ -152,13 +168,18 @@ def load_sessions(path: str | Path) -> list[Session]:
                 raise ValueError(
                     f"{path}: session {sid}: turn {i} has number {t['number']!r}, not an integer"
                 )
+            if not isinstance(t["raw_utterance"], str):
+                raise ValueError(
+                    f"{path}: session {sid}: turn {i} has raw_utterance "
+                    f"{t['raw_utterance']!r}, not a string"
+                )
             turn_no = int(t["number"])
             if turn_no != i:
                 raise ValueError(
                     f"{path}: session {sid}: non-contiguous turn numbers "
                     f"(expected {i}, found {turn_no})"
                 )
-            utterances.append(Utterance(session_id=sid, turn=turn_no, raw_text=str(t["raw_utterance"])))
+            utterances.append(Utterance(session_id=sid, turn=turn_no, raw_text=t["raw_utterance"]))
         sessions.append(Session(session_id=sid, utterances=utterances))
     return sessions
 

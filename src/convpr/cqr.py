@@ -77,13 +77,12 @@ class ReformulatedQuery:
 class PosAnnotations:
     """Per-qid coarse POS tags aligned to the raw utterance token stream."""
 
-    def __init__(self, tags: Mapping[str, Sequence[str]] | None = None):
-        self._tags = {qid: list(ts) for qid, ts in (tags or {}).items()}
-        self._trivial = tags is None
+    def __init__(self, tags: Mapping[str, Sequence[str]]):
+        self._tags = {qid: list(ts) for qid, ts in tags.items()}
 
     @classmethod
     def load(cls, path: str | Path) -> "PosAnnotations":
-        """Read JSONL rows ``{"qid": ..., "tags": [...]}``."""
+        """Read JSONL rows ``{"qid": "<string>", "tags": ["<string>", ...]}``."""
         path = Path(path)
         tags: dict[str, list[str]] = {}
         with path.open("r", encoding="utf-8") as fh:
@@ -93,31 +92,29 @@ class PosAnnotations:
                     continue
                 try:
                     obj = json.loads(line)
-                    qid, ts = str(obj["qid"]), [str(t) for t in obj["tags"]]
+                    qid, ts = obj["qid"], obj["tags"]
                 except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise ValueError(f"{path}:{lineno}: bad annotation row: {exc}") from exc
+                if not isinstance(qid, str):
+                    raise ValueError(f"{path}:{lineno}: qid must be a string, got {qid!r}")
+                if not (isinstance(ts, list) and all(isinstance(t, str) for t in ts)):
+                    raise ValueError(f"{path}:{lineno}: tags must be a list of strings, got {ts!r}")
                 if qid in tags:
                     raise ValueError(f"{path}:{lineno}: duplicate qid {qid!r}")
                 tags[qid] = ts
         return cls(tags)
 
-    @classmethod
-    def trivial(cls) -> "PosAnnotations":
-        """Tag everything NOUN, turning the POS filter into a no-op."""
-        return cls(None)
-
-    def eligible(self, qid: str, n_tokens: int) -> list[bool]:
-        if self._trivial:
-            return [True] * n_tokens
+    def content_tokens(self, qid: str, tokens: Sequence[str]) -> list[str]:
+        """The NOUN/ADJ-tagged ``tokens`` of turn ``qid``, in order."""
         if qid not in self._tags:
             raise ValueError(f"no POS annotation for qid {qid!r}")
         tags = self._tags[qid]
-        if len(tags) != n_tokens:
+        if len(tags) != len(tokens):
             raise ValueError(
-                f"qid {qid!r}: {len(tags)} tags for {n_tokens} tokens; annotations must "
+                f"qid {qid!r}: {len(tags)} tags for {len(tokens)} tokens; annotations must "
                 "align with the raw utterance token stream"
             )
-        return [t in CONTENT_TAGS for t in tags]
+        return [tok for tok, tag in zip(tokens, tags) if tag in CONTENT_TAGS]
 
 
 def extract_keywords(
@@ -141,11 +138,10 @@ def extract_keywords(
     seen_sub: set[str] = set()
     for j, utt in enumerate(utterances, start=1):
         tokens = searcher.tokenize(utt.raw_text)
-        mask = pos.eligible(utt.qid, len(tokens)) if pos is not None else None
+        if pos is not None:
+            tokens = pos.content_tokens(utt.qid, tokens)
         in_window = j >= i - hqe.m_window
-        for k, tok in enumerate(tokens):
-            if mask is not None and not mask[k]:
-                continue
+        for tok in tokens:
             r = searcher.max_score_term(tok)
             if r > hqe.r_topic and tok not in seen_topic:
                 seen_topic.add(tok)
@@ -209,11 +205,7 @@ def concat_rewrite(
         tokens = [t for u in history for t in tokenizer(u.raw_text)] + tokenizer(current.raw_text)
         return ReformulatedQuery(current.qid, tuple(tokens), " ".join(parts))
 
-    kept: list[str] = []
-    for u in history:
-        toks = tokenizer(u.raw_text)
-        mask = pos.eligible(u.qid, len(toks))
-        kept.extend(t for t, keep in zip(toks, mask) if keep)
+    kept = [t for u in history for t in pos.content_tokens(u.qid, tokenizer(u.raw_text))]
     current_tokens = tokenizer(current.raw_text)
     display = " ".join(kept + [current.raw_text]) if kept else current.raw_text
     return ReformulatedQuery(current.qid, tuple(kept + current_tokens), display)

@@ -15,6 +15,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import shutil
 from dataclasses import astuple, dataclass, field, fields, replace
@@ -66,7 +67,7 @@ _METHOD_KEYS = {
     "external": ("rewrites",),
 }
 METHOD_TYPES = tuple(_METHOD_KEYS)
-FUSION_MODES = ("early", "late", "none")
+FUSION_MODES = ("early", "late")
 FUSED_RUN_NAME = "fusion"
 # A method with rerank_scores also emits its reranked run as <name>+rerank.
 RERANK_SUFFIX = "+rerank"
@@ -189,8 +190,9 @@ def _method_from_dict(base: Path, raw: Mapping, where: str) -> MethodSpec:
     if "hqe" in raw:
         hqe = _build(HqeParams, raw["hqe"], f"{where}.hqe")
         hqe = replace(hqe, m_window=_integer(hqe.m_window, f"config: {where}.hqe.m_window"))
-    if mtype == "external":
-        _require("rewrites" in raw, f"config: {where} ({name}): external needs 'rewrites'")
+    for key in ("rewrites", "pos_annotations"):
+        if key in _METHOD_KEYS[mtype]:
+            _require(key in raw, f"config: {where} ({name}): {mtype} needs {key!r}")
     return MethodSpec(
         name=name,
         type=mtype,
@@ -248,38 +250,37 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
 
     fusion = None
     fraw = raw.get("fusion")
-    if fraw:
+    if fraw is not None:
         _known_keys(fraw, FusionSpec, "fusion")
         mode = str(fraw.get("mode", "early"))
-        _require(mode in FUSION_MODES, f"config: fusion.mode must be one of {FUSION_MODES}")
-        others = [key for key in fraw if key != "mode"]
-        if mode == "none" and others:
-            raise ValueError(f"config: fusion: mode none reads no other key, got {others[0]!r}")
-        if mode != "none":
-            fmethods = tuple(str(m) for m in fraw.get("methods", ()))
-            _require(len(fmethods) >= 2, "config: fusion.methods needs at least two methods")
-            by_name = {m.name: m for m in methods}
+        _require(
+            mode in FUSION_MODES, f"config: fusion.mode must be one of {FUSION_MODES}, got {mode!r}"
+        )
+        fmethods = tuple(str(m) for m in fraw.get("methods", ()))
+        _require(len(fmethods) >= 2, "config: fusion.methods needs at least two methods")
+        by_name = {m.name: m for m in methods}
+        for i, fm in enumerate(fmethods):
+            _require(fm in by_name, f"config: fusion references unknown method {fm!r}")
+            _require(fm not in fmethods[:i], f"config: fusion.methods lists method {fm!r} twice")
+        scores = None
+        if "rerank_scores" in fraw:
+            scores = _existing(
+                _as_path(base, fraw["rerank_scores"], "fusion.rerank_scores"), "rerank_scores"
+            )
+        if mode == "early":
+            _require(scores is not None, "config: early fusion needs fusion.rerank_scores")
+        else:
+            _require(
+                scores is None,
+                "config: late fusion takes no fusion.rerank_scores; "
+                "each fused method reranks with its own rerank_scores",
+            )
             for fm in fmethods:
-                _require(fm in by_name, f"config: fusion references unknown method {fm!r}")
-            scores = None
-            if "rerank_scores" in fraw:
-                scores = _existing(
-                    _as_path(base, fraw["rerank_scores"], "fusion.rerank_scores"), "rerank_scores"
-                )
-            if mode == "early":
-                _require(scores is not None, "config: early fusion needs fusion.rerank_scores")
-            else:
                 _require(
-                    scores is None,
-                    "config: late fusion takes no fusion.rerank_scores; "
-                    "each fused method reranks with its own rerank_scores",
+                    by_name[fm].rerank_scores is not None,
+                    f"config: late fusion requires rerank_scores on method {fm!r}",
                 )
-                for fm in fmethods:
-                    _require(
-                        by_name[fm].rerank_scores is not None,
-                        f"config: late fusion requires rerank_scores on method {fm!r}",
-                    )
-            fusion = FusionSpec(mode=mode, methods=fmethods, rerank_scores=scores)
+        fusion = FusionSpec(mode=mode, methods=fmethods, rerank_scores=scores)
 
     metrics = tuple(str(m) for m in raw.get("metrics", DEFAULT_METRICS))
     for m in metrics:
@@ -392,11 +393,29 @@ def _open_workspace(config: ExperimentConfig) -> _Workspace:
     ke_key = _cache_key(index=index_key, k1=config.bm25.k1, b=config.bm25.b)
     ke_path = cache_dir / f"ke-{ke_key}.json"
     if ke_path.exists():
-        searcher._term_max.update(json.loads(ke_path.read_text(encoding="utf-8")))
+        searcher._term_max.update(_load_ke_cache(ke_path))
     return _Workspace(
         sessions, qrels, searcher, cache_dir, index_key, ke_path, _file_digest(config.topics),
         ke_loaded=len(searcher._term_max),
     )
+
+
+def _load_ke_cache(path: Path) -> dict[str, float]:
+    """Read keyword-extractor scores, a JSON object of term to score. Each
+    score is an indexed term's best single-posting BM25 score, so it is
+    finite and > 0 (idf > 0, k1 + 1 >= 1, tf >= 1); anything else means the
+    entry is damaged."""
+    damaged = f"{path}: damaged keyword-extractor cache entry (it may be deleted)"
+    try:
+        scores = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # undecodable bytes or invalid JSON
+        raise ValueError(f"{damaged}: {exc}") from None
+    _require(
+        isinstance(scores, dict)
+        and all(isinstance(v, float) and math.isfinite(v) and v > 0 for v in scores.values()),
+        f"{damaged}: it must map each term to a finite score > 0",
+    )
+    return scores
 
 
 def _save_ke_cache(ws: _Workspace) -> None:
@@ -431,17 +450,6 @@ def _run_cache_path(ws: _Workspace, config: ExperimentConfig, method: MethodSpec
 # -- reformulation and retrieval ----------------------------------------------
 
 
-def _pos_for(method: MethodSpec) -> PosAnnotations | None:
-    if "pos_annotations" not in _METHOD_KEYS[method.type]:
-        return None
-    if method.pos_annotations is not None:
-        return PosAnnotations.load(method.pos_annotations)
-    logger.warning(
-        "method %s: no pos_annotations file; using the trivial all-NOUN tagger", method.name
-    )
-    return PosAnnotations.trivial()
-
-
 def reformulate_method(
     method: MethodSpec,
     sessions: Sequence[Session],
@@ -449,7 +457,7 @@ def reformulate_method(
     tokenizer: TokenizerConfig,
 ) -> list[ReformulatedQuery]:
     """Produce one rewrite per turn, session by session."""
-    pos = _pos_for(method)
+    pos = PosAnnotations.load(method.pos_annotations) if method.pos_annotations else None
     out: list[ReformulatedQuery] = []
     reads = _METHOD_KEYS[method.type]
     external = load_external_rewrites(method.rewrites, tokenizer) if "rewrites" in reads else None

@@ -264,6 +264,10 @@ def test_validation_failures_exit_1(workdir, tmp_path, capsys):
          "reformulate (concat-pos): --b is only read by method hqe or hqe-pos"),
         ((*method("external"), "--rewrites", workdir / "t5.tsv", "--index", idx),
          "reformulate (external): --index is only read by method hqe or hqe-pos"),
+        # a -pos method without annotations would run as its plain type
+        (method("concat-pos"), "reformulate (concat-pos): concat-pos needs 'pos_annotations'"),
+        ((*method("hqe-pos"), "--index", idx),
+         "reformulate (hqe-pos): hqe-pos needs 'pos_annotations'"),
         # a run flag that the jaccard mode would ignore
         (("analyze", "jaccard", "--run-a", run, "--run-b", run, "--run", tmp_path / "nonexistent.run"),
          "analyze jaccard: --run is only read with --adjacent"),
@@ -290,6 +294,10 @@ def test_malformed_topic_and_passage_files_exit_1(tmp_path, capsys):
          "session 1: 'turn' must be a JSON array"),
         ('[{"number": 1, "turn": [{"number": [1], "raw_utterance": "x"}]}]',
          "turn 1 has number [1], not an integer"),
+        ('[{"number": 1, "turn": [{"number": 1, "raw_utterance": null}]}]',
+         "session 1: turn 1 has raw_utterance None, not a string"),
+        ('[{"number": true, "turn": [{"number": 1, "raw_utterance": "x"}]}]',
+         "session number must be a string or an integer, got True"),
     ):
         topics.write_text(text, encoding="utf-8")
         assert _run("reformulate", "--method", "raw", "--topics", topics, "--out", rewrites) == 1
@@ -302,7 +310,38 @@ def test_malformed_topic_and_passage_files_exit_1(tmp_path, capsys):
                     "--output", tmp_path / "idx") == 1
         err = capsys.readouterr().err
         assert f"error: {passages}:2: expected an object with 'id' and 'contents'" in err, row
+    for row, message in (('{"id": null, "contents": "x"}', "id must be a string or an integer"),
+                         ('{"id": "d2", "contents": null}', "contents must be a string")):
+        passages.write_text('{"id": "d1", "contents": "x"}\n' + row + "\n", encoding="utf-8")
+        assert _run("index", "build", "--input", passages, "--format", "jsonl",
+                    "--output", tmp_path / "idx") == 1
+        err = capsys.readouterr().err
+        assert f"error: {passages}:2: {message}" in err and "internal error" not in err, row
+    pos = tmp_path / "pos.jsonl"
+    pos.write_text('{"qid": "1_1", "tags": [null]}\n', encoding="utf-8")
+    topics.write_text('[{"number": 1, "turn": [{"number": 1, "raw_utterance": "x"}]}]',
+                      encoding="utf-8")
+    assert _run("reformulate", "--method", "concat-pos", "--topics", topics, "--pos", pos,
+                "--out", rewrites) == 1
+    err = capsys.readouterr().err
+    assert f"error: {pos}:1: tags must be a list of strings, got [None]" in err, err
     assert not rewrites.exists() and not (tmp_path / "idx").exists()
+
+
+def test_damaged_keyword_cache_entry_exits_1_naming_it(workdir, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ("experiment", "--config", workdir / "config.yaml", "--output-dir", out)
+    assert _run(*argv) == 0
+    (ke_path,) = (out / "cache").glob("ke-*.json")
+    for text in ('{"quasar": "x"}', "[1, 2]", '{"quasar": 2.5', '{"quasar": 0.0}',
+                 '{"quasar": NaN}'):
+        ke_path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert _run(*argv) == 1, text
+        err = capsys.readouterr().err
+        assert f"error: {ke_path}: damaged keyword-extractor cache entry (it may be deleted)" in err, err
+    ke_path.unlink()
+    assert _run(*argv) == 0
 
 
 def test_damaged_index_meta_and_quoted_tokenizer_flags_exit_1(workdir, tmp_path, capsys):

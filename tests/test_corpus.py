@@ -64,6 +64,30 @@ def test_jsonl_missing_field_is_an_error(tmp_path):
         list(load_passages(p, "jsonl"))
 
 
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ({"id": None, "contents": "x"}, "id must be a string or an integer, got None"),
+        ({"id": True, "contents": "x"}, "id must be a string or an integer, got True"),
+        ({"id": 2.0, "contents": "x"}, "id must be a string or an integer, got 2.0"),
+        ({"id": "d2", "contents": None}, "contents must be a string, got None"),
+        ({"id": "d2", "contents": ["x"]}, "contents must be a string, got ['x']"),
+    ],
+)
+def test_jsonl_fields_must_hold_their_json_types(tmp_path, row, message):
+    # str() would index the doc "None" or the term "none" without a word.
+    p = tmp_path / "c.jsonl"
+    p.write_text('{"id": "d1", "contents": "x"}\n' + json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{p}:2: {message}")):
+        list(load_passages(p, "jsonl"))
+
+
+def test_jsonl_integer_ids_load_as_strings(tmp_path):
+    p = tmp_path / "c.jsonl"
+    p.write_text('{"id": 7, "contents": "x"}\n', encoding="utf-8")
+    assert list(load_passages(p, "jsonl")) == [Passage("7", "x")]
+
+
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown passage format"):
         list(load_passages(tmp_path / "c.csv", "csv"))
@@ -150,6 +174,29 @@ def test_turn_number_that_is_not_a_whole_number_is_an_error(tmp_path, number):
     p = _topic_file(tmp_path, [{"number": 4, "turn": turns}])
     message = f"{p}: session 4: turn 1 has number {number!r}, not an integer"
     with pytest.raises(ValueError, match=re.escape(message)):
+        load_sessions(p)
+
+
+@pytest.mark.parametrize(
+    "session,message",
+    [
+        ({"number": True}, "session number must be a string or an integer, got True"),
+        ({"number": None}, "session number must be a string or an integer, got None"),
+        ({"number": 4.0}, "session number must be a string or an integer, got 4.0"),
+        (
+            {"number": 4, "raw_utterance": None},
+            "session 4: turn 1 has raw_utterance None, not a string",
+        ),
+        (
+            {"number": 4, "raw_utterance": 12},
+            "session 4: turn 1 has raw_utterance 12, not a string",
+        ),
+    ],
+)
+def test_topic_fields_must_hold_their_json_types(tmp_path, session, message):
+    turn = {"number": 1, "raw_utterance": session.pop("raw_utterance", "x")}
+    p = _topic_file(tmp_path, [{**session, "turn": [turn]}])
+    with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
         load_sessions(p)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -192,20 +193,12 @@ def test_pos_filter_blocks_other_tagged_history(searcher):
     assert w_topic == ["glow"]
 
 
-def test_trivial_annotations_are_a_noop(searcher):
-    utts = _session("the quasar", "more glow")
-    params = HqeParams(r_topic=1.9, r_sub=1.2, eta=9, m_window=5)
-    with_trivial = hqe_rewrite(searcher, utts, params, PosAnnotations.trivial())
-    without = hqe_rewrite(searcher, utts, params, None)
-    assert with_trivial == without
-
-
 def test_pos_annotations_validate_alignment(tmp_path):
     pos = PosAnnotations({"5_1": ["NOUN"]})
     with pytest.raises(ValueError, match="align"):
-        pos.eligible("5_1", 3)
+        pos.content_tokens("5_1", ["a", "b", "c"])
     with pytest.raises(ValueError, match="no POS annotation"):
-        pos.eligible("5_9", 1)
+        pos.content_tokens("5_9", ["a"])
 
 
 def test_pos_annotations_load_and_reject_duplicates(tmp_path):
@@ -215,12 +208,31 @@ def test_pos_annotations_load_and_reject_duplicates(tmp_path):
         encoding="utf-8",
     )
     pos = PosAnnotations.load(path)
-    assert pos.eligible("1_1", 2) == [True, False]
+    assert pos.content_tokens("1_1", ["quasar", "the"]) == ["quasar"]
     path.write_text(
         "\n".join(json.dumps({"qid": "1_1", "tags": ["NOUN"]}) for _ in range(2)) + "\n",
         encoding="utf-8",
     )
     with pytest.raises(ValueError, match="duplicate qid"):
+        PosAnnotations.load(path)
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ({"qid": "1_1", "tags": ["NOUN", None]}, "tags must be a list of strings, got ['NOUN', None]"),
+        ({"qid": "1_1", "tags": "NOUN"}, "tags must be a list of strings, got 'NOUN'"),
+        ({"qid": 11, "tags": ["NOUN"]}, "qid must be a string, got 11"),
+        ({"qid": None, "tags": ["NOUN"]}, "qid must be a string, got None"),
+        ({"tags": ["NOUN"]}, "bad annotation row"),
+    ],
+)
+def test_pos_annotation_fields_must_hold_their_json_types(tmp_path, row, message):
+    # str(None) would be the tag "None" and str(11) the qid "11".
+    path = tmp_path / "pos.jsonl"
+    path.write_text(json.dumps({"qid": "1_0", "tags": []}) + "\n" + json.dumps(row) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
         PosAnnotations.load(path)
 
 

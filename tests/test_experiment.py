@@ -174,11 +174,30 @@ def test_early_fusion_needs_scores(tmp_path):
             "methods: [{name: a, type: concat-pos, hqe: {eta: 3.0}}]\n",
             "'hqe' is only read by type hqe or hqe-pos",
         ),
+        # no fusion is written by leaving fusion out or null, not as a mode
+        (
+            "methods: [{name: a, type: raw}, {name: b, type: raw}]\nfusion: {}\n",
+            "fusion.methods needs at least two methods",
+        ),
+        (
+            "methods: [{name: a, type: raw}]\nfusion: {mode: none}\n",
+            r"fusion\.mode must be one of \('early', 'late'\), got 'none'",
+        ),
         (
             "methods: [{name: a, type: raw}, {name: b, type: raw}]\n"
-            "fusion: {mode: none, methods: [a, b]}\n",
-            "fusion: mode none reads no other key, got 'methods'",
+            "fusion: {mode: early, methods: [a, b, a], rerank_scores: q.txt}\n",
+            "fusion.methods lists method 'a' twice",
         ),
+        # a -pos method without its annotations would run as its plain type
+        (
+            "methods: [{name: a, type: hqe-pos}]\n",
+            r"methods\[0\] \(a\): hqe-pos needs 'pos_annotations'",
+        ),
+        (
+            "methods: [{name: a, type: concat-pos, m_window: 2}]\n",
+            r"methods\[0\] \(a\): concat-pos needs 'pos_annotations'",
+        ),
+        ("methods: [{name: a, type: external}]\n", r"methods\[0\] \(a\): external needs 'rewrites'"),
         ("depth: 10.5\nmethods: [{name: a, type: raw}]\n", r"depth must be an integer, got 10\.5"),
         (
             "methods: [{name: a, type: concat, m_window: 3.7}]\n",
@@ -188,7 +207,10 @@ def test_early_fusion_needs_scores(tmp_path):
             "methods: [{name: a, type: hqe, hqe: {m_window: 2.5}}]\n",
             r"methods\[0\]\.hqe\.m_window must be an integer, got 2\.5",
         ),
-        ("methods: [{name: a, type: concat-pos, m_window: -1}]\n", "m_window must be >= 0, got -1"),
+        (
+            "methods: [{name: a, type: concat-pos, m_window: -1, pos_annotations: q.txt}]\n",
+            "m_window must be >= 0, got -1",
+        ),
         ("methods: [{name: a, type: hqe, hqe: {m_window: -1}}]\n", "m_window must be >= 0, got -1"),
         ("bm25: {k1: .nan}\nmethods: [{name: a, type: raw}]\n", "k1 must be finite and >= 0, got nan"),
         ("bm25: {k1: .inf}\nmethods: [{name: a, type: raw}]\n", "k1 must be finite and >= 0, got inf"),
@@ -210,8 +232,8 @@ def test_malformed_config_sections_are_validation_errors(tmp_path, snippet, mess
         load_config(path)
 
 
-def test_fusion_mode_none_alone_loads(tmp_path):
-    overrides = {"fusion": {"mode": "none"}, "output_dir": str(tmp_path / "out")}
+def test_null_fusion_loads_without_fusion(tmp_path):
+    overrides = {"fusion": None, "output_dir": str(tmp_path / "out")}
     assert load_config(FIXTURES / "config.yaml", overrides).fusion is None
 
 
