@@ -261,7 +261,10 @@ def _parse_overrides(pairs: list[str]) -> dict:
         if "=" not in pair:
             raise ValueError(f"--set expects key=value, got {pair!r}")
         key, _, value = pair.partition("=")
-        overrides[key] = yaml.safe_load(value)
+        try:
+            overrides[key] = yaml.safe_load(value)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"--set {pair!r}: value is not valid YAML: {exc}") from exc
     return overrides
 
 

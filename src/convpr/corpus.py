@@ -137,7 +137,10 @@ def load_sessions(path: str | Path) -> list[Session]:
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"{path}: topic file is not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise ValueError(f"{path}: topic file must be a JSON array of sessions")
     sessions = []

@@ -191,7 +191,8 @@ def concat_rewrite(
     """Prepend the previous ``m_window`` turns to the current one.
 
     With annotations, history keeps only NOUN/ADJ tokens; the current turn
-    is never filtered. ``m_window=0`` returns the raw query.
+    is never filtered, but its tags are checked too. ``m_window=0`` returns
+    the raw query.
     """
     if not utterances:
         raise ValueError("concat_rewrite needs at least one utterance")
@@ -207,6 +208,7 @@ def concat_rewrite(
 
     kept = [t for u in history for t in pos.content_tokens(u.qid, tokenizer(u.raw_text))]
     current_tokens = tokenizer(current.raw_text)
+    pos.content_tokens(current.qid, current_tokens)  # only to check the tags
     display = " ".join(kept + [current.raw_text]) if kept else current.raw_text
     return ReformulatedQuery(current.qid, tuple(kept + current_tokens), display)
 

@@ -210,7 +210,10 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
     ``bm25.k1``) onto replacement values."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: config is not valid YAML: {exc}") from exc
     _require(isinstance(raw, dict), f"{path}: config must be a mapping")
     for dotted, value in (overrides or {}).items():
         node = raw

@@ -274,6 +274,16 @@ def test_concat_pos_filters_history_not_current():
     assert list(q.tokens) == tokenize(q.display_text)
 
 
+def test_concat_pos_checks_the_current_turns_tags():
+    utts = _session("the quasar", "the glow")
+    for tags, message in (({"5_1": ["OTHER", "NOUN"], "5_2": ["NOUN"]}, "1 tags for 2 tokens"),
+                          ({"5_1": ["OTHER", "NOUN"]}, "no POS annotation for qid '5_2'")):
+        with pytest.raises(ValueError, match=message):
+            concat_rewrite(utts, m_window=1, pos=PosAnnotations(tags))
+    with pytest.raises(ValueError, match="1 tags for 2 tokens"):
+        concat_rewrite(utts[:1], pos=PosAnnotations({"5_1": ["OTHER"]}))
+
+
 # -- external rewrites ----------------------------------------------------------
 
 

@@ -17,6 +17,7 @@ from convpr.evaluation import (
     paired_t_test,
     parse_metric,
     recall_at_k,
+    student_t_p_value,
     win_tie_loss,
     write_metrics_csv,
 )
@@ -312,6 +313,52 @@ def test_paired_t_matches_critical_table_values():
 def test_paired_t_zero_variance_contract():
     # constant differences are defined as "no evidence": t=0, p=1
     assert paired_t_test([1.0, 1.0, 1.0], [0.0, 0.0, 0.0]) == (0.0, 1.0)
+
+
+def test_student_t_p_matches_closed_forms_at_df_1_and_2():
+    # df 1: p = 1 - 2 atan(|t|)/pi; df 2: p = 1 - |t|/sqrt(2 + t^2). Both are
+    # written here without the subtraction, which would lose digits at large t.
+    for t in (1e-8, 1e-3, 0.3, 1.0, 2.262, 7.5, 40.0, 1e3, 1e6):
+        for sign in (1.0, -1.0):
+            assert student_t_p_value(sign * t, 1) == pytest.approx(
+                2.0 * math.atan(1.0 / t) / math.pi, rel=1e-12, abs=0.0)
+            root = math.sqrt(2.0 + t * t)
+            assert student_t_p_value(sign * t, 2) == pytest.approx(
+                2.0 / (root * (root + t)), rel=1e-12, abs=0.0)
+
+
+def test_student_t_p_tends_to_the_normal_tail_at_large_df():
+    # The t tail exceeds the normal one by about (t^4 + t^2) / (4 df) relative.
+    for df in (10**6, 10**7):
+        for t in (0.5, 1.0, 1.96, 3.0, 5.0):
+            normal = math.erfc(t / math.sqrt(2.0))
+            assert student_t_p_value(t, df) == pytest.approx(
+                normal, rel=(1.0 + t**4) / df, abs=0.0), (df, t)
+
+
+def test_student_t_p_stays_a_probability_at_extreme_t():
+    for df in (1, 2, 9, 1000, 10**6):
+        for t in (0.0, 1e-8, 1e6):
+            p = student_t_p_value(t, df)
+            assert 0.0 <= p <= 1.0 and not math.isnan(p), (df, t, p)
+        assert student_t_p_value(0.0, df) == 1.0
+        assert student_t_p_value(1e-8, df) == pytest.approx(1.0, abs=1e-7)
+        assert student_t_p_value(1e6, df) < 1e-5
+
+
+def test_student_t_p_matches_pinned_reference_values():
+    # 2 * scipy.stats.t.sf(|t|, df), from scipy 1.17.1; convpr does not use scipy.
+    for t, df, expected in (
+        (2.262, 9, 0.05001284550245463),
+        (0.5, 3, 0.651447964848151),
+        (1.96, 29, 0.05966779551959133),
+        (3.5, 61, 0.0008756844088181469),
+        (-2.0, 119, 0.04777757533002386),
+        (12.0, 7, 6.358310378185098e-06),
+        (0.05, 1000, 0.9601323730719518),
+        (4.0, 249999, 6.336068650793045e-05),
+    ):
+        assert student_t_p_value(t, df) == pytest.approx(expected, rel=1e-10, abs=0.0), (t, df)
 
 
 def test_paired_t_needs_two_pairs():
