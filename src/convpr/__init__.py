@@ -5,7 +5,7 @@ baselines for conversational queries, reciprocal rank fusion of query
 variants, and trec_eval-style evaluation and analysis.
 """
 
-from .corpus import Passage, Session, Utterance, load_passages, load_sessions, save_passages
+from .corpus import Passage, Session, Utterance, load_passages, load_sessions
 from .cqr import (
     HQE_RERANK_DEFAULTS,
     HQE_RETRIEVAL_DEFAULTS,
@@ -84,7 +84,6 @@ __all__ = [
     "rerank_run",
     "rrf_fuse",
     "run_experiment",
-    "save_passages",
     "tokenize",
     "win_tie_loss",
     "write_rewrites",

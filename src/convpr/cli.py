@@ -289,7 +289,7 @@ def cmd_grid(args) -> int:
             raise ValueError(f"--param expects name=v1,v2,..., got {spec!r}")
         name, _, values = spec.partition("=")
         grid[name.strip()] = [float(v) for v in values.split(",") if v != ""]
-    rows = grid_search(config, args.method, grid, depth=args.depth)
+    rows = grid_search(config, args.method, grid)
     keys = sorted(grid)
     header = "\t".join(keys + ["recall", "map"])
     print(header)
@@ -402,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--method", required=True)
     p.add_argument("--param", action="append", required=True, metavar="NAME=V1,V2,...")
-    p.add_argument("--depth", type=int, default=None)
     p.add_argument("--out", help="write the table to this file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
     p.set_defaults(func=cmd_grid)

@@ -7,9 +7,10 @@ malformed rows corrupt retrieval metrics silently, so both are errors.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator, TextIO
 
 PASSAGE_FORMATS = ("tsv", "jsonl")
 
@@ -63,6 +64,27 @@ def _is_id(value) -> bool:
     return isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool))
 
 
+@contextmanager
+def open_text(path: Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Open ``path`` to read UTF-8 text; a byte sequence that is not UTF-8 is
+    a ValueError naming the file and the line, found by rescanning the bytes."""
+    with path.open("r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(_utf8_error(path, exc)) from None
+
+
+def _utf8_error(path: Path, exc: UnicodeDecodeError) -> str:
+    with path.open("rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as err:
+                return f"{path}:{lineno}: not valid UTF-8: {err}"
+    return f"{path}: not valid UTF-8: {exc}"
+
+
 def load_passages(path: str | Path, format: str = "tsv") -> Iterator[Passage]:
     """Stream passages from a TSV (``doc_id<TAB>text``) or JSONL file. A
     JSONL row is ``{"id": <string or integer>, "contents": <string>}``.
@@ -74,7 +96,7 @@ def load_passages(path: str | Path, format: str = "tsv") -> Iterator[Passage]:
         raise ValueError(f"unknown passage format {format!r}, expected one of {PASSAGE_FORMATS}")
     path = Path(path)
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -103,29 +125,6 @@ def load_passages(path: str | Path, format: str = "tsv") -> Iterator[Passage]:
                 raise ValueError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
             seen.add(doc_id)
             yield Passage(doc_id=doc_id, text=text)
-
-
-def save_passages(path: str | Path, passages: Iterable[Passage], format: str = "tsv") -> int:
-    """Write passages back out; returns the row count.
-
-    TSV cannot represent newlines inside a passage, so those are rejected
-    rather than silently corrupting the file.
-    """
-    if format not in PASSAGE_FORMATS:
-        raise ValueError(f"unknown passage format {format!r}, expected one of {PASSAGE_FORMATS}")
-    path = Path(path)
-    count = 0
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for p in passages:
-            if format == "tsv":
-                if "\n" in p.text or "\n" in p.doc_id or "\t" in p.doc_id:
-                    raise ValueError(f"passage {p.doc_id!r} cannot round-trip through TSV")
-                fh.write(f"{p.doc_id}\t{p.text}\n")
-            else:
-                fh.write(json.dumps({"id": p.doc_id, "contents": p.text}, ensure_ascii=False))
-                fh.write("\n")
-            count += 1
-    return count
 
 
 def load_sessions(path: str | Path) -> list[Session]:

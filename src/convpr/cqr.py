@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import Utterance
+from .corpus import Utterance, open_text
 from .index import Searcher
-from .tokenization import tokenize
+from .tokenization import TokenizerConfig, tokenize
 
 CONTENT_TAGS = frozenset({"NOUN", "ADJ"})
 
@@ -85,7 +85,7 @@ class PosAnnotations:
         """Read JSONL rows ``{"qid": "<string>", "tags": ["<string>", ...]}``."""
         path = Path(path)
         tags: dict[str, list[str]] = {}
-        with path.open("r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -104,8 +104,9 @@ class PosAnnotations:
                 tags[qid] = ts
         return cls(tags)
 
-    def content_tokens(self, qid: str, tokens: Sequence[str]) -> list[str]:
-        """The NOUN/ADJ-tagged ``tokens`` of turn ``qid``, in order."""
+    def content_tokens(self, qid: str, tokens: Sequence) -> list:
+        """The NOUN/ADJ-tagged ``tokens`` of turn ``qid`` (or entries aligned
+        with them), in order."""
         if qid not in self._tags:
             raise ValueError(f"no POS annotation for qid {qid!r}")
         tags = self._tags[qid]
@@ -125,7 +126,8 @@ def extract_keywords(
 ) -> tuple[list[str], list[str]]:
     """Collect (topic, subtopic) keyword lists from turns 1..i.
 
-    Both lists are deduplicated in first-occurrence order. The subtopic
+    Both lists are deduplicated by token in first-occurrence order and hold
+    that occurrence's word (:meth:`TokenizerConfig.words`). The subtopic
     window covers turns max(1, i - m_window)..i; the current turn takes part
     in both sets. With annotations, only NOUN/ADJ tokens are candidates.
     """
@@ -137,18 +139,19 @@ def extract_keywords(
     seen_topic: set[str] = set()
     seen_sub: set[str] = set()
     for j, utt in enumerate(utterances, start=1):
-        tokens = searcher.tokenize(utt.raw_text)
+        words = searcher.index.tokenizer.words(utt.raw_text)
+        pairs = list(zip(words, searcher.tokenize(utt.raw_text)))
         if pos is not None:
-            tokens = pos.content_tokens(utt.qid, tokens)
+            pairs = pos.content_tokens(utt.qid, pairs)
         in_window = j >= i - hqe.m_window
-        for tok in tokens:
+        for word, tok in pairs:
             r = searcher.max_score_term(tok)
             if r > hqe.r_topic and tok not in seen_topic:
                 seen_topic.add(tok)
-                w_topic.append(tok)
+                w_topic.append(word)
             if r > hqe.r_sub and in_window and tok not in seen_sub:
                 seen_sub.add(tok)
-                w_sub.append(tok)
+                w_sub.append(word)
     return w_topic, w_sub
 
 
@@ -169,30 +172,26 @@ def hqe_rewrite(
         raise ValueError("hqe_rewrite needs at least one utterance")
     hqe = hqe or HQE_RETRIEVAL_DEFAULTS
     current = utterances[-1]
-    current_tokens = searcher.tokenize(current.raw_text)
-    if len(utterances) == 1:
-        return ReformulatedQuery(current.qid, tuple(current_tokens), current.raw_text)
-
-    w_topic, w_sub = extract_keywords(searcher, utterances, hqe, pos)
-    expansion = list(w_topic)
-    ambiguity = searcher.max_score(current_tokens)
-    if ambiguity < hqe.eta:
-        expansion.extend(w_sub)
-    display = " ".join(expansion + [current.raw_text]) if expansion else current.raw_text
-    return ReformulatedQuery(current.qid, tuple(expansion + current_tokens), display)
+    expansion: list[str] = []
+    if len(utterances) > 1:
+        expansion, w_sub = extract_keywords(searcher, utterances, hqe, pos)
+        if searcher.max_score(searcher.tokenize(current.raw_text)) < hqe.eta:
+            expansion += w_sub
+    display = " ".join(expansion + [current.raw_text])
+    return ReformulatedQuery(current.qid, tuple(searcher.tokenize(display)), display)
 
 
 def concat_rewrite(
     utterances: Sequence[Utterance],
     m_window: int = CONCAT_DEFAULT_WINDOW,
     pos: PosAnnotations | None = None,
-    tokenizer=tokenize,
+    tokenizer: TokenizerConfig = TokenizerConfig(),
 ) -> ReformulatedQuery:
     """Prepend the previous ``m_window`` turns to the current one.
 
-    With annotations, history keeps only NOUN/ADJ tokens; the current turn
-    is never filtered, but its tags are checked too. ``m_window=0`` returns
-    the raw query.
+    With annotations, history keeps only the NOUN/ADJ words
+    (:meth:`TokenizerConfig.words`); the current turn is never filtered, but
+    its tags are checked too. ``m_window=0`` returns the raw query.
     """
     if not utterances:
         raise ValueError("concat_rewrite needs at least one utterance")
@@ -202,15 +201,12 @@ def concat_rewrite(
     history = utterances[max(0, len(utterances) - 1 - m_window) : -1]
 
     if pos is None:
-        parts = [u.raw_text for u in history] + [current.raw_text]
-        tokens = [t for u in history for t in tokenizer(u.raw_text)] + tokenizer(current.raw_text)
-        return ReformulatedQuery(current.qid, tuple(tokens), " ".join(parts))
-
-    kept = [t for u in history for t in pos.content_tokens(u.qid, tokenizer(u.raw_text))]
-    current_tokens = tokenizer(current.raw_text)
-    pos.content_tokens(current.qid, current_tokens)  # only to check the tags
-    display = " ".join(kept + [current.raw_text]) if kept else current.raw_text
-    return ReformulatedQuery(current.qid, tuple(kept + current_tokens), display)
+        kept = [u.raw_text for u in history]
+    else:
+        kept = [w for u in history for w in pos.content_tokens(u.qid, tokenizer.words(u.raw_text))]
+        pos.content_tokens(current.qid, tokenizer.words(current.raw_text))  # only to check the tags
+    display = " ".join(kept + [current.raw_text])
+    return ReformulatedQuery(current.qid, tuple(tokenizer(display)), display)
 
 
 def raw_query(utterance: Utterance, tokenizer=tokenize) -> ReformulatedQuery:
@@ -224,7 +220,7 @@ def load_external_rewrites(path: str | Path, tokenizer=tokenize) -> dict[str, Re
     duplicate; a qid missing at use time is the caller's error to raise."""
     path = Path(path)
     rewrites: dict[str, ReformulatedQuery] = {}
-    with path.open("r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -241,9 +237,12 @@ def load_external_rewrites(path: str | Path, tokenizer=tokenize) -> dict[str, Re
 
 
 def write_rewrites(path: str | Path, rewrites: Sequence[ReformulatedQuery]) -> None:
+    """Write ``qid<TAB>display text`` lines, each ``\r`` or ``\n`` of a text
+    as a space: both separate tokens, so the file replays the same tokens."""
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         for r in rewrites:
-            if "\n" in r.display_text or "\t" in r.qid:
-                raise ValueError(f"rewrite {r.qid!r} cannot round-trip through TSV")
-            fh.write(f"{r.qid}\t{r.display_text}\n")
+            if r.qid.split() != [r.qid]:
+                raise ValueError(f"rewrite qid {r.qid!r} is empty or has whitespace")
+            text = r.display_text.replace("\r", " ").replace("\n", " ")
+            fh.write(f"{r.qid}\t{text}\n")

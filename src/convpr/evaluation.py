@@ -15,6 +15,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
+from .corpus import open_text
 from .runs import RankedList, qid_sort_key
 
 MAX_GRADE = 4
@@ -47,7 +48,7 @@ def load_qrels(path: str | Path) -> Qrels:
     """Parse ``qid 0 doc_id grade`` rows; grades outside 0..4 are errors."""
     path = Path(path)
     grades: dict[str, dict[str, int]] = {}
-    with path.open("r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:

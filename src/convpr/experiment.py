@@ -595,13 +595,12 @@ def grid_search(
     config: ExperimentConfig,
     method_name: str,
     grid: Mapping[str, Sequence[float]],
-    depth: int | None = None,
 ) -> list[dict]:
     """Cartesian sweep over expansion hyperparameters for one method.
 
-    Returns one row per combination with first-stage R@depth and MAP,
-    sorted by parameter values. The index and keyword-extractor scores are
-    computed once and shared across the sweep.
+    Returns one row per combination with first-stage R@depth (the config's)
+    and MAP, sorted by parameter values. The index and keyword-extractor
+    scores are computed once and shared across the sweep.
     """
     by_name = {m.name: m for m in config.methods}
     _require(method_name in by_name, f"grid: unknown method {method_name!r}")
@@ -621,8 +620,6 @@ def grid_search(
     for key, values in grid.items():
         _require(len(values) > 0, f"grid: parameter {key!r} has no values")
 
-    depth = config.depth if depth is None else depth
-    _require(depth >= 1, f"grid: depth must be >= 1, got {depth}")
     keys = sorted(grid)
     points = [dict(zip(keys, values)) for values in product(*(grid[k] for k in keys))]
     # Every point is validated here, before the index is built or loaded.
@@ -634,10 +631,10 @@ def grid_search(
     rows: list[dict] = []
     for point, variant in zip(points, variants):
         queries = reformulate_method(variant, ws.sessions, ws.searcher, config.tokenizer)
-        run = retrieve_all(ws.searcher, queries, depth)
-        report = evaluate_run(run, ws.qrels, (f"recall@{depth}", "map"), depth)
-        means = report.means
-        rows.append({**point, "recall": means[f"recall@{depth}"], "map": means["map"]})
+        run = retrieve_all(ws.searcher, queries, config.depth)
+        recall = f"recall@{config.depth}"
+        means = evaluate_run(run, ws.qrels, (recall, "map"), config.depth).means
+        rows.append({**point, "recall": means[recall], "map": means["map"]})
     _save_ke_cache(ws)
     rows.sort(key=lambda r: tuple(r[k] for k in keys))
     return rows

@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .corpus import open_text
 from .runs import RankedList, qid_sort_key
 
 DEFAULT_FUSION_DEPTH = 1000
@@ -68,7 +69,7 @@ def load_rerank_scores(
     path = Path(path)
     intern = (pool if pool is not None else {}).setdefault
     scores: dict[str, dict[str, float]] = {}
-    with path.open("r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

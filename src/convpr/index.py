@@ -2,8 +2,9 @@
 
 Postings live in a flat term-major layout (one slice per term) so the
 scoring kernels in :mod:`convpr._bm25` can run over plain arrays. An index
-directory (layout v2) holds ``meta.json``, ``terms.txt``, ``doc_ids.json``
-and five numpy arrays:
+directory (layout v3) holds ``meta.json`` (format, version and tokenizer),
+``terms.txt`` and ``doc_ids.txt`` (by id and by ordinal, one UTF-8 entry per
+``\n``-terminated line) and five numpy arrays:
 
 - ``offsets`` (int64, vocab + 1): term ``t``'s postings are
   ``offsets[t]:offsets[t + 1]``;
@@ -40,6 +41,7 @@ import math
 import tempfile
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -51,7 +53,7 @@ from .runs import RankedList, best_first, id_rank
 from .tokenization import TokenizerConfig
 
 _FORMAT = "convpr.index"
-_VERSION = 2
+_VERSION = 3
 # Passages per inverted block of build_index. A block's sort and scatter
 # temporaries grow with it; per-block numpy call overhead shrinks with it.
 _BLOCK_PASSAGES = 256
@@ -125,71 +127,67 @@ class InvertedIndex:
     # -- persistence -------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write a versioned directory; rebuilding the same corpus yields
-        byte-identical files."""
+        """Write a versioned directory, ``meta.json`` last (an earlier one
+        first removed); rebuilding the same corpus yields byte-identical files."""
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
-        meta = {
-            "format": _FORMAT,
-            "version": _VERSION,
-            "doc_count": int(self.doc_count),
-            "vocab_size": int(self.vocab_size),
-            "avg_doc_len": self.avg_doc_len,
-            "tokenizer": self.tokenizer.to_dict(),
-        }
+        (path / "meta.json").unlink(missing_ok=True)
+        _write_lines(path / "terms.txt", self.term_ids)
+        _write_lines(path / "doc_ids.txt", self.doc_ids)
+        for name in _ARRAYS:
+            np.save(path / f"{name}.npy", getattr(self, name))
+        meta = {"format": _FORMAT, "version": _VERSION, "tokenizer": self.tokenizer.to_dict()}
         with (path / "meta.json").open("w", encoding="utf-8", newline="\n") as fh:
             json.dump(meta, fh, sort_keys=True, indent=2)
             fh.write("\n")
-        with (path / "terms.txt").open("w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(t + "\n" for t in self.term_ids)
-        with (path / "doc_ids.json").open("w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.doc_ids.tolist(), fh, ensure_ascii=True, separators=(",", ":"))
-            fh.write("\n")
-        for name in _ARRAYS:
-            np.save(path / f"{name}.npy", getattr(self, name))
 
     @classmethod
     def load(cls, path: str | Path) -> "InvertedIndex":
-        """Read a directory written by :meth:`save`. Its tables are checked
-        against each other and meta.json first, so a damaged directory is a
-        ValueError here and not a wrong score or an error in a later query."""
+        """Read a directory written by :meth:`save`, deriving every count from
+        its tables. They are checked against each other first, so a damaged
+        directory is a ValueError here and not a wrong score later."""
         path = Path(path)
-        with (path / "meta.json").open("r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        if not isinstance(meta, dict) or meta.get("format") != _FORMAT or meta.get("version") != _VERSION:
-            raise ValueError(f"{path}: not a {_FORMAT} v{_VERSION} directory")
         try:
-            for key in ("doc_count", "vocab_size", "avg_doc_len"):
-                if key not in meta:
-                    raise ValueError(f"meta.json lacks {key!r}")
-                if isinstance(meta[key], bool) or not isinstance(meta[key], (int, float)):
-                    raise ValueError(f"meta.json {key} must be a number, got {meta[key]!r}")
-            lines = (path / "terms.txt").read_text(encoding="utf-8").splitlines()
-            term_ids = {t: i for i, t in enumerate(lines)}
-            with (path / "doc_ids.json").open("r", encoding="utf-8") as fh:
-                doc_ids = json.load(fh)
-            if not isinstance(doc_ids, list) or not set(map(type, doc_ids)) <= {str}:
-                raise ValueError("doc_ids.json must be a list of strings")
-            if len(doc_ids) != meta["doc_count"]:
-                raise ValueError(f"doc_ids.json holds {len(doc_ids)} ids, meta.json {meta['doc_count']}")
-            if len(lines) != meta["vocab_size"]:
-                raise ValueError(f"terms.txt holds {len(lines)} lines, meta.json vocab_size {meta['vocab_size']}")
-            if len(term_ids) != len(lines):
-                raise ValueError(f"terms.txt repeats a term: {len(term_ids)} distinct in {len(lines)} lines")
+            with (path / "meta.json").open("r", encoding="utf-8") as fh:
+                meta = json.load(fh)
+            if not isinstance(meta, dict) or meta.get("format") != _FORMAT or meta.get("version") != _VERSION:
+                raise ValueError(f"not a {_FORMAT} v{_VERSION} directory")
+            terms = _read_lines(path / "terms.txt")
+            term_ids = {t: i for i, t in enumerate(terms)}
+            if len(term_ids) != len(terms):
+                raise ValueError(f"terms.txt repeats a term: {len(term_ids)} distinct in {len(terms)} lines")
+            doc_ids = np.array(_read_lines(path / "doc_ids.txt"), dtype=object)
             arrays = {name: np.load(path / f"{name}.npy") for name in _ARRAYS}
-            doc_ids = np.array(doc_ids, dtype=object)
             _check_arrays(arrays, len(term_ids), doc_ids)
             tokenizer = TokenizerConfig.from_dict(meta.get("tokenizer", {}))
-            index = cls(term_ids, doc_ids, tokenizer=tokenizer, **arrays)
-            if not abs(index.avg_doc_len - float(meta["avg_doc_len"])) <= 1e-9:
-                raise ValueError(f"meta.json avg_doc_len is not the doc_lengths mean {index.avg_doc_len}")
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        return index
+        return cls(term_ids, doc_ids, tokenizer=tokenizer, **arrays)
+
+
+def _write_lines(path: Path, entries: Iterable[str]) -> None:
+    """Write ``entries`` as UTF-8 lines, each ending in ``\n``, 65536 at a
+    time, so the file is never one string. An entry with ``\n`` is a ValueError."""
+    entries = iter(entries)
+    with path.open("wb") as fh:
+        while chunk := list(islice(entries, 1 << 16)):
+            text = "\n".join(chunk) + "\n"
+            if text.count("\n") != len(chunk):
+                bad = next(e for e in chunk if "\n" in e)
+                raise ValueError(f"{path.name}: entry {bad!r} holds a line break")
+            fh.write(text.encode("utf-8"))
+
+
+def _read_lines(path: Path) -> list[str]:
+    """The entries of a :func:`_write_lines` file; one not ending in ``\n`` was cut off."""
+    entries = path.read_bytes().decode("utf-8").split("\n")
+    if entries.pop():
+        raise ValueError(f"{path.name} does not end in a line break (cut off?)")
+    return entries
 
 
 def _check_arrays(arrays: dict[str, np.ndarray], vocab_size: int, doc_ids: np.ndarray) -> None:
-    """Raise ValueError unless ``arrays`` form a consistent v2 index of
+    """Raise ValueError unless ``arrays`` form a consistent index of
     ``vocab_size`` terms and the passages ``doc_ids``. Each check is O(n)."""
     doc_count = len(doc_ids)
     for name, dtype in _ARRAYS.items():

@@ -26,6 +26,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .corpus import open_text
+
 
 class RunFileWarning(UserWarning):
     """Recoverable oddity in a run: preserved as-is, but worth flagging."""
@@ -187,7 +189,7 @@ def read_run(path: str | Path, *, pool: dict[str, str] | None = None) -> dict[st
     per_qid: dict[str, tuple[list[str], list[float]]] = {}
     qid_now = None
     ids: list[str] = []
-    with path.open("r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:

@@ -37,7 +37,7 @@ def test_full_cli_walkthrough(workdir, capsys):
     assert _run("reformulate", "--method", "hqe", "--topics", workdir / "topics.json",
                 "--index", idx, "--out", rewrites,
                 "--r-topic", "1.9", "--r-sub", "1.3", "--eta", "3.0", "--m-window", "1") == 0
-    assert rewrites.read_text().startswith("7_1\t")
+    assert rewrites.read_text(encoding="utf-8").startswith("7_1\t")
 
     run_path = workdir / "hqe.run"
     assert _run("retrieve", "--index", idx, "--queries", rewrites, "--out", run_path,
@@ -115,7 +115,7 @@ def test_experiment_and_grid_subcommands(workdir, capsys):
     assert _run("grid", "--config", workdir / "config.yaml", "--method", "hqe",
                 "--param", "m_window=0,1", "--set", f"output_dir={workdir / 'out'}",
                 "--out", table) == 0
-    lines = table.read_text().splitlines()
+    lines = table.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "m_window\trecall\tmap"
     assert len(lines) == 3
 
@@ -180,7 +180,8 @@ def test_validation_failures_exit_1(workdir, tmp_path, capsys):
     assert "m_window must be an integer, got 1.5" in capsys.readouterr().err
     # a negative window is rejected before anything is built or written
     neg = workdir / "neg.yaml"
-    neg.write_text((workdir / "config.yaml").read_text().replace("m_window: 2\n", "m_window: -1\n"))
+    text = (workdir / "config.yaml").read_text(encoding="utf-8")
+    neg.write_text(text.replace("m_window: 2\n", "m_window: -1\n"), encoding="utf-8")
     assert _run("experiment", "--config", neg) == 1
     assert "m_window must be >= 0, got -1" in capsys.readouterr().err
     assert not (workdir / "out").exists()
@@ -238,8 +239,8 @@ def test_validation_failures_exit_1(workdir, tmp_path, capsys):
         (("analyze", "jaccard", "--run", run, "--adjacent", "--depth", "0"),
          "depth must be >= 1, got 0"),
         (("grid", "--config", workdir / "config.yaml", "--method", "hqe", "--param", "eta=3",
-          "--depth", "0", "--set", f"output_dir={tmp_path / 'grid'}"),
-         "grid: depth must be >= 1, got 0"),
+          "--set", "depth=0", "--set", f"output_dir={tmp_path / 'grid'}"),
+         "config: depth must be >= 1"),
         (("retrieve", "--index", idx, "--queries", workdir / "t5.tsv", "--out", out,
           "--k1", "nan"), "k1 must be finite and >= 0, got nan"),
         (("retrieve", "--index", idx, "--queries", workdir / "t5.tsv", "--out", out,
@@ -380,18 +381,13 @@ def test_damaged_index_meta_and_quoted_tokenizer_flags_exit_1(workdir, tmp_path,
     assert _run("index", "build", "--input", workdir / "corpus.tsv", "--output", idx) == 0
     meta_path = idx / "meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    avg_doc_len = meta.pop("avg_doc_len")
-    meta_path.write_text(json.dumps(meta), encoding="utf-8")
-    assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv",
-                "--out", tmp_path / "x.run") == 1
-    assert "meta.json lacks 'avg_doc_len'" in capsys.readouterr().err
-    meta["avg_doc_len"] = None
-    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    # an index of an earlier layout must be rebuilt
+    meta_path.write_text(json.dumps({**meta, "version": 2}), encoding="utf-8")
     assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv",
                 "--out", tmp_path / "x.run") == 1
     err = capsys.readouterr().err
-    assert f"{idx}: meta.json avg_doc_len must be a number, got None" in err and "internal error" not in err
-    meta["avg_doc_len"], meta["tokenizer"] = avg_doc_len, "stem"
+    assert f"{idx}: not a convpr.index v3 directory" in err and "internal error" not in err
+    meta["tokenizer"] = "stem"
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
     assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv",
                 "--out", tmp_path / "x.run") == 1
@@ -495,10 +491,31 @@ def test_no_convpr_command_imports_scipy(tmp_path):
     done = subprocess.run(
         [sys.executable, "-c", _NO_SCIPY, str(FIXTURES), str(tmp_path)],
         env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, encoding="utf-8", timeout=120,
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[-1] == "[]", lines[-1]
     # the CLI printed the same t and p as the library call
     assert lines[-2].startswith("paired t-test: t=") and lines[-2] in lines[:-2], done.stdout
+
+
+@pytest.mark.parametrize("line_break", ["\n", "\r"], ids=["lf", "cr"])
+def test_line_break_in_an_utterance_keeps_rewrites_replayable(workdir, line_break):
+    topics_path = workdir / "topics.json"
+    topics = json.loads(topics_path.read_text(encoding="utf-8"))
+    turn = topics[0]["turn"][1]
+    assert (topics[0]["number"], turn["raw_utterance"]) == (7, "What about its glow?")
+    turn["raw_utterance"] = f"What about{line_break}its glow?"
+    topics_path.write_text(json.dumps(topics), encoding="utf-8")
+    out = workdir / "out"
+    assert _run("experiment", "--config", workdir / "config.yaml", "--output-dir", out) == 0
+    # the line break is written as a space, which separates tokens alike
+    assert "7_2\tWhat about its glow?\n" in (out / "rewrites" / "raw.tsv").read_text(encoding="utf-8")
+
+    idx, raw_tsv, raw_run = workdir / "idx", workdir / "raw.tsv", workdir / "raw.run"
+    assert _run("index", "build", "--input", workdir / "corpus.tsv", "--output", idx) == 0
+    assert _run("reformulate", "--method", "raw", "--topics", topics_path, "--out", raw_tsv) == 0
+    assert _run("retrieve", "--index", idx, "--queries", raw_tsv, "--out", raw_run) == 0
+    replayed = read_run(raw_run)["7_2"]
+    assert replayed.entries and replayed.entries == read_run(out / "runs" / "raw.run")["7_2"].entries

@@ -3,7 +3,11 @@ import re
 
 import pytest
 
-from convpr.corpus import Passage, Session, Utterance, load_passages, load_sessions, save_passages
+from convpr.corpus import Passage, Session, Utterance, load_passages, load_sessions
+from convpr.cqr import PosAnnotations, load_external_rewrites
+from convpr.evaluation import load_qrels
+from convpr.fusion import load_rerank_scores
+from convpr.runs import read_run
 
 
 def test_tsv_two_rows_in_file_order(tmp_path):
@@ -100,15 +104,37 @@ def test_round_trip_preserves_ids_and_text_bytes(tmp_path, format):
         Passage("doc:2", "plain ascii"),
         Passage("doc:3", "trailing spaces   "),
     ]
-    p = tmp_path / f"c.{format}"
-    assert save_passages(p, original, format) == 3
-    reloaded = list(load_passages(p, format))
+    if format == "tsv":
+        rows = [f"{p.doc_id}\t{p.text}" for p in original]
+    else:
+        rows = [json.dumps({"id": p.doc_id, "contents": p.text}, ensure_ascii=False) for p in original]
+    path = tmp_path / f"c.{format}"
+    path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    reloaded = list(load_passages(path, format))
     assert reloaded == original
 
 
-def test_tsv_newline_in_text_cannot_round_trip(tmp_path):
-    with pytest.raises(ValueError, match="round-trip"):
-        save_passages(tmp_path / "c.tsv", [Passage("d1", "two\nlines")], "tsv")
+# Each line loader, with a file whose line 3 holds a "@" for the byte 0xff.
+_LINE_LOADERS = {
+    "passages": (lambda p: list(load_passages(p)), "d1\ta\nd2\tb\nd3\t@\n"),
+    "pos": (PosAnnotations.load, "".join(f'{{"qid": "1_{t}", "tags": []}}\n' for t in "12@")),
+    "rewrites": (load_external_rewrites, "1_1\ta\n1_2\tb\n1_3\t@\n"),
+    "run": (read_run, "1 Q0 d1 1 2.0 t\n1 Q0 d2 2 1.0 t\n1 Q0 d@ 3 0.5 t\n"),
+    "scores": (load_rerank_scores, "1\td1\t1.0\n1\td2\t0.5\n1\td@\t0.2\n"),
+    "qrels": (load_qrels, "1 0 d1 1\n1 0 d2 0\n1 0 d@ 1\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(_LINE_LOADERS))
+def test_undecodable_byte_names_file_and_line(tmp_path, name):
+    load, text = _LINE_LOADERS[name]
+    path = tmp_path / name
+    path.write_bytes(text.replace("@", "x").encode("utf-8"))
+    load(path)  # the file is valid without the byte
+    path.write_bytes(text.encode("utf-8").replace(b"@", b"\xff"))
+    with pytest.raises(ValueError) as exc:
+        load(path)
+    assert str(exc.value).startswith(f"{path}:3: not valid UTF-8: "), exc.value
 
 
 def _topic_file(tmp_path, sessions):

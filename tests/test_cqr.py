@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import index_from
+from conftest import index_from, passages_from
 from convpr.corpus import Utterance
 from convpr.cqr import (
     HQE_RERANK_DEFAULTS,
     HQE_RETRIEVAL_DEFAULTS,
     HqeParams,
     PosAnnotations,
+    ReformulatedQuery,
     concat_rewrite,
     extract_keywords,
     hqe_rewrite,
@@ -21,8 +22,8 @@ from convpr.cqr import (
     raw_query,
     write_rewrites,
 )
-from convpr.index import Bm25Params, Searcher
-from convpr.tokenization import tokenize
+from convpr.index import Bm25Params, Searcher, build_index
+from convpr.tokenization import TokenizerConfig, tokenize
 
 # One rare term ("quasar"), one mid-frequency term ("radio"), and glue words
 # spread across many docs so their best scores stay low.
@@ -174,6 +175,14 @@ def test_display_text_tokenizes_to_tokens(searcher):
     q = hqe_rewrite(searcher, utts, HqeParams(r_topic=1.9, r_sub=1.2, eta=1e9, m_window=5))
     assert list(q.tokens) == tokenize(q.display_text)
     assert q.display_text.endswith("Tell me about the radio jets!")
+    # Porter stemming is not idempotent: the display text holds the words
+    # ("lighthouses"), since the stem "lighthous" would tokenize to "lighthou".
+    stem = TokenizerConfig(stem=True)
+    stemmed = Searcher(build_index(passages_from(DOCS), stem))
+    utts = _session("Tell me about lighthouses", "Is the lighthouse beacon bright?")
+    q = hqe_rewrite(stemmed, utts, HqeParams(r_topic=2.0, r_sub=1.0, eta=1e9, m_window=5))
+    assert list(q.tokens) == stem(q.display_text)
+    assert q.display_text == "lighthouses beacon lighthouses beacon Is the lighthouse beacon bright?"
 
 
 def test_window_clamps_at_first_turn(searcher):
@@ -272,6 +281,11 @@ def test_concat_pos_filters_history_not_current():
     assert list(q.tokens) == ["quasar", "the", "glow"]
     assert q.display_text == "quasar the glow"
     assert list(q.tokens) == tokenize(q.display_text)
+    # the stem "lighthous" would tokenize to "lighthou": history keeps words
+    stem = TokenizerConfig(stem=True)
+    q = concat_rewrite(_session("the lighthouses", "its beacon"), m_window=1, pos=pos, tokenizer=stem)
+    assert q.display_text == "lighthouses its beacon"
+    assert list(q.tokens) == stem(q.display_text) == ["lighthous", "it", "beacon"]
 
 
 def test_concat_pos_checks_the_current_turns_tags():
@@ -326,6 +340,9 @@ def test_external_rewrites_reject_empty_or_spaced_qids(tmp_path, qid):
     with pytest.raises(ValueError) as exc:
         load_external_rewrites(path)
     assert str(exc.value) == f"{path}:2: qid {qid!r} is empty or has whitespace"
+    # nor is such a qid written
+    with pytest.raises(ValueError, match=re.escape(f"rewrite qid {qid!r} is empty or has whitespace")):
+        write_rewrites(tmp_path / "out.tsv", [ReformulatedQuery(qid, ("x",), "x")])
 
 
 def test_random_sessions_match_pseudocode_oracle(searcher):

@@ -373,6 +373,11 @@ def _with_last(a: np.ndarray, value) -> np.ndarray:
     return a
 
 
+def _lines(tamper):
+    """A tamper of a line table's text that edits its list of lines."""
+    return lambda text: "".join(line + "\n" for line in tamper(text.splitlines()))
+
+
 @pytest.mark.parametrize(
     "name,tamper,message",
     [
@@ -392,13 +397,17 @@ def _with_last(a: np.ndarray, value) -> np.ndarray:
         ("docid_rank", lambda a: a.reshape(1, 3), "must be a 1-d int32 array, got 2-d int32"),
         # a valid permutation that is not the ids' order would change tie order
         ("docid_rank", lambda a: a[::-1].copy(), "must strictly increase in docid_rank order"),
-        ("doc_ids", lambda ids: [1, 2, 3], "doc_ids.json must be a list of strings"),
-        ("doc_ids", lambda ids: dict.fromkeys(ids), "doc_ids.json must be a list of strings"),
-        ("doc_ids", lambda ids: [ids[0], ids[0], ids[2]], "must strictly increase in docid_rank order"),
-        ("doc_ids", lambda ids: ids[:2], "doc_ids.json holds 2 ids, meta.json 3"),
-        ("terms", lambda lines: [lines[0], *lines], "terms.txt holds 9 lines, meta.json vocab_size 8"),
-        ("terms", lambda lines: [*lines, "zebra"], "terms.txt holds 9 lines, meta.json vocab_size 8"),
-        ("terms", lambda lines: [lines[0], lines[0], *lines[2:]], "repeats a term: 7 distinct in 8 lines"),
+        ("doc_ids", _lines(lambda ids: [ids[0], ids[0], ids[2]]),
+         "must strictly increase in docid_rank order"),
+        ("doc_ids", _lines(lambda ids: ids[:2]), "doc_lengths.npy holds 3 entries for 2 passages"),
+        ("terms", _lines(lambda lines: [lines[0], *lines]), "repeats a term: 8 distinct in 9 lines"),
+        ("terms", _lines(lambda lines: [*lines, "zebra"]), "offsets.npy holds 9 entries for 9 terms"),
+        ("terms", _lines(lambda lines: lines[:-1]), "offsets.npy holds 9 entries for 7 terms"),
+        ("terms", _lines(lambda lines: [lines[0], lines[0], *lines[2:]]),
+         "repeats a term: 7 distinct in 8 lines"),
+        # a table cut off mid-line would otherwise load the term "sang" as "san"
+        ("terms", lambda text: text[:-2], r"terms.txt does not end in a line break \(cut off\?\)"),
+        ("doc_ids", lambda text: text[:-1], r"doc_ids.txt does not end in a line break"),
     ],
 )
 def test_load_rejects_inconsistent_arrays(tmp_path, name, tamper, message):
@@ -406,28 +415,46 @@ def test_load_rejects_inconsistent_arrays(tmp_path, name, tamper, message):
     (path,) = tmp_path.glob(f"{name}.*")
     if path.suffix == ".npy":
         np.save(path, tamper(np.load(path)))
-    elif path.suffix == ".json":
-        path.write_text(json.dumps(tamper(json.loads(path.read_text(encoding="utf-8")))), encoding="utf-8")
     else:
-        lines = tamper(path.read_text(encoding="utf-8").splitlines())
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        path.write_text(tamper(path.read_text(encoding="utf-8")), encoding="utf-8", newline="")
     with pytest.raises(ValueError, match=message) as exc:
         InvertedIndex.load(tmp_path)
     assert str(exc.value).startswith(f"{tmp_path}: ")
 
 
+def test_save_rejects_an_entry_with_a_line_break(tmp_path):
+    index_from(TOY).save(tmp_path)
+    index = build_index([Passage("d1", "cat sat"), Passage("d\n2", "dog")])
+    with pytest.raises(ValueError, match=r"doc_ids.txt: entry 'd\\n2' holds a line break"):
+        index.save(tmp_path)
+    # meta.json goes first and comes back last: the half-written directory has none
+    assert not (tmp_path / "meta.json").exists()
+
+
+def test_doc_ids_are_read_back_exactly(tmp_path):
+    # only \n ends a line: no other line break is translated or splits an id
+    ids = ["d\r1", "\u00e9\u2028", "x\x85y\r"]
+    build_index([Passage(i, "cat") for i in ids]).save(tmp_path)
+    assert InvertedIndex.load(tmp_path).doc_ids.tolist() == ids
+
+
+def test_index_directory_holds_each_fact_once(tmp_path):
+    index_from(TOY).save(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "doc_ids.txt", "doc_lengths.npy", "doc_ords.npy", "docid_rank.npy",
+        "meta.json", "offsets.npy", "terms.txt", "tfs.npy",
+    ]
+    meta = json.loads((tmp_path / "meta.json").read_text(encoding="utf-8"))
+    assert meta == {"format": "convpr.index", "version": 3, "tokenizer": TokenizerConfig().to_dict()}
+    assert (tmp_path / "doc_ids.txt").read_bytes() == b"d1\nd2\nd3\n"
+    loaded = InvertedIndex.load(tmp_path)
+    assert (loaded.doc_count, loaded.vocab_size) == (3, 8)
+    assert loaded.avg_doc_len == pytest.approx((4 + 4 + 2) / 3)
+
+
 @pytest.mark.parametrize(
     "tamper,message",
     [
-        (lambda m: m.pop("avg_doc_len"), "meta.json lacks 'avg_doc_len'"),
-        (lambda m: m.pop("doc_count"), "meta.json lacks 'doc_count'"),
-        (lambda m: m.pop("vocab_size"), "meta.json lacks 'vocab_size'"),
-        (lambda m: m.update(avg_doc_len=None), "meta.json avg_doc_len must be a number, got None"),
-        (lambda m: m.update(doc_count="3"), "meta.json doc_count must be a number, got '3'"),
-        (lambda m: m.update(vocab_size=True), "meta.json vocab_size must be a number, got True"),
-        (lambda m: m.update(avg_doc_len=m["avg_doc_len"] + 1e-6), "avg_doc_len is not the doc_lengths mean"),
-        (lambda m: m.update(avg_doc_len=float("nan")), "avg_doc_len is not the doc_lengths mean"),
-        (lambda m: m.update(avg_doc_len=10**400), "too large to convert to float"),
         (lambda m: m["tokenizer"].update(stem="false"), "tokenizer.stem must be true or false"),
         (lambda m: m["tokenizer"].update(remove_stopwords=0), "tokenizer.remove_stopwords must be"),
         (lambda m: m.update(tokenizer="stem"), "tokenizer must be a mapping"),
@@ -445,7 +472,9 @@ def test_load_rejects_incomplete_meta(tmp_path, tamper, message):
     assert str(exc.value).startswith(f"{tmp_path}: ")
 
 
-@pytest.mark.parametrize("meta", ['{"format": "other"}', '["convpr.index", 2]'])
+@pytest.mark.parametrize(
+    "meta", ['{"format": "other"}', '["convpr.index", 3]', '{"format": "convpr.index", "version": 2}']
+)
 def test_load_rejects_foreign_directory(tmp_path, meta):
     (tmp_path / "meta.json").write_text(meta, encoding="utf-8")
     with pytest.raises(ValueError, match="not a convpr.index"):

@@ -130,7 +130,7 @@ def test_write_orders_by_natural_qid(tmp_path):
     run = {q: _list(q, [("d", 1.0)]) for q in ("31_10", "31_4", "4_1")}
     path = tmp_path / "x.run"
     write_run(path, run)
-    qids = [line.split()[0] for line in path.read_text().splitlines()]
+    qids = [line.split()[0] for line in path.read_text(encoding="utf-8").splitlines()]
     assert qids == ["4_1", "31_4", "31_10"]
 
 
