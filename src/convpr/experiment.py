@@ -501,6 +501,14 @@ class ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Run every method, rerank and fuse, and evaluate each emitted run.
+
+    Stage 1 does everything that needs the index: it reformulates each
+    method's queries, writes the rewrites and, on a cache miss, searches
+    and caches the first-stage run. Then the index is freed, before stage
+    2 reads any run file, reranks, fuses and evaluates each run as it is
+    emitted. A run outlives its emission only as a fusion input, so a warm
+    experiment holds the index or the runs, never both."""
     out_dir = config.output_dir
     runs_dir = out_dir / "runs"
     rewrites_dir = out_dir / "rewrites"
@@ -512,14 +520,37 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     (out_dir / "config_hash.txt").write_text(chash + "\n", encoding="utf-8")
 
     ws = _open_workspace(config)
-    searcher = ws.searcher
+    qrels = ws.qrels
+    cached_runs = [_run_cache_path(ws, config, method) for method in config.methods]
+    # The first-stage runs searched here, by method name; the rest are read
+    # from their cache entries in stage 2.
+    searched: dict[str, dict[str, RankedList]] = {}
+    for method, cached_run in zip(config.methods, cached_runs):
+        queries = reformulate_method(method, ws.sessions, ws.searcher, config.tokenizer)
+        write_rewrites(rewrites_dir / f"{method.name}.tsv", queries)
+        if cached_run.exists():
+            logger.info("method %s: using cached first-stage run", method.name)
+        else:
+            run = searched[method.name] = retrieve_all(ws.searcher, queries, config.depth)
+            _write_atomically(cached_run, lambda tmp: write_run(tmp, run, tag=method.name))
+    _save_ke_cache(ws)
+    # The workspace holds the only reference to the searcher and its index.
+    del ws
+
     # Every run and scores file read here shares one string per doc id and
     # qid. Methods and early fusion often share one scores file; parse each
     # once.
     pool: dict[str, str] = {}
     rerank_scores = functools.cache(functools.partial(load_rerank_scores, pool=pool))
-
-    final_runs: dict[str, dict[str, RankedList]] = {}
+    spec = config.fusion
+    # Early fusion fuses each method's first-stage run and reranks the fused
+    # run once; late fusion fuses the reranked runs. load_config gives early
+    # fusion, and only early fusion, rerank_scores.
+    suffix = "" if spec is None or spec.mode == "early" else RERANK_SUFFIX
+    fusion_inputs: dict[str, dict[str, RankedList] | None] = (
+        dict.fromkeys(m + suffix for m in spec.methods) if spec is not None else {}
+    )
+    reports: dict[str, MetricReport] = {}
     run_files: dict[str, Path] = {}
 
     def emit(name: str, run: dict[str, RankedList], cached: Path | None = None) -> None:
@@ -530,42 +561,25 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         else:
             shutil.copyfile(cached, path)
         run_files[name] = path
-        final_runs[name] = run
+        reports[name] = evaluate_run(run, qrels, config.metrics, config.depth)
+        if name in fusion_inputs:
+            fusion_inputs[name] = run
 
-    for method in config.methods:
-        cached_run = _run_cache_path(ws, config, method)
-        queries = reformulate_method(method, ws.sessions, searcher, config.tokenizer)
-        write_rewrites(rewrites_dir / f"{method.name}.tsv", queries)
-
-        if cached_run.exists():
-            logger.info("method %s: using cached first-stage run", method.name)
+    for method, cached_run in zip(config.methods, cached_runs):
+        run = searched.pop(method.name, None)
+        if run is None:
             run = read_run(cached_run, pool=pool)
-        else:
-            run = retrieve_all(searcher, queries, config.depth)
-            _write_atomically(cached_run, lambda tmp: write_run(tmp, run, tag=method.name))
         emit(method.name, run, cached_run)
-
         if method.rerank_scores is not None:
-            scores = rerank_scores(method.rerank_scores)
-            emit(method.name + RERANK_SUFFIX, rerank_run(run, scores))
+            emit(method.name + RERANK_SUFFIX, rerank_run(run, rerank_scores(method.rerank_scores)))
+        del run  # only a fusion input outlives its emission
 
-    _save_ke_cache(ws)
-
-    spec = config.fusion
     if spec is not None:
-        # Early fusion fuses each method's first-stage run and reranks the
-        # fused run once; late fusion fuses the reranked runs. load_config
-        # gives early fusion, and only early fusion, rerank_scores.
-        suffix = "" if spec.mode == "early" else RERANK_SUFFIX
-        fused = fuse_runs([final_runs[m + suffix] for m in spec.methods], config.rrf, config.depth)
+        fused = fuse_runs(list(fusion_inputs.values()), config.rrf, config.depth)
+        fusion_inputs.clear()
         if spec.rerank_scores is not None:
             fused = rerank_run(fused, rerank_scores(spec.rerank_scores))
         emit(FUSED_RUN_NAME, fused)
-
-    reports = {
-        name: evaluate_run(run, ws.qrels, config.metrics, config.depth)
-        for name, run in final_runs.items()
-    }
 
     metrics_csv = out_dir / "metrics.csv"
     write_metrics_csv(metrics_csv, config.metrics, reports)

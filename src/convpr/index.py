@@ -152,7 +152,7 @@ class InvertedIndex:
                 meta = json.load(fh)
             if not isinstance(meta, dict) or meta.get("format") != _FORMAT or meta.get("version") != _VERSION:
                 raise ValueError(f"not a {_FORMAT} v{_VERSION} directory")
-            terms = _read_lines(path / "terms.txt")
+            terms = _read_lines(path / "terms.txt", allow_cr=False)
             term_ids = {t: i for i, t in enumerate(terms)}
             if len(term_ids) != len(terms):
                 raise ValueError(f"terms.txt repeats a term: {len(term_ids)} distinct in {len(terms)} lines")
@@ -178,9 +178,14 @@ def _write_lines(path: Path, entries: Iterable[str]) -> None:
             fh.write(text.encode("utf-8"))
 
 
-def _read_lines(path: Path) -> list[str]:
-    """The entries of a :func:`_write_lines` file; one not ending in ``\n`` was cut off."""
-    entries = path.read_bytes().decode("utf-8").split("\n")
+def _read_lines(path: Path, *, allow_cr: bool = True) -> list[str]:
+    """The entries of a :func:`_write_lines` file; one not ending in ``\n`` was
+    cut off. Unless ``allow_cr``, an entry may not hold ``\r``: no term can,
+    so one there means the file's lines were given CRLF ends."""
+    data = path.read_bytes()
+    if not allow_cr and b"\r" in data:
+        raise ValueError(f"{path.name} holds a carriage return, which no entry may (CRLF line ends?)")
+    entries = data.decode("utf-8").split("\n")
     if entries.pop():
         raise ValueError(f"{path.name} does not end in a line break (cut off?)")
     return entries
@@ -315,9 +320,11 @@ def build_index(passages: Iterable[Passage], tokenizer: TokenizerConfig | None =
 
     # The index keeps this dict; from now on a missing term is not added.
     term_ids.default_factory = None
+    # id_rank sorts this array, so the ids are never copied.
+    doc_ids = np.array(doc_ids, dtype=object)
     return InvertedIndex(
         term_ids=term_ids,
-        doc_ids=np.array(doc_ids, dtype=object),
+        doc_ids=doc_ids,
         offsets=offsets,
         doc_ords=doc_ords,
         tfs=tfs,

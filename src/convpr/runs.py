@@ -45,11 +45,14 @@ def _score_column(qid: str, ids: Sequence[str], scores: Iterable[float]) -> np.n
     return scores
 
 
-def id_rank(ids: Sequence[str]) -> np.ndarray:
-    """Each id's position in Python's sort order of ``ids``, as int32 (numpy's
-    string order would ignore trailing NULs)."""
+def id_rank(ids: Sequence[str] | np.ndarray) -> np.ndarray:
+    """Each id's position in Python's sort order of ``ids``, as int32. The
+    ids are sorted as an object array, which compares them with Python's
+    ``<`` (numpy's string dtype would ignore trailing NULs); an object
+    array is sorted as given, without a copy."""
+    ids = np.asarray(ids, dtype=object)
     rank = np.empty(len(ids), dtype=np.int32)
-    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids), dtype=np.int32)
+    rank[np.argsort(ids, kind="stable")] = np.arange(len(ids), dtype=np.int32)
     return rank
 
 

@@ -515,6 +515,79 @@ def test_warm_run_holds_one_string_per_doc_id(fixture_config, monkeypatch):
         assert len({id(s) for s in strings}) == len(set(strings)) < len(strings)
 
 
+def _watch_index(monkeypatch):
+    """Have every workspace that run_experiment opens record a weakref to
+    its index; returns the list of those refs."""
+    import weakref
+
+    import convpr.experiment as experiment
+
+    refs = []
+    real_open = experiment._open_workspace
+
+    def opening(config):
+        ws = real_open(config)
+        refs.append(weakref.ref(ws.searcher.index))
+        return ws
+
+    monkeypatch.setattr(experiment, "_open_workspace", opening)
+    return refs
+
+
+def test_warm_run_frees_the_index_before_reading_a_run(fixture_config, monkeypatch):
+    """Every search of a warm run is cached, so no run file is read while
+    the index is alive: the peak is the index or the runs, not both."""
+    import convpr.experiment as experiment
+
+    run_experiment(fixture_config)
+    refs = _watch_index(monkeypatch)
+    alive = []
+    real_read_run = experiment.read_run
+
+    def read_run(*args, **kwargs):
+        alive.append(refs[-1]() is not None)
+        return real_read_run(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "read_run", read_run)
+    run_experiment(fixture_config)
+    assert alive == [False] * len(fixture_config.methods)
+
+
+def test_cold_run_frees_the_index_before_reranking_and_fusion(fixture_config, monkeypatch):
+    """A cold run searches with the index alive, caching each first-stage
+    run, and frees it before it writes a reranked or fused run."""
+    import convpr.experiment as experiment
+
+    refs = _watch_index(monkeypatch)
+    alive = {}
+    real_write_run = experiment.write_run
+
+    def write_run(path, run, tag="convpr"):
+        if "runs" in Path(path).parts:
+            alive[tag] = refs[-1]() is not None
+        return real_write_run(path, run, tag=tag)
+
+    monkeypatch.setattr(experiment, "write_run", write_run)
+    run_experiment(fixture_config)
+    assert alive == {"hqe+rerank": False, "fusion": False}
+
+
+def test_a_missing_external_rewrite_fails_before_any_run_is_emitted(tmp_path):
+    """Every method is reformulated before the first run is emitted, so a
+    bad method after a good one leaves no run of the good one behind."""
+    from convpr.cli import main
+
+    for name in ("corpus.tsv", "topics.json", "qrels.txt"):
+        shutil.copy(FIXTURES / name, tmp_path / name)
+    lines = (FIXTURES / "t5.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[1].startswith("7_2\t")
+    (tmp_path / "t5.tsv").write_text("".join(lines[:1] + lines[2:]), encoding="utf-8")
+    methods = [{"name": "raw", "type": "raw"}, {"name": "t5", "type": "external", "rewrites": "t5.tsv"}]
+    path = _write_config(tmp_path, methods=methods, fusion=None, output_dir="out")
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert list((tmp_path / "out" / "runs").iterdir()) == []
+
+
 def test_readme_config_example_loads(tmp_path):
     """The README's example config is valid under the strict key check."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -408,6 +408,9 @@ def _lines(tamper):
         # a table cut off mid-line would otherwise load the term "sang" as "san"
         ("terms", lambda text: text[:-2], r"terms.txt does not end in a line break \(cut off\?\)"),
         ("doc_ids", lambda text: text[:-1], r"doc_ids.txt does not end in a line break"),
+        # CRLF line ends would load every term with a trailing \r, matching no query
+        ("terms", lambda text: text.replace("\n", "\r\n"),
+         r"terms.txt holds a carriage return, which no entry may \(CRLF line ends\?\)"),
     ],
 )
 def test_load_rejects_inconsistent_arrays(tmp_path, name, tamper, message):

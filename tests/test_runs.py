@@ -98,9 +98,11 @@ def test_best_first_edge_cases():
 
 def test_id_rank_is_python_string_order():
     assert id_rank([]).tolist() == []
-    rank = id_rank(["b", "a\x00", "a", "B", "10", "9"])
-    assert rank.dtype == np.int32
-    assert rank.tolist() == [5, 4, 3, 2, 0, 1]
+    ids = ["b", "a\x00", "a", "B", "10", "9"]
+    for given in (ids, np.array(ids, dtype=object)):
+        rank = id_rank(given)
+        assert rank.dtype == np.int32
+        assert rank.tolist() == [5, 4, 3, 2, 0, 1]
 
 
 def test_best_first_matches_the_score_order_oracle():
