@@ -19,6 +19,9 @@ from .corpus import open_text
 from .runs import RankedList, qid_sort_key
 
 MAX_GRADE = 4
+# experiment caches each run's metrics under a key that covers this number;
+# bump it whenever a change can alter any metric value.
+_VERSION = 1
 DEFAULT_METRICS = ("map", "ndcg@3", "ndcg@1", "recall@1000")
 DEFAULT_TIE_EPSILON = 1e-4
 
@@ -267,12 +270,23 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
     return t_stat, student_t_p_value(t_stat, n - 1)
 
 
-def student_t_p_value(t_stat: float, df: int) -> float:
-    """Two-sided p-value of ``t_stat`` under Student's t with ``df`` degrees
-    of freedom: the regularized incomplete beta I_x(df/2, 1/2) at
-    x = df/(df + t²), with 1 - x formed as t²/(df + t²). The rounding of x
-    bounds the relative error at about df * 1e-16.
+def student_t_p_value(t_stat: float, df: float) -> float:
+    """Two-sided p-value of ``t_stat`` under Student's t with ``df`` >= 1
+    degrees of freedom.
+
+    Below ``_NORMAL_DF`` it is the regularized incomplete beta
+    I_x(df/2, 1/2) at x = df/(df + t²), with 1 - x formed as t²/(df + t²).
+    The rounding of x bounds its relative error at about df * 4e-17: 5.8e-11
+    up to df = 1e6 and 7e-8 just below ``_NORMAL_DF`` (random draws against
+    a 50-digit reference). From ``_NORMAL_DF`` on it is the normal tail with
+    Fisher's 1/df term, erfc(|t|/√2) + φ(t)(|t|³ + |t|)/(2 df), whose
+    relative error is about t⁸/(32 df²): below 3e-12 where |t| <= 10 and
+    1.4e-7 at the |t| ≈ 38 where p leaves the normal range of doubles.
     """
+    if df >= _NORMAL_DF:
+        t = abs(t_stat)
+        density = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+        return math.erfc(t / math.sqrt(2.0)) + density * (t**3 + t) / (2.0 * df)
     t2 = t_stat * t_stat
     a, x, y = df / 2.0, df / (df + t2), t2 / (df + t2)
     if y == 0.0:
@@ -285,6 +299,12 @@ def student_t_p_value(t_stat: float, df: int) -> float:
     if x < (a + 1.0) / (a + 2.5):
         return front * _beta_fraction(a, 0.5, x) / a
     return 1.0 - 2.0 * front * _beta_fraction(0.5, a, y)
+
+
+# Where student_t_p_value leaves the incomplete beta, whose error grows with
+# df, for the normal tail, whose error shrinks with it; both are about 1e-7
+# at their worst here.
+_NORMAL_DF = 1e9
 
 
 def _beta_fraction(a: float, b: float, x: float) -> float:

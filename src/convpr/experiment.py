@@ -4,9 +4,10 @@ fuse → evaluate, driven by a declarative YAML config.
 Outputs are deterministic for a given config + data: rewrites and run
 files, a per-query metrics CSV, and a summary table. The config hash is
 logged and written next to the outputs; the index, keyword-extractor
-scores, and first-stage runs are cached on disk under ``output_dir/cache``
-keyed by hashes of the config pieces they depend on, so a re-run or a grid
-sweep does not repeat work.
+scores, first-stage runs and the metrics of first-stage runs that nothing
+reranks or fuses are cached on disk under ``output_dir/cache`` keyed by
+hashes of the inputs they depend on, so a re-run or a grid sweep does not
+repeat work.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import yaml
 
+from . import evaluation
 from . import index as index_format
 from .corpus import Session, is_integral, load_passages, load_sessions
 from .cqr import (
@@ -403,22 +405,36 @@ def _open_workspace(config: ExperimentConfig) -> _Workspace:
     )
 
 
+def _load_json_entry(path: Path, what: str, valid: Callable[[object], bool], rule: str):
+    """Read the JSON cache entry ``path`` holding ``what``. Bytes that are
+    not JSON, or a value for which ``valid`` is false, mean the entry is
+    damaged: an error that names the file and states ``rule``."""
+    damaged = f"{path}: damaged {what} cache entry (it may be deleted)"
+    try:
+        value = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # undecodable bytes or invalid JSON
+        raise ValueError(f"{damaged}: {exc}") from None
+    _require(valid(value), f"{damaged}: {rule}")
+    return value
+
+
+def _write_json_entry(path: Path, value) -> None:
+    text = json.dumps(value, sort_keys=True) + "\n"
+    _write_atomically(path, lambda tmp: tmp.write_text(text, encoding="utf-8", newline="\n"))
+
+
 def _load_ke_cache(path: Path) -> dict[str, float]:
     """Read keyword-extractor scores, a JSON object of term to score. Each
     score is an indexed term's best single-posting BM25 score, so it is
     finite and > 0 (idf > 0, k1 + 1 >= 1, tf >= 1); anything else means the
     entry is damaged."""
-    damaged = f"{path}: damaged keyword-extractor cache entry (it may be deleted)"
-    try:
-        scores = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # undecodable bytes or invalid JSON
-        raise ValueError(f"{damaged}: {exc}") from None
-    _require(
-        isinstance(scores, dict)
+    return _load_json_entry(
+        path,
+        "keyword-extractor",
+        lambda scores: isinstance(scores, dict)
         and all(isinstance(v, float) and math.isfinite(v) and v > 0 for v in scores.values()),
-        f"{damaged}: it must map each term to a finite score > 0",
+        "it must map each term to a finite score > 0",
     )
-    return scores
 
 
 def _save_ke_cache(ws: _Workspace) -> None:
@@ -427,8 +443,7 @@ def _save_ke_cache(ws: _Workspace) -> None:
     scores = ws.searcher._term_max
     if len(scores) == ws.ke_loaded and ws.ke_path.exists():
         return
-    text = json.dumps(scores, sort_keys=True) + "\n"
-    _write_atomically(ws.ke_path, lambda tmp: tmp.write_text(text, encoding="utf-8", newline="\n"))
+    _write_json_entry(ws.ke_path, scores)
 
 
 def _run_cache_path(ws: _Workspace, config: ExperimentConfig, method: MethodSpec) -> Path:
@@ -448,6 +463,70 @@ def _run_cache_path(ws: _Workspace, config: ExperimentConfig, method: MethodSpec
         },
     )
     return ws.cache_dir / f"run-{key}.run"
+
+
+def _evaluate_cached_run(
+    cached_run: Path,
+    run: dict[str, RankedList] | None,
+    qrels: Qrels,
+    qrels_digest: str,
+    config: ExperimentConfig,
+    pool: dict[str, str],
+) -> tuple[MetricReport, str]:
+    """The metrics of the first-stage run cached at ``cached_run``, from its
+    evaluation entry beside it, and whether that entry was a hit or a miss.
+    On a miss the run is evaluated (``run`` is its parsed form if the
+    caller holds it, else the file is read) and the entry written."""
+    key = _cache_key(
+        run=_file_digest(cached_run),
+        qrels=qrels_digest,
+        metrics=config.metrics,
+        depth=config.depth,
+        # A change to any metric value gets new entries.
+        version=evaluation._VERSION,
+    )
+    path = cached_run.with_name(f"eval-{key}.json")
+    metrics = list(config.metrics)
+    if path.exists():
+        entry = _load_json_entry(
+            path,
+            "evaluation",
+            lambda entry: _is_evaluation_entry(entry, metrics),
+            f"it must hold metrics {metrics}, unique qids, and a value in [0, 1] "
+            "per metric and qid",
+        )
+        qids = entry["qids"]
+        per_query = {m: dict(zip(qids, column)) for m, column in zip(metrics, entry["values"])}
+        return MetricReport(config.metrics, per_query, qids), "hit"
+    if run is None:
+        run = read_run(cached_run, pool=pool)
+    report = evaluate_run(run, qrels, config.metrics, config.depth)
+    values = [[report.per_query[m][qid] for qid in report.qids] for m in metrics]
+    _write_json_entry(path, {"metrics": metrics, "qids": report.qids, "values": values})
+    return report, "miss"
+
+
+def _is_evaluation_entry(entry, metrics: list[str]) -> bool:
+    """Whether ``entry`` is ``{"metrics", "qids", "values"}`` with the given
+    metrics, unique string qids, and per metric a list of one value in
+    [0, 1] per qid (every metric lies there)."""
+    if not (isinstance(entry, dict) and sorted(entry) == ["metrics", "qids", "values"]):
+        return False
+    qids, values = entry["qids"], entry["values"]
+    return (
+        entry["metrics"] == metrics
+        and isinstance(qids, list)
+        and all(isinstance(qid, str) for qid in qids)
+        and len(set(qids)) == len(qids)
+        and isinstance(values, list)
+        and len(values) == len(metrics)
+        and all(
+            isinstance(column, list)
+            and len(column) == len(qids)
+            and all(isinstance(v, float) and 0.0 <= v <= 1.0 for v in column)
+            for column in values
+        )
+    )
 
 
 # -- reformulation and retrieval ----------------------------------------------
@@ -508,7 +587,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     and caches the first-stage run. Then the index is freed, before stage
     2 reads any run file, reranks, fuses and evaluates each run as it is
     emitted. A run outlives its emission only as a fusion input, so a warm
-    experiment holds the index or the runs, never both."""
+    experiment holds the index or the runs, never both. Stage 2 parses
+    only the first-stage runs that are reranked or fused; the metrics of
+    the others come from their evaluation cache entries."""
     out_dir = config.output_dir
     runs_dir = out_dir / "runs"
     rewrites_dir = out_dir / "rewrites"
@@ -528,14 +609,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for method, cached_run in zip(config.methods, cached_runs):
         queries = reformulate_method(method, ws.sessions, ws.searcher, config.tokenizer)
         write_rewrites(rewrites_dir / f"{method.name}.tsv", queries)
-        if cached_run.exists():
-            logger.info("method %s: using cached first-stage run", method.name)
-        else:
+        if not cached_run.exists():
             run = searched[method.name] = retrieve_all(ws.searcher, queries, config.depth)
             _write_atomically(cached_run, lambda tmp: write_run(tmp, run, tag=method.name))
     _save_ke_cache(ws)
     # The workspace holds the only reference to the searcher and its index.
     del ws
+    qrels_digest = _file_digest(config.qrels)
 
     # Every run and scores file read here shares one string per doc id and
     # qid. Methods and early fusion often share one scores file; parse each
@@ -553,7 +633,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     reports: dict[str, MetricReport] = {}
     run_files: dict[str, Path] = {}
 
-    def emit(name: str, run: dict[str, RankedList], cached: Path | None = None) -> None:
+    def emit(
+        name: str,
+        run: dict[str, RankedList] | None,
+        cached: Path | None = None,
+        report: MetricReport | None = None,
+    ) -> None:
         # A cached first-stage run already holds the bytes of runs/<name>.run.
         path = runs_dir / f"{name}.run"
         if cached is None:
@@ -561,17 +646,27 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         else:
             shutil.copyfile(cached, path)
         run_files[name] = path
-        reports[name] = evaluate_run(run, qrels, config.metrics, config.depth)
+        if report is None:
+            report = evaluate_run(run, qrels, config.metrics, config.depth)
+        reports[name] = report
         if name in fusion_inputs:
             fusion_inputs[name] = run
 
     for method, cached_run in zip(config.methods, cached_runs):
         run = searched.pop(method.name, None)
-        if run is None:
-            run = read_run(cached_run, pool=pool)
-        emit(method.name, run, cached_run)
-        if method.rerank_scores is not None:
-            emit(method.name + RERANK_SUFFIX, rerank_run(run, rerank_scores(method.rerank_scores)))
+        run_cache = "hit" if run is None else "miss"
+        if method.rerank_scores is None and method.name not in fusion_inputs:
+            # Nothing consumes this run, so only its metrics are needed.
+            report, entry = _evaluate_cached_run(cached_run, run, qrels, qrels_digest, config, pool)
+            emit(method.name, None, cached_run, report)
+        else:
+            entry = "not used (run consumed)"
+            if run is None:
+                run = read_run(cached_run, pool=pool)
+            emit(method.name, run, cached_run)
+            if method.rerank_scores is not None:
+                emit(method.name + RERANK_SUFFIX, rerank_run(run, rerank_scores(method.rerank_scores)))
+        logger.info("method %s: run cache %s, evaluation entry %s", method.name, run_cache, entry)
         del run  # only a fusion input outlives its emission
 
     if spec is not None:

@@ -376,6 +376,38 @@ def test_damaged_keyword_cache_entry_exits_1_naming_it(workdir, tmp_path, capsys
     assert _run(*argv) == 0
 
 
+def test_damaged_evaluation_cache_entry_exits_1_naming_it(workdir, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ("experiment", "--config", workdir / "config.yaml", "--output-dir", out)
+    assert _run(*argv) == 0
+    entry_path = sorted((out / "cache").glob("eval-*.json"))[0]
+    good = entry_path.read_text(encoding="utf-8")
+    entry = json.loads(good)
+
+    def edited(**changes):
+        return json.dumps({**entry, **changes})
+
+    qids, values = entry["qids"], entry["values"]
+    for text in (
+        good[:-10],
+        edited(metrics=["map", "ndcg@3", "ndcg@1", "recall@100"]),
+        edited(metrics=entry["metrics"][:1], values=values[:1]),
+        edited(qids=qids[:1] * len(qids)),
+        edited(qids=qids[:-1]),
+        edited(values=values[:-1]),
+        *(edited(values=[[bad, *values[0][1:]], *values[1:]])
+          for bad in (float("nan"), float("inf"), 1.5, -0.25, "0.5")),
+    ):
+        entry_path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert _run(*argv) == 1, text
+        err = capsys.readouterr().err
+        assert f"error: {entry_path}: damaged evaluation cache entry (it may be deleted)" in err, err
+    entry_path.unlink()
+    assert _run(*argv) == 0
+    assert entry_path.read_text(encoding="utf-8") == good
+
+
 def test_damaged_index_meta_and_quoted_tokenizer_flags_exit_1(workdir, tmp_path, capsys):
     idx = tmp_path / "idx"
     assert _run("index", "build", "--input", workdir / "corpus.tsv", "--output", idx) == 0

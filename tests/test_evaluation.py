@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from convpr import evaluation
 from convpr.evaluation import (
     MetricReport,
     Qrels,
@@ -183,6 +184,27 @@ def test_evaluate_run_excludes_queries_without_relevant_docs():
     assert report.means["map"] == 1.0
 
 
+def test_metric_values_are_pinned_to_the_evaluation_version():
+    # experiment reuses cached metrics whose key covers evaluation._VERSION.
+    # Ties keep their list order here (trec_eval would put d3 before d1).
+    run = {
+        "q1": RankedList("q1", ["d1", "d3", "d4", "d2"], [2.0, 2.0, 1.0, 1.0]),
+        "q2": RankedList("q2", ["b", "a"], [1.0, 1.0]),
+    }
+    qrels = Qrels({"q1": {"d1": 2, "d2": 0, "d4": 1, "d5": 3}, "q2": {"a": 1}})
+    report = evaluate_run(run, qrels, ("map", "ndcg@3", "ndcg@1", "recall@2"), depth=3)
+    pinned = {
+        "map": {"q1": 0.5555555555555555, "q2": 0.5},
+        "ndcg@3": {"q1": 0.5250049893849101, "q2": 0.6309297535714575},
+        "ndcg@1": {"q1": 0.6666666666666666, "q2": 0.0},
+        "recall@2": {"q1": 0.3333333333333333, "q2": 1.0},
+    }
+    assert (evaluation._VERSION, report.per_query) == (1, pinned), (
+        "a metric value changed: bump evaluation._VERSION, so that experiments "
+        "do not reuse metrics cached by the old code, then update this test"
+    )
+
+
 def test_evaluate_run_treats_empty_lists_as_absent():
     # run files cannot represent empty lists, so they must not count
     qrels = Qrels({"q1": {"a": 1}, "q2": {"b": 1}})
@@ -328,16 +350,18 @@ def test_student_t_p_matches_closed_forms_at_df_1_and_2():
 
 
 def test_student_t_p_tends_to_the_normal_tail_at_large_df():
-    # The t tail exceeds the normal one by about (t^4 + t^2) / (4 df) relative.
-    for df in (10**6, 10**7):
-        for t in (0.5, 1.0, 1.96, 3.0, 5.0):
+    # The t tail exceeds the normal one by about (t^4 + t^2) / (4 df)
+    # relative. At df 1e12 and 1e15 that is below 2e-10, while the
+    # incomplete beta would lose about df * 4e-17 to the rounding of x.
+    for df in (10**6, 10**7, 10**12, 10**15):
+        for t in (0.5, 1.0, 1.96, 2.0, 3.0, 5.0):
             normal = math.erfc(t / math.sqrt(2.0))
             assert student_t_p_value(t, df) == pytest.approx(
                 normal, rel=(1.0 + t**4) / df, abs=0.0), (df, t)
 
 
 def test_student_t_p_stays_a_probability_at_extreme_t():
-    for df in (1, 2, 9, 1000, 10**6):
+    for df in (1, 2, 9, 1000, 10**6, 10**12):
         for t in (0.0, 1e-8, 1e6):
             p = student_t_p_value(t, df)
             assert 0.0 <= p <= 1.0 and not math.isnan(p), (df, t, p)

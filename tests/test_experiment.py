@@ -489,15 +489,17 @@ def test_edited_topics_are_not_served_stale_runs(tmp_path):
 
 def test_warm_run_holds_one_string_per_doc_id(fixture_config, monkeypatch):
     """The cached runs and the rerank scores of one experiment are read with
-    one pool, so equal doc ids and qids across all of them are one object."""
+    one pool, so equal doc ids and qids across all of them are one object.
+    A warm run reads the runs that are reranked or fused, hqe and t5."""
     import convpr.experiment as experiment
 
     run_experiment(fixture_config)
-    runs, scores = [], []
+    runs, scores, tags = [], [], []
     real_read_run, real_load = experiment.read_run, experiment.load_rerank_scores
 
-    def read_run(*args, **kwargs):
-        runs.append(real_read_run(*args, **kwargs))
+    def read_run(path, *args, **kwargs):
+        tags.extend(_tags(path))
+        runs.append(real_read_run(path, *args, **kwargs))
         return runs[-1]
 
     def load_rerank_scores(*args, **kwargs):
@@ -507,7 +509,7 @@ def test_warm_run_holds_one_string_per_doc_id(fixture_config, monkeypatch):
     monkeypatch.setattr(experiment, "read_run", read_run)
     monkeypatch.setattr(experiment, "load_rerank_scores", load_rerank_scores)
     run_experiment(fixture_config)
-    assert len(runs) == len(fixture_config.methods) and len(scores) == 1
+    assert sorted(tags) == ["hqe", "t5"] and len(scores) == 1
     lists = [rl for run in runs for rl in run.values()]
     doc_ids = [d for rl in lists for d in rl.ids] + [d for by_doc in scores[0].values() for d in by_doc]
     qids = [rl.qid for rl in lists] + list(scores[0])
@@ -536,7 +538,8 @@ def _watch_index(monkeypatch):
 
 def test_warm_run_frees_the_index_before_reading_a_run(fixture_config, monkeypatch):
     """Every search of a warm run is cached, so no run file is read while
-    the index is alive: the peak is the index or the runs, not both."""
+    the index is alive: the peak is the index or the runs, not both. It
+    reads the two runs that are reranked or fused."""
     import convpr.experiment as experiment
 
     run_experiment(fixture_config)
@@ -550,7 +553,7 @@ def test_warm_run_frees_the_index_before_reading_a_run(fixture_config, monkeypat
 
     monkeypatch.setattr(experiment, "read_run", read_run)
     run_experiment(fixture_config)
-    assert alive == [False] * len(fixture_config.methods)
+    assert alive == [False, False]
 
 
 def test_cold_run_frees_the_index_before_reranking_and_fusion(fixture_config, monkeypatch):
@@ -570,6 +573,157 @@ def test_cold_run_frees_the_index_before_reranking_and_fusion(fixture_config, mo
     monkeypatch.setattr(experiment, "write_run", write_run)
     run_experiment(fixture_config)
     assert alive == {"hqe+rerank": False, "fusion": False}
+
+
+# -- the evaluation cache --------------------------------------------------------
+
+
+def _count_calls(monkeypatch, module, name, record=lambda *args: None):
+    """Count the calls to ``module.name``; ``record`` sees each call's
+    arguments."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(record(*args))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_warm_run_parses_only_the_consumed_runs(fixture_config, monkeypatch):
+    """raw and concat-pos are neither reranked nor fused: a warm run takes
+    their metrics from eval-*.json and parses only hqe and t5, with the
+    outputs of a cold run."""
+    import convpr.experiment as experiment
+
+    evaluated = _count_calls(monkeypatch, experiment, "evaluate_run")
+    run_experiment(fixture_config)
+    out = fixture_config.output_dir
+    cold = _outputs(out)
+    assert len(evaluated) == 6
+    assert len(list((out / "cache").glob("eval-*.json"))) == 2
+
+    evaluated.clear()
+    read = _count_calls(monkeypatch, experiment, "read_run", lambda path, *_: _tags(path))
+    run_experiment(fixture_config)
+    assert sorted(tag for tags in read for tag in tags) == ["hqe", "t5"]
+    assert len(evaluated) == 4
+    assert _outputs(out) == cold
+    assert (out / "metrics.csv").read_bytes() == (FIXTURES / "golden_metrics.csv").read_bytes()
+
+
+def _swap_doc_ids(line_a, line_b):
+    """Lines ``line_a`` and ``line_b`` with their doc ids swapped."""
+    a, b = line_a.split(" "), line_b.split(" ")
+    a[2], b[2] = b[2], a[2]
+    return " ".join(a), " ".join(b)
+
+
+def test_edited_run_entry_is_evaluated_again(fixture_config):
+    """The evaluation key covers the bytes of the run entry, so an entry
+    edited in place, even to the same size, is evaluated afresh."""
+    before = run_experiment(fixture_config).reports["raw"]
+    out = fixture_config.output_dir
+    raw_bytes = (out / "runs" / "raw.run").read_bytes()
+    (entry,) = [p for p in (out / "cache").glob("run-*.run") if p.read_bytes() == raw_bytes]
+    lines = raw_bytes.decode("utf-8").splitlines(keepends=True)
+    # 7_3: d01 (grade 3) at rank 1 and d08 (unjudged) at rank 6 change places.
+    assert lines[2].startswith("7_3 Q0 d01 1 ") and lines[7].startswith("7_3 Q0 d08 6 ")
+    lines[2], lines[7] = _swap_doc_ids(lines[2], lines[7])
+    entry.write_bytes("".join(lines).encode("utf-8"))
+    assert entry.stat().st_size == len(raw_bytes)
+
+    result = run_experiment(fixture_config)
+    assert len(list((out / "cache").glob("eval-*.json"))) == 3
+    config = fixture_config
+    edited = evaluate_run(read_run(entry), load_qrels(config.qrels), config.metrics, config.depth)
+    assert edited.per_query != before.per_query
+    assert result.reports["raw"].per_query == edited.per_query
+    csv_lines = (out / "metrics.csv").read_text(encoding="utf-8").splitlines()
+    assert [line for line in csv_lines if line.startswith("raw,")] == [
+        ",".join(row) for row in edited.csv_rows("raw")
+    ]
+
+
+@pytest.mark.parametrize("edit", ["qrels", "metrics"])
+def test_edited_qrels_or_metrics_get_new_evaluation_entries(tmp_path, edit):
+    """The evaluation key covers the qrels bytes and the metric names: after
+    either changes, a warm run gives the outputs of a cold one."""
+    for name in ("config.yaml", "corpus.tsv", "topics.json", "qrels.txt", "pos.jsonl",
+                 "scores.tsv", "t5.tsv"):
+        shutil.copy(FIXTURES / name, tmp_path / name)
+    config = tmp_path / "config.yaml"
+    run_experiment(load_config(config, {"output_dir": "warm"}))
+    overrides = {}
+    if edit == "qrels":
+        qrels = tmp_path / "qrels.txt"
+        text = qrels.read_text(encoding="utf-8")
+        assert text.count("9_2 0 d12 3\n") == 1
+        qrels.write_text(text.replace("9_2 0 d12 3\n", "9_2 0 d12 1\n"), encoding="utf-8")
+    else:
+        overrides = {"metrics": ["map"]}
+    before = (tmp_path / "warm" / "metrics.csv").read_bytes()
+    run_experiment(load_config(config, {"output_dir": "warm", **overrides}))
+    run_experiment(load_config(config, {"output_dir": "cold", **overrides}))
+    assert len(list((tmp_path / "warm" / "cache").glob("eval-*.json"))) == 4
+    assert (tmp_path / "warm" / "metrics.csv").read_bytes() != before
+    assert _outputs(tmp_path / "warm") == _outputs(tmp_path / "cold")
+
+
+def test_evaluation_version_is_part_of_the_evaluation_key(fixture_config, monkeypatch):
+    """After a change of metric code the next run evaluates afresh instead
+    of serving metrics computed by the old code."""
+    from convpr import evaluation
+
+    run_experiment(fixture_config)
+    outputs = _outputs(fixture_config.output_dir)
+    monkeypatch.setattr(evaluation, "_VERSION", evaluation._VERSION + 1)
+    run_experiment(fixture_config)
+    assert len(list((fixture_config.output_dir / "cache").glob("eval-*.json"))) == 4
+    assert _outputs(fixture_config.output_dir) == outputs
+
+
+def test_interrupted_evaluation_entry_write_is_not_reused(tmp_path, monkeypatch):
+    """An evaluation entry cut off mid-write leaves neither the entry nor
+    its temp file, and the next run gives the outputs of a clean one."""
+    real_write_text = Path.write_text
+
+    def write_half_then_fail(path, text, *args, **kwargs):
+        if not path.name.startswith(".eval-"):
+            return real_write_text(path, text, *args, **kwargs)
+        real_write_text(path, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("simulated crash mid-write")
+
+    config = load_config(FIXTURES / "config.yaml", {"output_dir": str(tmp_path / "crash")})
+    with monkeypatch.context() as m:
+        m.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError, match="simulated crash"):
+            run_experiment(config)
+    cache = tmp_path / "crash" / "cache"
+    assert len(list(cache.glob("run-*.run"))) == 4
+    assert not list(cache.glob("eval-*")) and not list(cache.glob(".*"))
+
+    run_experiment(config)
+    clean = load_config(FIXTURES / "config.yaml", {"output_dir": str(tmp_path / "clean")})
+    run_experiment(clean)
+    assert _tree(tmp_path / "crash") == _tree(tmp_path / "clean")
+
+
+def test_each_method_logs_its_cache_use(fixture_config, caplog):
+    caplog.set_level("INFO", logger="convpr")
+    for run_cache, evaluation_entry in (("miss", "miss"), ("hit", "hit")):
+        caplog.clear()
+        run_experiment(fixture_config)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("method ")]
+        expected = [
+            f"method raw: run cache {run_cache}, evaluation entry {evaluation_entry}",
+            f"method concat-pos: run cache {run_cache}, evaluation entry {evaluation_entry}",
+            f"method hqe: run cache {run_cache}, evaluation entry not used (run consumed)",
+            f"method t5: run cache {run_cache}, evaluation entry not used (run consumed)",
+        ]
+        assert lines == expected
 
 
 def test_a_missing_external_rewrite_fails_before_any_run_is_emitted(tmp_path):
