@@ -382,17 +382,13 @@ class Searcher:
         return self.index.tokenize(text)
 
     def _query_weights(self, tokens: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Posting-slice bounds and weights ``qtf * idf * (k1 + 1)`` of the
+        query's indexed terms, in first-occurrence order."""
         counts = Counter(tid for tid in map(self.index.term_ids.get, tokens) if tid is not None)
-        n = len(counts)
-        starts = np.empty(n, dtype=np.int64)
-        ends = np.empty(n, dtype=np.int64)
-        weights = np.empty(n, dtype=np.float64)
-        k1 = self.params.k1
-        for i, (tid, qtf) in enumerate(counts.items()):
-            starts[i] = self.index.offsets[tid]
-            ends[i] = self.index.offsets[tid + 1]
-            weights[i] = qtf * self.index.idf[tid] * (k1 + 1.0)
-        return starts, ends, weights
+        tids = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
+        qtfs = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+        offsets = self.index.offsets
+        return offsets[tids], offsets[tids + 1], qtfs * self.index.idf[tids] * (self.params.k1 + 1.0)
 
     def _score_all(self, tokens: Sequence[str]) -> np.ndarray:
         scores = np.zeros(self.index.doc_count, dtype=np.float64)
@@ -409,15 +405,25 @@ class Searcher:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         scores = self._score_all(tokens)
-        cand = np.flatnonzero(scores > 0.0)
+        positive = scores > 0.0
+        n_pos = int(np.count_nonzero(positive))
+        # Keep every candidate at or above the k-th best positive score, all
+        # tied with it too: best_first picks which of those make the cut.
+        if n_pos > k and 2 * n_pos > scores.size:
+            # Most passages score, so one partition of the dense array costs
+            # less than gathering the positive scores first. Its k-th best
+            # is the k-th best positive score, as more than k are positive.
+            cand = np.flatnonzero(scores >= np.partition(scores, scores.size - k)[scores.size - k])
+        else:
+            cand = np.flatnonzero(positive)
+            if n_pos > k:
+                found = scores[cand]
+                cand = cand[found >= np.partition(found, n_pos - k)[n_pos - k]]
         found = scores[cand]
-        if cand.size > k:
-            # Sort only the candidates at or above the k-th best score, all
-            # tied with it too: best_first picks which of those make the cut.
-            keep = found >= np.partition(found, cand.size - k)[cand.size - k]
-            cand, found = cand[keep], found[keep]
         top = cand[best_first(found, lambda: self.index.docid_rank[cand], k)]
-        return RankedList(qid, self.index.doc_ids[top].tolist(), scores[top])
+        # Unique by construction (ordinals are unique, load proves the doc
+        # ids unique) and ordered by best_first, so the list skips the checks.
+        return RankedList(qid, self.index.doc_ids[top].tolist(), scores[top], _ordered=True)
 
     def max_score_term(self, term: str) -> float:
         """Best single-document score for a one-token query; 0.0 when the

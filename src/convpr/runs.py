@@ -21,6 +21,7 @@ inputs, so an id is held once however many lists and score maps hold it.
 from __future__ import annotations
 
 import warnings
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -83,12 +84,21 @@ class RankedList:
     Doc_ids must be unique. Non-increasing scores are expected but only
     warned about, because external tools re-sort by score and we preserve
     whatever the file said.
+
+    ``_ordered=True`` is for a caller that built ``ids`` as a new list of
+    unique ids and ``scores`` as a float64 array of the same length, in
+    :func:`best_first` order: both are stored as given, unchecked.
     """
 
     __slots__ = ("qid", "ids", "scores")
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(self, qid: str, ids: Sequence[str] = (), scores: Iterable[float] = ()) -> None:
+    def __init__(
+        self, qid: str, ids: Sequence[str] = (), scores: Iterable[float] = (), *, _ordered: bool = False
+    ) -> None:
+        if _ordered:
+            self.qid, self.ids, self.scores = qid, ids, scores
+            return
         ids = list(ids)
         scores = _score_column(qid, ids, scores)
         if len(set(ids)) != len(ids):
@@ -170,12 +180,14 @@ def write_run(path: str | Path, run: Mapping[str, RankedList] | Sequence[RankedL
             bad = next(d for d in rl.ids if d.split() != [d])
             raise ValueError(f"qid {rl.qid}: doc id {bad!r} is empty or has whitespace")
     lists.sort(key=lambda rl: qid_sort_key(rl.qid))
+    # Each line is " ".join of its five fields, the last being "tag\n".
+    ranks = list(map(str, range(1, max(map(len, lists), default=0) + 1)))
+    tail = f"{tag}\n"
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         for rl in lists:
-            head, tail = f"{rl.qid} Q0 ", f" {tag}\n"
-            rows = zip(range(1, len(rl) + 1), rl.ids, rl.scores.tolist())
-            fh.write("".join([f"{head}{d} {rank} {s!r}{tail}" for rank, d, s in rows]))
+            rows = zip(repeat(f"{rl.qid} Q0"), rl.ids, ranks, map(repr, rl.scores.tolist()), repeat(tail))
+            fh.write("".join(map(" ".join, rows)))
 
 
 def read_run(path: str | Path, *, pool: dict[str, str] | None = None) -> dict[str, RankedList]:

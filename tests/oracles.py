@@ -52,6 +52,30 @@ def bm25_rank(docs: dict[str, list[str]], query: list[str], k1: float, b: float,
     return scored[:k]
 
 
+def bm25_rank_bitwise(docs: dict[str, list[str]], query: list[str], k1: float, b: float, k: int) -> list[tuple[str, float]]:
+    """:func:`bm25_rank` with each score computed by the IEEE operations of a
+    term-at-a-time kernel, in its order, so that it is the same bits: for
+    each distinct query token with df > 0, in first-occurrence order, every
+    document holding it adds ``w * tf / (tf + len_norm)`` to a sum starting
+    at 0.0, where ``w = qtf * idf * (k1 + 1.0)``, ``idf = log1p((n - df +
+    0.5) / (df + 0.5))`` and ``len_norm = k1 * (1.0 - b + b * (dl /
+    avgdl))``. The log1p is numpy's, as libm's may differ in the last bit."""
+    n = len(docs)
+    avgdl = sum(len(t) for t in docs.values()) / n
+    len_norm = {d: k1 * (1.0 - b + b * (len(t) / avgdl)) for d, t in docs.items()}
+    scores = dict.fromkeys(docs, 0.0)
+    for tok, qtf in Counter(query).items():
+        tfs = {d: t.count(tok) for d, t in docs.items() if tok in t}
+        if not tfs:
+            continue
+        df = float(len(tfs))
+        idf = float(np.log1p(np.array([(n - df + 0.5) / (df + 0.5)]))[0])
+        w = qtf * idf * (k1 + 1.0)
+        for d, tf in tfs.items():
+            scores[d] += w * tf / (tf + len_norm[d])
+    return score_order((d, s) for d, s in scores.items() if s > 0.0)[:k]
+
+
 def ke_score(docs: dict[str, list[str]], term: str, k1: float, b: float) -> float:
     """Keyword importance: the best single-document score of a one-token query."""
     best = 0.0

@@ -77,7 +77,8 @@ def test_backend_reported_to_the_benchmark():
 
 def test_search_result_is_built_through_ranked_list():
     # The retrieve workload requires the runs.RankedList span to fire, so
-    # search results must go through RankedList's validating constructor.
+    # search results must be built by RankedList.__init__ (its ordered path,
+    # which skips the checks, still runs there).
     searcher = Searcher(index_from({"d1": ["cat", "sat"], "d2": ["dog", "cat"]}))
     t = tracer.Tracer()
     try:

@@ -1,6 +1,7 @@
 import json
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import index_from, passages_from
 from convpr import index as index_mod
 from convpr.corpus import Passage
 from convpr.index import Bm25Params, InvertedIndex, Searcher, build_index
+from convpr.runs import RankedList, RunFileWarning
 from convpr.tokenization import TokenizerConfig
 
 TOY = {
@@ -573,6 +575,70 @@ def test_search_keeps_ties_across_the_k_boundary(kernel):
         assert got.ids == [d for d, _ in want], k
         assert [e.score for e in got.entries] == pytest.approx([s for _, s in want], abs=1e-12)
         assert got.entries == full.entries[:k]
+
+
+def _hit_corpus(rng, n: int, hits: int) -> dict[str, list[str]]:
+    """``n`` passages, ``hits`` of which hold "hit" once or twice in 2-3
+    tokens, so their scores take four values and tie in runs; the rest hold
+    only "pad". Inserted in reverse id order."""
+    ids = [f"p{i:02d}" for i in range(n)]
+    hit = set(rng.choice(n, size=hits, replace=False).tolist())
+    docs = {}
+    for i in reversed(range(n)):
+        tokens = ["hit"] * int(rng.integers(1, 3)) if i in hit else []
+        docs[ids[i]] = tokens + ["pad"] * (int(rng.integers(2, 4)) - len(tokens))
+    return docs
+
+
+@pytest.mark.parametrize("hits", [12, 20, 21, 37])
+def test_search_equals_the_bitwise_oracle_on_both_selection_paths(kernel, monkeypatch, hits):
+    # Of 40 passages, 12 or 20 scoring is narrow (at most half): the positive
+    # scores are gathered, then partitioned; 21 or 37 is wide: the dense
+    # array is partitioned. Every k in 1..41 covers cuts inside tied runs,
+    # exactly k positives and k >= n.
+    n = 40
+    rng = np.random.default_rng(hits)
+    docs = _hit_corpus(rng, n, hits)
+    params = Bm25Params(k1=1.2, b=0.75)
+    searcher = Searcher(index_from(docs), params)
+    partitioned = []
+    partition = np.partition
+
+    def recording(a, kth):
+        partitioned.append(a.size)
+        return partition(a, kth)
+
+    monkeypatch.setattr(np, "partition", recording)
+    ties_at_cut = 0
+    for query in (["hit"], ["hit", "oov", "hit", "hit"]):
+        want = oracles.bm25_rank_bitwise(docs, query, params.k1, params.b, k=n)
+        assert len(want) == hits
+        for k in range(1, n + 2):
+            partitioned.clear()
+            got = searcher.search(query, k=k, qid="q")
+            assert got.ids == [d for d, _ in want[:k]], (query, k)
+            assert got.scores.tobytes() == np.array([s for _, s in want[:k]]).tobytes(), (query, k)
+            if k < hits:
+                assert partitioned == [n if 2 * hits > n else hits], (query, k)
+                ties_at_cut += want[k - 1][1] == want[k][1]
+            else:
+                assert partitioned == [], (query, k)
+    assert ties_at_cut > hits / 2, ties_at_cut
+
+
+def test_search_result_equals_the_checked_constructor(kernel):
+    # Search builds its list through the unchecked path; the checked public
+    # constructor must accept the same columns as they are, without a warning.
+    rng = np.random.default_rng(3)
+    for hits in (12, 37):
+        searcher = Searcher(index_from(_hit_corpus(rng, 40, hits)))
+        for k in (1, 5, 12, 40):
+            got = searcher.search(["hit"], k=k, qid="7_2")
+            assert type(got.ids) is list and got.scores.dtype == np.float64
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RunFileWarning)
+                checked = RankedList(got.qid, got.ids, got.scores)
+            assert got == checked and len(got) == min(k, hits)
 
 
 def test_search_requires_positive_k():

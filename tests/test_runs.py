@@ -217,6 +217,29 @@ def test_scores_round_trip_exactly(tmp_path):
         assert type(e) is RankedEntry and type(e.score) is float
 
 
+def test_written_bytes_equal_one_format_per_line(tmp_path):
+    # The reference formats each line on its own, as "qid Q0 doc rank
+    # repr(score) tag"; the writer's column joins must give the same bytes.
+    rng = np.random.default_rng(5)
+    long = -np.sort(-rng.random(1500)) * 1e3
+    lists = [
+        RankedList("2_10", [f"d{i}" for i in range(len(long))], long),
+        RankedList("2_1", ["a", "b", "c", "d", "e"], [1e16, 1.0, 1e-05, 5e-324, -0.0]),
+        RankedList("10_3", ["\xe9t\xe9", "z"], [1.0 / 3.0, 0.1 + 0.2]),
+        RankedList("1_1", [], []),
+    ]
+    path = tmp_path / "x.run"
+    write_run(path, lists, tag="T-1")
+    want = "".join(
+        f"{rl.qid} Q0 {doc_id} {rank} {score!r} T-1\n"
+        for rl in sorted(lists, key=lambda rl: qid_sort_key(rl.qid))
+        for rank, (doc_id, score) in enumerate(zip(rl.ids, rl.scores.tolist()), start=1)
+    )
+    assert path.read_bytes() == want.encode("utf-8")
+    assert " -0.0 T-1\n" in want and " 5e-324 T-1\n" in want and " 1500 " in want
+    assert read_run(path) == {rl.qid: rl for rl in lists if len(rl)}
+
+
 def test_tag_with_whitespace_is_rejected_before_writing(tmp_path):
     path = tmp_path / "x.run"
     with pytest.raises(ValueError, match="run tag 'my raw'"):
