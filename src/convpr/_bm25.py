@@ -1,11 +1,12 @@
 """BM25 scoring kernels over the flat postings layout of index.InvertedIndex.
 
 Both kernels work term at a time: each query term's posting slice is
-scored as one vectorized numpy expression. Term frequencies are stored as
-unsigned integers; each slice is converted to float64 once (exactly), so
-the arithmetic is float64 throughout. Doc ordinals are stored as int32;
-each slice is converted to ``intp`` once, because numpy would otherwise
-convert an int32 index array again on every gather and scatter.
+scored as one vectorized numpy expression. Term frequencies and doc
+ordinals are stored as unsigned integers of the smallest dtype that holds
+them, and the kernels take them as they are. Each tf slice is converted to
+float64 once (exactly), so the arithmetic is float64 throughout; each
+ordinal slice is converted to ``intp`` once, because numpy would otherwise
+convert a narrower index array again on every gather and scatter.
 
 A term's contribution ``w * tf / (tf + len_norm[d])`` is computed in place
 on those per-slice copies and on the gathered ``len_norm[d]``, so no other

@@ -7,7 +7,9 @@ logged and written next to the outputs; the index, keyword-extractor
 scores, first-stage runs and the metrics of first-stage runs that nothing
 reranks or fuses are cached on disk under ``output_dir/cache`` keyed by
 hashes of the inputs they depend on, so a re-run or a grid sweep does not
-repeat work.
+repeat work. Every output and cache entry is written to a temp file and
+renamed into place, so an experiment killed mid-write leaves no cut-off
+file that a later one, or ``convpr eval``, would read as whole.
 """
 
 from __future__ import annotations
@@ -598,7 +600,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     chash = config.config_hash()
     logger.info("config hash %s", chash)
-    (out_dir / "config_hash.txt").write_text(chash + "\n", encoding="utf-8")
+    _write_atomically(out_dir / "config_hash.txt", lambda tmp: tmp.write_text(chash + "\n", encoding="utf-8"))
 
     ws = _open_workspace(config)
     qrels = ws.qrels
@@ -608,7 +610,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     searched: dict[str, dict[str, RankedList]] = {}
     for method, cached_run in zip(config.methods, cached_runs):
         queries = reformulate_method(method, ws.sessions, ws.searcher, config.tokenizer)
-        write_rewrites(rewrites_dir / f"{method.name}.tsv", queries)
+        _write_atomically(rewrites_dir / f"{method.name}.tsv", lambda tmp: write_rewrites(tmp, queries))
         if not cached_run.exists():
             run = searched[method.name] = retrieve_all(ws.searcher, queries, config.depth)
             _write_atomically(cached_run, lambda tmp: write_run(tmp, run, tag=method.name))
@@ -642,9 +644,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         # A cached first-stage run already holds the bytes of runs/<name>.run.
         path = runs_dir / f"{name}.run"
         if cached is None:
-            write_run(path, run, tag=name)
+            _write_atomically(path, lambda tmp: write_run(tmp, run, tag=name))
         else:
-            shutil.copyfile(cached, path)
+            _write_atomically(path, lambda tmp: shutil.copyfile(cached, tmp))
         run_files[name] = path
         if report is None:
             report = evaluate_run(run, qrels, config.metrics, config.depth)
@@ -677,12 +679,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         emit(FUSED_RUN_NAME, fused)
 
     metrics_csv = out_dir / "metrics.csv"
-    write_metrics_csv(metrics_csv, config.metrics, reports)
+    _write_atomically(metrics_csv, lambda tmp: write_metrics_csv(tmp, config.metrics, reports))
 
     metrics_txt = out_dir / "metrics.txt"
     means = {name: report.means for name, report in reports.items()}
     table = format_summary("run", config.metrics, means, min_width=4)
-    metrics_txt.write_text(table + "\n", encoding="utf-8", newline="\n")
+    _write_atomically(metrics_txt, lambda tmp: tmp.write_text(table + "\n", encoding="utf-8", newline="\n"))
 
     logger.info("experiment outputs in %s", out_dir)
     return ExperimentResult(

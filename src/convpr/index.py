@@ -2,20 +2,27 @@
 
 Postings live in a flat term-major layout (one slice per term) so the
 scoring kernels in :mod:`convpr._bm25` can run over plain arrays. An index
-directory (layout v3) holds ``meta.json`` (format, version and tokenizer),
+directory (layout v4) holds ``meta.json`` (format, version and tokenizer),
 ``terms.txt`` and ``doc_ids.txt`` (by id and by ordinal, one UTF-8 entry per
-``\n``-terminated line) and five numpy arrays:
+``\n``-terminated line) and five numpy arrays. Each array is stored in the
+smallest unsigned integer dtype that holds its bound, the largest value it
+may hold:
 
-- ``offsets`` (int64, vocab + 1): term ``t``'s postings are
-  ``offsets[t]:offsets[t + 1]``;
-- ``doc_ords`` (int32): each posting's doc ordinal, ascending within a term;
-- ``tfs``: each posting's term frequency, in the smallest unsigned integer
-  dtype that holds the largest one (uint8 unless a passage repeats a term
-  256 times); the kernels promote it to float64 exactly;
-- ``doc_lengths`` (int64): tokens per passage;
-- ``docid_rank`` (int32): :func:`convpr.runs.id_rank` of the doc ids, the
-  tie-break that search hands to :func:`convpr.runs.best_first`. It is
-  computed once at build time, so loading never sorts the doc ids.
+- ``offsets`` (vocab + 1; bound: the posting count): term ``t``'s postings
+  are ``offsets[t]:offsets[t + 1]``;
+- ``doc_ords`` (bound: passages - 1): each posting's doc ordinal, ascending
+  within a term;
+- ``tfs`` (bound: the largest term frequency): each posting's term
+  frequency; the kernels promote it to float64 exactly;
+- ``doc_lengths`` (bound: the longest passage): tokens per passage;
+- ``docid_rank`` (bound: passages - 1): :func:`convpr.runs.id_rank` of the
+  doc ids, the tie-break that search hands to :func:`convpr.runs.best_first`.
+  It is computed once at build time, so loading never sorts the doc ids.
+
+:meth:`InvertedIndex.save` narrows whatever arrays the index holds to
+these dtypes; :meth:`InvertedIndex.load` takes any 1-d unsigned integer
+arrays whose values are in range. No array needs a decode step: the
+kernels convert each posting slice once, whatever its dtype.
 
 In memory the index holds each table once: its terms as one dict from
 term to id, in id order (``terms.txt`` holds its keys), and its doc ids as
@@ -53,20 +60,18 @@ from .runs import RankedList, best_first, id_rank
 from .tokenization import TokenizerConfig
 
 _FORMAT = "convpr.index"
-_VERSION = 3
+_VERSION = 4
 # Passages per inverted block of build_index. A block's sort and scatter
 # temporaries grow with it; per-block numpy call overhead shrinks with it.
 _BLOCK_PASSAGES = 256
 
-# The arrays of an index directory, each saved as <name>.npy, with their
-# dtypes; None marks tfs, whose unsigned dtype depends on the largest tf.
-_ARRAYS = {
-    "offsets": np.int64,
-    "doc_ords": np.int32,
-    "tfs": None,
-    "doc_lengths": np.int64,
-    "docid_rank": np.int32,
-}
+# The arrays of an index directory, each saved as <name>.npy.
+_ARRAYS = ("offsets", "doc_ords", "tfs", "doc_lengths", "docid_rank")
+
+
+def _uint(bound: int) -> np.dtype:
+    """The smallest unsigned integer dtype that holds ``0..bound``."""
+    return np.min_scalar_type(bound)
 
 
 @dataclass(frozen=True)
@@ -128,14 +133,31 @@ class InvertedIndex:
 
     def save(self, path: str | Path) -> None:
         """Write a versioned directory, ``meta.json`` last (an earlier one
-        first removed); rebuilding the same corpus yields byte-identical files."""
+        first removed), each array in the dtype of its bound; rebuilding the
+        same corpus yields byte-identical files."""
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
         (path / "meta.json").unlink(missing_ok=True)
         _write_lines(path / "terms.txt", self.term_ids)
         _write_lines(path / "doc_ids.txt", self.doc_ids)
-        for name in _ARRAYS:
-            np.save(path / f"{name}.npy", getattr(self, name))
+        # Each array is narrowed to the dtype of its bound (a no-op for the
+        # arrays of build_index), so wider arrays save the same bytes.
+        last_doc = max(self.doc_count - 1, 0)
+        bounds = {
+            "offsets": self.offsets[-1],
+            "doc_ords": last_doc,
+            "tfs": self.tfs.max(initial=0),
+            "doc_lengths": self.doc_lengths.max(initial=0),
+            "docid_rank": last_doc,
+        }
+        for name, bound in bounds.items():
+            array, bound = getattr(self, name), int(bound)
+            narrow = array.astype(_uint(bound), copy=False)
+            # A value the narrow dtype cannot hold would wrap into one that
+            # loads, such as ordinal 257 of 3 passages as 1.
+            if narrow is not array and not np.array_equal(narrow, array):
+                raise ValueError(f"{name} holds a value outside 0..{bound}")
+            np.save(path / f"{name}.npy", narrow)
         meta = {"format": _FORMAT, "version": _VERSION, "tokenizer": self.tokenizer.to_dict()}
         with (path / "meta.json").open("w", encoding="utf-8", newline="\n") as fh:
             json.dump(meta, fh, sort_keys=True, indent=2)
@@ -195,12 +217,9 @@ def _check_arrays(arrays: dict[str, np.ndarray], vocab_size: int, doc_ids: np.nd
     """Raise ValueError unless ``arrays`` form a consistent index of
     ``vocab_size`` terms and the passages ``doc_ids``. Each check is O(n)."""
     doc_count = len(doc_ids)
-    for name, dtype in _ARRAYS.items():
-        a = arrays[name]
-        ok = a.dtype.kind == "u" if dtype is None else a.dtype == dtype
-        if not ok or a.ndim != 1:
-            want = "unsigned integer" if dtype is None else np.dtype(dtype).name
-            raise ValueError(f"{name}.npy must be a 1-d {want} array, got {a.ndim}-d {a.dtype}")
+    for name, a in arrays.items():
+        if a.dtype.kind != "u" or a.ndim != 1:
+            raise ValueError(f"{name}.npy must be a 1-d unsigned integer array, got {a.ndim}-d {a.dtype}")
     offsets, doc_ords, tfs = arrays["offsets"], arrays["doc_ords"], arrays["tfs"]
     if len(offsets) != vocab_size + 1:
         raise ValueError(f"offsets.npy holds {len(offsets)} entries for {vocab_size} terms")
@@ -214,10 +233,10 @@ def _check_arrays(arrays: dict[str, np.ndarray], vocab_size: int, doc_ids: np.nd
     for name in ("doc_lengths", "docid_rank"):
         if len(arrays[name]) != doc_count:
             raise ValueError(f"{name}.npy holds {len(arrays[name])} entries for {doc_count} passages")
-    if len(doc_ords) and (doc_ords.min() < 0 or doc_ords.max() >= doc_count):
+    if len(doc_ords) and doc_ords.max() >= doc_count:
         raise ValueError(f"doc_ords.npy holds an ordinal outside 0..{doc_count - 1}")
     rank = arrays["docid_rank"]
-    if doc_count and (rank.min() < 0 or rank.max() >= doc_count):
+    if doc_count and rank.max() >= doc_count:
         raise ValueError(f"docid_rank.npy holds a rank outside 0..{doc_count - 1}")
     seen = np.zeros(doc_count, dtype=bool)
     seen[rank] = True
@@ -239,11 +258,13 @@ def build_index(passages: Iterable[Passage], tokenizer: TokenizerConfig | None =
     stream. Every ``_BLOCK_PASSAGES`` passages that stream is inverted with
     one numpy sort of (term id, passage) keys, and the block is appended to
     a temporary spill file at once; only its sizes, the running document
-    frequencies and the largest tf stay in memory. At the end the postings
-    arrays are allocated once and the blocks are read back, in doc order
-    and one at a time, and scattered into them, so doc ordinals ascend
-    within every term. The build thus holds the final arrays plus one
-    block, and no posting is ever a Python object.
+    frequencies and the largest tf and passage length stay in memory. At
+    the end the postings arrays are allocated once, in their final dtypes,
+    and the blocks are read back, in doc order and one at a time, and
+    scattered into them, so doc ordinals ascend within every term. The
+    build thus holds the final arrays plus one block, and no posting is
+    ever a Python object. The offsets are summed in int64 and narrowed
+    once, at the end.
 
     The spill file takes ~9 B of temporary disk per posting (int32 doc
     ordinal and uint8 tf, plus an int32 term id and count per (block, term)
@@ -263,15 +284,17 @@ def build_index(passages: Iterable[Passage], tokenizer: TokenizerConfig | None =
     spilled: list[tuple[int, int, np.dtype]] = []
     # Document frequencies, grown geometrically with the vocabulary.
     df = np.zeros(0, dtype=np.int64)
-    max_tf = 0
+    max_tf = max_len = 0
 
     with tempfile.TemporaryFile() as spill:
 
         def flush() -> None:
-            nonlocal df, max_tf
+            nonlocal df, max_tf, max_len
             first = len(spilled) * _BLOCK_PASSAGES
             ids = np.fromiter(map(term_ids.__getitem__, stream), dtype=np.int32, count=len(stream))
-            block = _invert_block(ids, np.asarray(doc_lengths[first:], dtype=np.int64), first)
+            lengths = np.asarray(doc_lengths[first:], dtype=np.int64)
+            max_len = max(max_len, int(lengths.max()))
+            block = _invert_block(ids, lengths, first)
             stream.clear()
             if len(df) < len(term_ids):
                 df = np.concatenate((df, np.zeros(max(len(term_ids), 2 * len(df)) - len(df), np.int64)))
@@ -295,8 +318,9 @@ def build_index(passages: Iterable[Passage], tokenizer: TokenizerConfig | None =
 
         offsets = np.zeros(len(term_ids) + 1, dtype=np.int64)
         np.cumsum(df[: len(term_ids)], out=offsets[1:])
-        doc_ords = np.empty(int(offsets[-1]), dtype=np.int32)
-        tfs = np.empty(int(offsets[-1]), dtype=np.min_scalar_type(max_tf))
+        total = int(offsets[-1])
+        doc_ords = np.empty(total, dtype=_uint(len(doc_ids) - 1))
+        tfs = np.empty(total, dtype=_uint(max_tf))
         # fill[t]: where the next posting of term t goes. Blocks are read
         # back in doc order, so each term's postings land in ascending doc
         # order.
@@ -325,10 +349,10 @@ def build_index(passages: Iterable[Passage], tokenizer: TokenizerConfig | None =
     return InvertedIndex(
         term_ids=term_ids,
         doc_ids=doc_ids,
-        offsets=offsets,
+        offsets=offsets.astype(_uint(total)),
         doc_ords=doc_ords,
         tfs=tfs,
-        doc_lengths=np.asarray(doc_lengths, dtype=np.int64),
+        doc_lengths=np.asarray(doc_lengths, dtype=_uint(max_len)),
         docid_rank=id_rank(doc_ids),
         tokenizer=tokenizer,
     )

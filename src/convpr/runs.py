@@ -47,13 +47,15 @@ def _score_column(qid: str, ids: Sequence[str], scores: Iterable[float]) -> np.n
 
 
 def id_rank(ids: Sequence[str] | np.ndarray) -> np.ndarray:
-    """Each id's position in Python's sort order of ``ids``, as int32. The
-    ids are sorted as an object array, which compares them with Python's
-    ``<`` (numpy's string dtype would ignore trailing NULs); an object
-    array is sorted as given, without a copy."""
+    """Each id's position in Python's sort order of ``ids``, in the smallest
+    unsigned integer dtype that holds ``len(ids) - 1``. The ids are sorted
+    as an object array, which compares them with Python's ``<`` (numpy's
+    string dtype would ignore trailing NULs); an object array is sorted as
+    given, without a copy."""
     ids = np.asarray(ids, dtype=object)
-    rank = np.empty(len(ids), dtype=np.int32)
-    rank[np.argsort(ids, kind="stable")] = np.arange(len(ids), dtype=np.int32)
+    dtype = np.min_scalar_type(max(len(ids) - 1, 0))
+    rank = np.empty(len(ids), dtype=dtype)
+    rank[np.argsort(ids, kind="stable")] = np.arange(len(ids), dtype=dtype)
     return rank
 
 
@@ -69,7 +71,8 @@ def best_first(scores: np.ndarray, tie_rank: Callable[[], np.ndarray], k: int | 
     if not new_place.all():
         key = np.zeros(order.size, dtype=np.int64)
         np.cumsum(new_place, out=key[1:])
-        rank = tie_rank()[order]
+        # As int64: numpy adds int64 and uint64 in float64.
+        rank = tie_rank()[order].astype(np.int64, copy=False)
         key *= int(rank.max()) + 1
         key += rank
         order = order[np.argsort(key, kind="stable")]

@@ -414,11 +414,11 @@ def test_damaged_index_meta_and_quoted_tokenizer_flags_exit_1(workdir, tmp_path,
     meta_path = idx / "meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     # an index of an earlier layout must be rebuilt
-    meta_path.write_text(json.dumps({**meta, "version": 2}), encoding="utf-8")
+    meta_path.write_text(json.dumps({**meta, "version": 3}), encoding="utf-8")
     assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv",
                 "--out", tmp_path / "x.run") == 1
     err = capsys.readouterr().err
-    assert f"{idx}: not a convpr.index v3 directory" in err and "internal error" not in err
+    assert f"{idx}: not a convpr.index v4 directory" in err and "internal error" not in err
     meta["tokenizer"] = "stem"
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
     assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv",

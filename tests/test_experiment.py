@@ -711,6 +711,71 @@ def test_interrupted_evaluation_entry_write_is_not_reused(tmp_path, monkeypatch)
     assert _tree(tmp_path / "crash") == _tree(tmp_path / "clean")
 
 
+def _crash_mid_write(monkeypatch, target: Path) -> None:
+    """Make the writer of ``target``, or of a temp file beside it that is
+    named after it, leave half of its bytes and raise, as an experiment
+    killed mid-write would."""
+    from convpr import experiment
+
+    def wrap(write, dest: int):
+        def cut_off(*args, **kwargs):
+            result = write(*args, **kwargs)
+            path = Path(args[dest])
+            if path.parent == target.parent and (
+                path.name == target.name or path.name.startswith(f".{target.name}.")
+            ):
+                data = path.read_bytes()
+                path.write_bytes(data[: len(data) // 2])
+                raise OSError("simulated crash mid-write")
+            return result
+
+        return cut_off
+
+    # Each writer with the position of its destination argument.
+    for owner, name, dest in [
+        (experiment, "write_run", 0),
+        (experiment, "write_rewrites", 0),
+        (experiment, "write_metrics_csv", 0),
+        (shutil, "copyfile", 1),
+        (Path, "write_text", 0),
+    ]:
+        monkeypatch.setattr(owner, name, wrap(getattr(owner, name), dest))
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        "runs/raw.run",  # copied from the run cache, evaluated from its entry
+        "runs/hqe.run",  # copied from the run cache, then reranked and fused
+        "runs/hqe+rerank.run",
+        "runs/fusion.run",
+        "rewrites/t5.tsv",
+        "metrics.csv",
+        "metrics.txt",
+        "config_hash.txt",
+    ],
+)
+def test_interrupted_output_write_leaves_no_cut_off_file(tmp_path, monkeypatch, target):
+    """An output cut off mid-write is never left under its name: a cold run
+    leaves none, a warm one the complete file of the run before, and the
+    next run gives the outputs of a clean one."""
+    config = load_config(FIXTURES / "config.yaml", {"output_dir": str(tmp_path / "crash")})
+    path = tmp_path / "crash" / target
+    for attempt in ("cold", "warm"):
+        before = path.read_bytes() if path.exists() else None
+        with monkeypatch.context() as m:
+            _crash_mid_write(m, path)
+            with pytest.raises(OSError, match="simulated crash"):
+                run_experiment(config)
+        assert (path.read_bytes() if path.exists() else None) == before, attempt
+        assert not [p for p in (tmp_path / "crash").rglob(".*")], attempt
+        run_experiment(config)
+    assert len(path.read_bytes()) > 0
+    clean = load_config(FIXTURES / "config.yaml", {"output_dir": str(tmp_path / "clean")})
+    run_experiment(clean)
+    assert _outputs(tmp_path / "crash") == _outputs(tmp_path / "clean")
+
+
 def test_each_method_logs_its_cache_use(fixture_config, caplog):
     caplog.set_level("INFO", logger="convpr")
     for run_cache, evaluation_entry in (("miss", "miss"), ("hit", "hit")):

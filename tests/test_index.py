@@ -1,4 +1,5 @@
 import json
+import shutil
 import tempfile
 import tracemalloc
 import warnings
@@ -72,6 +73,49 @@ def test_rebuild_is_byte_identical(tmp_path):
     assert files == sorted(p.name for p in b_dir.iterdir())
     for name in files:
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes(), name
+
+
+def _wide(index: InvertedIndex, tfs_dtype=np.int32) -> InvertedIndex:
+    """``index`` with its arrays in int64 (offsets, doc lengths), int32
+    (ordinals, ranks) and ``tfs_dtype``, as a caller might build it."""
+    return InvertedIndex(
+        term_ids=index.term_ids,
+        doc_ids=index.doc_ids,
+        offsets=index.offsets.astype(np.int64),
+        doc_ords=index.doc_ords.astype(np.int32),
+        tfs=index.tfs.astype(tfs_dtype),
+        doc_lengths=index.doc_lengths.astype(np.int64),
+        docid_rank=index.docid_rank.astype(np.int32),
+        tokenizer=index.tokenizer,
+    )
+
+
+def _boundary_passages(n: int) -> list[Passage]:
+    """``n`` passages whose five bounds all equal ``n - 1``: the first is
+    empty, the last holds one term ``n - 1`` times and the others hold it
+    once, so there are ``n - 1`` postings, the largest tf and the longest
+    passage are ``n - 1``, and so are the largest ordinal and rank."""
+    texts = ["", *["t"] * (n - 2), " ".join(["t"] * (n - 1))]
+    return [Passage(f"p{i:03d}", text) for i, text in enumerate(texts)]
+
+
+@pytest.mark.parametrize("n,dtype", [(256, np.uint8), (257, np.uint16)])
+def test_every_array_takes_the_smallest_unsigned_dtype(tmp_path, kernel, n, dtype):
+    index = build_index(_boundary_passages(n))
+    bounds = (index.doc_count - 1, index.offsets[-1], index.tfs.max(), index.doc_lengths.max())
+    assert bounds == (n - 1,) * 4
+    assert {name: getattr(index, name).dtype for name in index_mod._ARRAYS} == dict.fromkeys(
+        index_mod._ARRAYS, dtype
+    )
+    index.save(tmp_path / "built")
+    loaded = InvertedIndex.load(tmp_path / "built")
+    assert all(getattr(loaded, name).dtype == dtype for name in index_mod._ARRAYS)
+    # save narrows: the same index in int32 and int64 arrays saves the same bytes
+    _wide(index).save(tmp_path / "wide")
+    assert _files(tmp_path / "wide") == _files(tmp_path / "built")
+    got, want = Searcher(loaded).search(["t"], k=n), Searcher(_wide(index)).search(["t"], k=n)
+    assert got.ids == want.ids and len(got) == n - 1
+    assert got.scores.tobytes() == want.scores.tobytes()
 
 
 def test_save_load_round_trip_preserves_results(tmp_path, kernel):
@@ -208,23 +252,17 @@ def test_spill_file_is_closed_on_every_exit(monkeypatch):
 
 
 def test_integer_tfs_score_bitwise_like_float64(kernel):
+    # The kernels, search and max_score_term take every array as it is: the
+    # narrow unsigned arrays of build_index give the same bits as wide ones
+    # with float64 term frequencies.
     rng = np.random.default_rng(23)
     docs = oracles.random_corpus(rng, max_docs=60)
     docs["long"] = ["w1"] * 300 + ["w2"]
     for corpus, dtype in ((oracles.random_corpus(rng, max_docs=60), np.uint8), (docs, np.uint16)):
         index = index_from(corpus)
-        assert index.tfs.dtype == dtype
-        as_float = InvertedIndex(
-            term_ids=index.term_ids,
-            doc_ids=index.doc_ids,
-            offsets=index.offsets,
-            doc_ords=index.doc_ords,
-            tfs=index.tfs.astype(np.float64),
-            doc_lengths=index.doc_lengths,
-            docid_rank=index.docid_rank,
-            tokenizer=index.tokenizer,
-        )
-        ints, floats = Searcher(index), Searcher(as_float)
+        assert index.tfs.dtype == index.doc_lengths.dtype == dtype
+        assert index.doc_ords.dtype == index.docid_rank.dtype == np.uint8
+        ints, floats = Searcher(index), Searcher(_wide(index, np.float64))
         for _ in range(30):
             query = oracles.random_query(rng)
             got, want = ints.search(query, k=1000, qid="q"), floats.search(query, k=1000, qid="q")
@@ -237,7 +275,7 @@ def test_integer_tfs_score_bitwise_like_float64(kernel):
 
 
 def _score_postings_reference(starts, ends, weights, doc_ords, tfs, len_norm, scores) -> None:
-    """The kernel as a fancy-index `+=` over the int32 slices: the
+    """The kernel as a fancy-index `+=` over the stored slices: the
     expression the `np.add.at` kernel must match bit for bit."""
     for t in range(starts.shape[0]):
         s, e = starts[t], ends[t]
@@ -246,15 +284,18 @@ def _score_postings_reference(starts, ends, weights, doc_ords, tfs, len_norm, sc
         scores[d] += weights[t] * tf / (tf + len_norm[d])
 
 
+@pytest.mark.parametrize("ord_dtype", [np.uint8, np.uint16, np.uint32])
 @pytest.mark.parametrize("tf_dtype", [np.uint8, np.uint16])
-def test_score_postings_matches_fancy_index_add_bytewise(kernel, tf_dtype):
+def test_score_postings_matches_fancy_index_add_bytewise(kernel, tf_dtype, ord_dtype):
     rng = np.random.default_rng(41)
-    n_docs = 500
+    # As many passages as uint8 ordinals can number, else 500.
+    n_docs = min(500, np.iinfo(ord_dtype).max + 1)
     # Posting lists of 0, 1 and up to n_docs postings, ordinals ascending.
     sizes = [0, 1, 0, 1, 2, n_docs, *rng.integers(0, n_docs, size=40).tolist()]
     lists = [np.sort(rng.choice(n_docs, size=size, replace=False)) for size in sizes]
-    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
-    doc_ords = np.concatenate(lists).astype(np.int32)
+    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.uint32)
+    doc_ords = np.concatenate(lists).astype(ord_dtype)
+    assert doc_ords.max() == n_docs - 1
     tfs = rng.integers(1, np.iinfo(tf_dtype).max, size=len(doc_ords), endpoint=True).astype(tf_dtype)
     len_norm = rng.uniform(0.05, 3.0, size=n_docs)
     for trial in range(60):
@@ -369,10 +410,14 @@ def test_search_equals_sorted_scores_on_tie_heavy_corpora(kernel):
     assert ties_at_cut > cuts / 2, (ties_at_cut, cuts)
 
 
-def _with_last(a: np.ndarray, value) -> np.ndarray:
-    a = a.copy()
-    a[-1] = value
+def _with(a: np.ndarray, i: int, value, dtype=None) -> np.ndarray:
+    """A copy of ``a`` in ``dtype`` (its own when None) with ``a[i] = value``."""
+    a = a.astype(dtype or a.dtype)
+    a[i] = value
     return a
+
+
+_UNSIGNED = "must be a 1-d unsigned integer array, got"
 
 
 def _lines(tamper):
@@ -385,18 +430,34 @@ def _lines(tamper):
     [
         ("tfs", lambda a: np.concatenate([a, np.ones(7, a.dtype)]), "holds 9 postings and tfs.npy 16"),
         ("tfs", lambda a: a[:-1], "holds 9 postings and tfs.npy 8"),
-        ("tfs", lambda a: a.astype(np.float64), "tfs.npy must be a 1-d unsigned integer array"),
-        ("doc_ords", lambda a: _with_last(a, 3), "ordinal outside 0..2"),
-        ("doc_ords", lambda a: _with_last(a, -1), "ordinal outside 0..2"),
-        ("doc_ords", lambda a: a.astype(np.int64), "doc_ords.npy must be a 1-d int32 array"),
+        # Every array is unsigned: a signed or float one is an error, even
+        # when its values are in range.
+        ("tfs", lambda a: a.astype(np.float64), f"tfs.npy {_UNSIGNED} 1-d float64"),
+        ("tfs", lambda a: a.astype(np.int8), f"tfs.npy {_UNSIGNED} 1-d int8"),
+        ("offsets", lambda a: a.astype(np.int64), f"offsets.npy {_UNSIGNED} 1-d int64"),
+        ("offsets", lambda a: a.astype(np.float64), f"offsets.npy {_UNSIGNED} 1-d float64"),
+        ("doc_ords", lambda a: a.astype(np.int32), f"doc_ords.npy {_UNSIGNED} 1-d int32"),
+        ("doc_ords", lambda a: _with(a, -1, -1, np.int64), f"doc_ords.npy {_UNSIGNED} 1-d int64"),
+        ("doc_lengths", lambda a: a.astype(np.int64), f"doc_lengths.npy {_UNSIGNED} 1-d int64"),
+        ("doc_lengths", lambda a: a.astype(np.float32), f"doc_lengths.npy {_UNSIGNED} 1-d float32"),
+        ("docid_rank", lambda a: a.astype(np.int32), f"docid_rank.npy {_UNSIGNED} 1-d int32"),
+        ("docid_rank", lambda a: a.reshape(1, 3), f"docid_rank.npy {_UNSIGNED} 2-d uint8"),
+        # Ordinals, ranks and offsets out of range, in their own dtype and in
+        # wider ones.
+        ("doc_ords", lambda a: _with(a, -1, 3), "ordinal outside 0..2"),
+        ("doc_ords", lambda a: _with(a, -1, 255), "ordinal outside 0..2"),
+        ("doc_ords", lambda a: _with(a, 0, 2**16 - 1, np.uint16), "ordinal outside 0..2"),
         ("offsets", lambda a: a[:-1], "offsets.npy holds 8 entries for 8 terms"),
         ("offsets", lambda a: a + 1, "must start at 0"),
-        ("offsets", lambda a: _with_last(a, a[-2] - 1), "never decrease"),
+        ("offsets", lambda a: _with(a, -1, a[-2] - 1), "never decrease"),
+        ("offsets", lambda a: _with(a, 1, 2**32 - 1, np.uint32), "never decrease"),
+        ("offsets", lambda a: _with(a, -1, 2**64 - 1, np.uint64),
+         "offsets.npy ends at 18446744073709551615, but doc_ords.npy holds 9 postings"),
         ("doc_lengths", lambda a: a[:2], "doc_lengths.npy holds 2 entries for 3 passages"),
         ("docid_rank", lambda a: np.zeros_like(a), "not a permutation"),
-        ("docid_rank", lambda a: _with_last(a, 3), "rank outside 0..2"),
+        ("docid_rank", lambda a: _with(a, -1, 3), "rank outside 0..2"),
+        ("docid_rank", lambda a: _with(a, -1, 2**32 - 1, np.uint32), "rank outside 0..2"),
         ("docid_rank", lambda a: a[:2], "docid_rank.npy holds 2 entries"),
-        ("docid_rank", lambda a: a.reshape(1, 3), "must be a 1-d int32 array, got 2-d int32"),
         # a valid permutation that is not the ids' order would change tie order
         ("docid_rank", lambda a: a[::-1].copy(), "must strictly increase in docid_rank order"),
         ("doc_ids", _lines(lambda ids: [ids[0], ids[0], ids[2]]),
@@ -427,12 +488,52 @@ def test_load_rejects_inconsistent_arrays(tmp_path, name, tamper, message):
     assert str(exc.value).startswith(f"{tmp_path}: ")
 
 
+def test_load_takes_any_unsigned_dtype_that_holds_the_values(tmp_path, kernel):
+    # The dtype rule is save's; load checks values, so arrays stored wider
+    # than their bounds load, search alike and save narrow again.
+    docs = _hit_corpus(np.random.default_rng(37), 40, 37)
+    index_from(docs).save(tmp_path / "narrow")
+    shutil.copytree(tmp_path / "narrow", tmp_path / "wide")
+    for name in index_mod._ARRAYS:
+        path = tmp_path / "wide" / f"{name}.npy"
+        np.save(path, np.load(path).astype(np.uint64))
+    narrow, wide = InvertedIndex.load(tmp_path / "narrow"), InvertedIndex.load(tmp_path / "wide")
+    assert all(getattr(wide, name).dtype == np.uint64 for name in index_mod._ARRAYS)
+    a, b = Searcher(narrow), Searcher(wide)
+    for query in (["hit"], ["pad"], ["hit", "pad", "hit"]):
+        # The scores tie in runs, so best_first ranks by docid_rank.
+        got, want = b.search(query, k=30, qid="q"), a.search(query, k=30, qid="q")
+        assert got.ids == want.ids and got.scores.tobytes() == want.scores.tobytes()
+        assert b.max_score(query) == a.max_score(query)
+    assert b.max_score_term("hit") == a.max_score_term("hit")
+    wide.save(tmp_path / "again")
+    assert _files(tmp_path / "again") == _files(tmp_path / "narrow")
+
+
 def test_save_rejects_an_entry_with_a_line_break(tmp_path):
     index_from(TOY).save(tmp_path)
     index = build_index([Passage("d1", "cat sat"), Passage("d\n2", "dog")])
     with pytest.raises(ValueError, match=r"doc_ids.txt: entry 'd\\n2' holds a line break"):
         index.save(tmp_path)
     # meta.json goes first and comes back last: the half-written directory has none
+    assert not (tmp_path / "meta.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name,tamper,message",
+    [
+        # 257 would wrap to ordinal 1 in uint8, a valid one
+        ("doc_ords", lambda a: _with(a, -1, 257, np.int32), "doc_ords holds a value outside 0..2"),
+        ("docid_rank", lambda a: _with(a, 0, -1, np.int64), "docid_rank holds a value outside 0..2"),
+        ("offsets", lambda a: _with(a, 1, -1, np.int64), "offsets holds a value outside 0..9"),
+        ("tfs", lambda a: a + 0.5, r"tfs holds a value outside 0..2$"),
+    ],
+)
+def test_save_rejects_a_value_the_narrow_dtype_cannot_hold(tmp_path, name, tamper, message):
+    index = index_from(TOY)
+    setattr(index, name, tamper(getattr(index, name)))
+    with pytest.raises(ValueError, match=message):
+        index.save(tmp_path)
     assert not (tmp_path / "meta.json").exists()
 
 
@@ -450,7 +551,7 @@ def test_index_directory_holds_each_fact_once(tmp_path):
         "meta.json", "offsets.npy", "terms.txt", "tfs.npy",
     ]
     meta = json.loads((tmp_path / "meta.json").read_text(encoding="utf-8"))
-    assert meta == {"format": "convpr.index", "version": 3, "tokenizer": TokenizerConfig().to_dict()}
+    assert meta == {"format": "convpr.index", "version": 4, "tokenizer": TokenizerConfig().to_dict()}
     assert (tmp_path / "doc_ids.txt").read_bytes() == b"d1\nd2\nd3\n"
     loaded = InvertedIndex.load(tmp_path)
     assert (loaded.doc_count, loaded.vocab_size) == (3, 8)
@@ -478,11 +579,18 @@ def test_load_rejects_incomplete_meta(tmp_path, tamper, message):
 
 
 @pytest.mark.parametrize(
-    "meta", ['{"format": "other"}', '["convpr.index", 3]', '{"format": "convpr.index", "version": 2}']
+    "meta",
+    [
+        '{"format": "other"}',
+        '["convpr.index", 4]',
+        '{"format": "convpr.index", "version": 2}',
+        # layout v3 stored ordinals as int32 and offsets as int64: rebuild it
+        '{"format": "convpr.index", "version": 3}',
+    ],
 )
 def test_load_rejects_foreign_directory(tmp_path, meta):
     (tmp_path / "meta.json").write_text(meta, encoding="utf-8")
-    with pytest.raises(ValueError, match="not a convpr.index"):
+    with pytest.raises(ValueError, match="not a convpr.index v4 directory"):
         InvertedIndex.load(tmp_path)
 
 

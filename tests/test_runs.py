@@ -94,6 +94,10 @@ def test_best_first_edge_cases():
         got = best_first(np.array(scores), lambda: np.array([1, 0, 2], dtype=np.int32))
         assert got.tolist() == [2, 1, 0], scores
     assert best_first(np.full(4, 2.5), lambda: np.array([3, 0, 2, 1]), k=2).tolist() == [1, 3]
+    # Any unsigned rank dtype, uint64 too, whose sum with int64 is float64.
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        got = best_first(np.full(4, 2.5), lambda: np.array([3, 0, 2, 1], dtype=dtype), k=2)
+        assert got.tolist() == [1, 3], dtype
 
 
 def test_id_rank_is_python_string_order():
@@ -101,8 +105,14 @@ def test_id_rank_is_python_string_order():
     ids = ["b", "a\x00", "a", "B", "10", "9"]
     for given in (ids, np.array(ids, dtype=object)):
         rank = id_rank(given)
-        assert rank.dtype == np.int32
+        assert rank.dtype == np.uint8
         assert rank.tolist() == [5, 4, 3, 2, 0, 1]
+    # The smallest unsigned dtype that holds the largest rank, len(ids) - 1.
+    for n, dtype in ((256, np.uint8), (257, np.uint16)):
+        ids = [f"d{i:03d}" for i in reversed(range(n))]
+        rank = id_rank(ids)
+        assert rank.dtype == dtype
+        assert rank.tolist() == list(reversed(range(n)))
 
 
 def test_best_first_matches_the_score_order_oracle():
