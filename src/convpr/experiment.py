@@ -18,7 +18,6 @@ import functools
 import hashlib
 import json
 import logging
-import math
 import os
 import shutil
 from dataclasses import astuple, dataclass, field, fields, replace
@@ -26,6 +25,7 @@ from itertools import product
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
 import yaml
 
 from . import evaluation
@@ -363,18 +363,14 @@ class _Workspace:
     searcher: Searcher
     cache_dir: Path
     index_key: str
-    ke_path: Path
     # Every query's text and qid comes from the topics, so every run key
     # covers them.
     topics_digest: str
-    # How many keyword-extractor scores came from ke_path; the searcher
-    # only ever adds more.
-    ke_loaded: int
 
 
 def _open_workspace(config: ExperimentConfig) -> _Workspace:
-    """Load topics and qrels, and the index and keyword-extractor scores
-    from ``output_dir/cache`` (building the index on a miss). The corpus and
+    """Load topics and qrels, and the index and (for HQE) keyword-extractor
+    scores from ``output_dir/cache``, computing either on a miss. The corpus and
     topics are hashed once here; everything downstream reuses ``index_key``
     and ``topics_digest``."""
     cache_dir = config.output_dir / "cache"
@@ -397,55 +393,38 @@ def _open_workspace(config: ExperimentConfig) -> _Workspace:
         logger.info("built index: %d docs, %d terms", index.doc_count, index.vocab_size)
         _write_atomically(index_dir, index.save)
     searcher = Searcher(index, config.bm25)
-    ke_key = _cache_key(index=index_key, k1=config.bm25.k1, b=config.bm25.b)
-    ke_path = cache_dir / f"ke-{ke_key}.json"
-    if ke_path.exists():
-        searcher._term_max.update(_load_ke_cache(ke_path))
-    return _Workspace(
-        sessions, qrels, searcher, cache_dir, index_key, ke_path, _file_digest(config.topics),
-        ke_loaded=len(searcher._term_max),
-    )
+    if any("hqe" in _METHOD_KEYS[method.type] for method in config.methods):
+        ke_key = _cache_key(index=index_key, k1=config.bm25.k1, b=config.bm25.b)
+        ke_path = cache_dir / f"ke-{ke_key}.npy"
+        if ke_path.exists():
+            searcher._term_max = _load_ke_cache(ke_path, index.vocab_size)
+        else:
+            scores = searcher.term_max_scores()
+
+            def save(tmp: Path) -> None:
+                with tmp.open("wb") as fh:  # np.save would add ".npy" to a path
+                    np.save(fh, scores)
+
+            _write_atomically(ke_path, save)
+    return _Workspace(sessions, qrels, searcher, cache_dir, index_key, _file_digest(config.topics))
 
 
-def _load_json_entry(path: Path, what: str, valid: Callable[[object], bool], rule: str):
-    """Read the JSON cache entry ``path`` holding ``what``. Bytes that are
-    not JSON, or a value for which ``valid`` is false, mean the entry is
-    damaged: an error that names the file and states ``rule``."""
-    damaged = f"{path}: damaged {what} cache entry (it may be deleted)"
-    try:
-        value = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # undecodable bytes or invalid JSON
-        raise ValueError(f"{damaged}: {exc}") from None
-    _require(valid(value), f"{damaged}: {rule}")
-    return value
-
-
-def _write_json_entry(path: Path, value) -> None:
-    text = json.dumps(value, sort_keys=True) + "\n"
-    _write_atomically(path, lambda tmp: tmp.write_text(text, encoding="utf-8", newline="\n"))
-
-
-def _load_ke_cache(path: Path) -> dict[str, float]:
-    """Read keyword-extractor scores, a JSON object of term to score. Each
-    score is an indexed term's best single-posting BM25 score, so it is
+def _load_ke_cache(path: Path, vocab_size: int) -> np.ndarray:
+    """Read keyword-extractor scores: a float64 array of one score per term
+    id. Each is an indexed term's best single-posting BM25 score, so it is
     finite and > 0 (idf > 0, k1 + 1 >= 1, tf >= 1); anything else means the
     entry is damaged."""
-    return _load_json_entry(
-        path,
-        "keyword-extractor",
-        lambda scores: isinstance(scores, dict)
-        and all(isinstance(v, float) and math.isfinite(v) and v > 0 for v in scores.values()),
-        "it must map each term to a finite score > 0",
+    damaged = f"{path}: damaged keyword-extractor cache entry (it may be deleted)"
+    try:
+        scores = index_format._load_array(path)
+    except ValueError as exc:
+        raise ValueError(f"{damaged}: {exc}") from None
+    _require(
+        isinstance(scores, np.ndarray) and scores.dtype == np.float64 and scores.shape == (vocab_size,)
+        and bool(np.all((scores > 0) & (scores < np.inf))),
+        f"{damaged}: it must hold a finite float64 score > 0 for each of the index's {vocab_size} terms",
     )
-
-
-def _save_ke_cache(ws: _Workspace) -> None:
-    """Write the searcher's keyword-extractor scores unless ``ke_path``
-    already holds them all: a warm run leaves the file untouched."""
-    scores = ws.searcher._term_max
-    if len(scores) == ws.ke_loaded and ws.ke_path.exists():
-        return
-    _write_json_entry(ws.ke_path, scores)
+    return scores
 
 
 def _run_cache_path(ws: _Workspace, config: ExperimentConfig, method: MethodSpec) -> Path:
@@ -490,13 +469,13 @@ def _evaluate_cached_run(
     path = cached_run.with_name(f"eval-{key}.json")
     metrics = list(config.metrics)
     if path.exists():
-        entry = _load_json_entry(
-            path,
-            "evaluation",
-            lambda entry: _is_evaluation_entry(entry, metrics),
-            f"it must hold metrics {metrics}, unique qids, and a value in [0, 1] "
-            "per metric and qid",
-        )
+        damaged = f"{path}: damaged evaluation cache entry (it may be deleted)"
+        try:
+            entry = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # undecodable bytes or invalid JSON
+            raise ValueError(f"{damaged}: {exc}") from None
+        rule = f"it must hold metrics {metrics}, unique qids, and a value in [0, 1] per metric and qid"
+        _require(_is_evaluation_entry(entry, metrics), f"{damaged}: {rule}")
         qids = entry["qids"]
         per_query = {m: dict(zip(qids, column)) for m, column in zip(metrics, entry["values"])}
         return MetricReport(config.metrics, per_query, qids), "hit"
@@ -504,7 +483,8 @@ def _evaluate_cached_run(
         run = read_run(cached_run, pool=pool)
     report = evaluate_run(run, qrels, config.metrics, config.depth)
     values = [[report.per_query[m][qid] for qid in report.qids] for m in metrics]
-    _write_json_entry(path, {"metrics": metrics, "qids": report.qids, "values": values})
+    text = json.dumps({"metrics": metrics, "qids": report.qids, "values": values}, sort_keys=True) + "\n"
+    _write_atomically(path, lambda tmp: tmp.write_text(text, encoding="utf-8", newline="\n"))
     return report, "miss"
 
 
@@ -614,7 +594,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if not cached_run.exists():
             run = searched[method.name] = retrieve_all(ws.searcher, queries, config.depth)
             _write_atomically(cached_run, lambda tmp: write_run(tmp, run, tag=method.name))
-    _save_ke_cache(ws)
     # The workspace holds the only reference to the searcher and its index.
     del ws
     qrels_digest = _file_digest(config.qrels)
@@ -746,6 +725,5 @@ def grid_search(
         recall = f"recall@{config.depth}"
         means = evaluate_run(run, ws.qrels, (recall, "map"), config.depth).means
         rows.append({**point, "recall": means[recall], "map": means["map"]})
-    _save_ke_cache(ws)
     rows.sort(key=lambda r: tuple(r[k] for k in keys))
     return rows

@@ -36,9 +36,9 @@ posting is ever a Python object. The scoring variant is the Lucene one:
 
 summed with query-token multiplicity (no query-frequency saturation).
 Indexes are write-once; after construction or load every structure is
-read-only, so concurrent searches over one index are safe. Each Searcher
-keeps a per-term max-score cache because historical query expansion probes
-the same terms for every turn.
+read-only, so concurrent searches over one index are safe. A Searcher
+computes every term's max score (HQE's keyword-extractor score) in one
+kernel pass on first use, as a float64 array by term id.
 """
 
 from __future__ import annotations
@@ -179,12 +179,21 @@ class InvertedIndex:
             if len(term_ids) != len(terms):
                 raise ValueError(f"terms.txt repeats a term: {len(term_ids)} distinct in {len(terms)} lines")
             doc_ids = np.array(_read_lines(path / "doc_ids.txt"), dtype=object)
-            arrays = {name: np.load(path / f"{name}.npy") for name in _ARRAYS}
+            arrays = {name: _load_array(path / f"{name}.npy") for name in _ARRAYS}
             _check_arrays(arrays, len(term_ids), doc_ids)
             tokenizer = TokenizerConfig.from_dict(meta.get("tokenizer", {}))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         return cls(term_ids, doc_ids, tokenizer=tokenizer, **arrays)
+
+
+def _load_array(path: Path) -> np.ndarray:
+    """``np.load`` without pickles; numpy's EOFError for a 0-byte file is a
+    ValueError naming the file, like any other unreadable array."""
+    try:
+        return np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise ValueError(f"{path.name}: {exc}") from None
 
 
 def _write_lines(path: Path, entries: Iterable[str]) -> None:
@@ -225,6 +234,10 @@ def _check_arrays(arrays: dict[str, np.ndarray], vocab_size: int, doc_ids: np.nd
         raise ValueError(f"offsets.npy holds {len(offsets)} entries for {vocab_size} terms")
     if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
         raise ValueError("offsets.npy must start at 0 and never decrease")
+    # build_index writes no term without postings; the max-score kernel needs none.
+    empty = np.flatnonzero(offsets[1:] == offsets[:-1])
+    if len(empty):
+        raise ValueError(f"offsets.npy gives term {empty[0]} no postings")
     if not offsets[-1] == len(doc_ords) == len(tfs):
         raise ValueError(
             f"offsets.npy ends at {offsets[-1]}, but doc_ords.npy holds {len(doc_ords)} "
@@ -233,6 +246,9 @@ def _check_arrays(arrays: dict[str, np.ndarray], vocab_size: int, doc_ids: np.nd
     for name in ("doc_lengths", "docid_rank"):
         if len(arrays[name]) != doc_count:
             raise ValueError(f"{name}.npy holds {len(arrays[name])} entries for {doc_count} passages")
+    # A posting's tf is >= 1, so every term's max score is > 0.
+    if len(tfs) and tfs.min() == 0:
+        raise ValueError("tfs.npy holds a term frequency of 0")
     if len(doc_ords) and doc_ords.max() >= doc_count:
         raise ValueError(f"doc_ords.npy holds an ordinal outside 0..{doc_count - 1}")
     rank = arrays["docid_rank"]
@@ -390,8 +406,8 @@ def _invert_block(ids: np.ndarray, lengths: np.ndarray, first_doc: int) -> _Bloc
 class Searcher:
     """BM25 query evaluation over one index with fixed parameters.
 
-    Stateless apart from the per-term max-score cache, which only ever
-    holds recomputable values, so shared use across threads is safe.
+    Stateless apart from the per-term max-score array, which is filled
+    once with recomputable values, so shared use across threads is safe.
     """
 
     def __init__(self, index: InvertedIndex, params: Bm25Params | None = None):
@@ -400,7 +416,7 @@ class Searcher:
         dl = index.doc_lengths.astype(np.float64)
         ratio = dl / index.avg_doc_len if index.avg_doc_len > 0 else np.zeros_like(dl)
         self._len_norm = self.params.k1 * (1.0 - self.params.b + self.params.b * ratio)
-        self._term_max: dict[str, float] = {}
+        self._term_max: np.ndarray | None = None
 
     def tokenize(self, text: str) -> list[str]:
         return self.index.tokenize(text)
@@ -449,26 +465,21 @@ class Searcher:
         # ids unique) and ordered by best_first, so the list skips the checks.
         return RankedList(qid, self.index.doc_ids[top].tolist(), scores[top], _ordered=True)
 
+    def term_max_scores(self) -> np.ndarray:
+        """Every term's best single-document score for a one-token query, by
+        term id, computed in one kernel pass on first use."""
+        if self._term_max is None:
+            index, weights = self.index, self.index.idf * (self.params.k1 + 1.0)
+            self._term_max = _bm25.max_posting_score(
+                index.offsets, weights, index.doc_ords, index.tfs, self._len_norm
+            )
+        return self._term_max
+
     def max_score_term(self, term: str) -> float:
         """Best single-document score for a one-token query; 0.0 when the
-        term is unindexed. Cached per term."""
-        hit = self._term_max.get(term)
-        if hit is not None:
-            return hit
+        term is unindexed."""
         tid = self.index.term_ids.get(term)
-        if tid is None:
-            return 0.0
-        weight = float(self.index.idf[tid]) * (self.params.k1 + 1.0)
-        value = _bm25.max_posting_score(
-            int(self.index.offsets[tid]),
-            int(self.index.offsets[tid + 1]),
-            weight,
-            self.index.doc_ords,
-            self.index.tfs,
-            self._len_norm,
-        )
-        self._term_max[term] = value
-        return value
+        return 0.0 if tid is None else float(self.term_max_scores()[tid])
 
     def max_score(self, tokens: Sequence[str]) -> float:
         """Top-1 score of the whole token stream; 0.0 when nothing matches."""

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shutil
@@ -360,19 +361,63 @@ def test_pos_methods_check_the_current_turns_tags(workdir, tmp_path, capsys):
         assert not out.exists()
 
 
+def _npy(array, **kwargs) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, **kwargs)
+    return buf.getvalue()
+
+
 def test_damaged_keyword_cache_entry_exits_1_naming_it(workdir, tmp_path, capsys):
     out = tmp_path / "out"
     argv = ("experiment", "--config", workdir / "config.yaml", "--output-dir", out)
     assert _run(*argv) == 0
-    (ke_path,) = (out / "cache").glob("ke-*.json")
-    for text in ('{"quasar": "x"}', "[1, 2]", '{"quasar": 2.5', '{"quasar": 0.0}',
-                 '{"quasar": NaN}'):
-        ke_path.write_text(text, encoding="utf-8")
+    (ke_path,) = (out / "cache").glob("ke-*.npy")
+    good = ke_path.read_bytes()
+    scores = np.load(ke_path)
+
+    def with_first(value):
+        bad = scores.copy()
+        bad[0] = value
+        return _npy(bad)
+
+    damaged = {
+        "one score short": _npy(scores[:-1]),
+        "float32": _npy(scores.astype(np.float32)),
+        "int64": _npy(scores.astype(np.int64)),
+        "NaN": with_first(np.nan),
+        "inf": with_first(np.inf),
+        "0.0": with_first(0.0),
+        "negative": with_first(-1.5),
+        "0 bytes": b"",
+        "cut off": good[:-8],
+        "pickled object array": _npy(scores.astype(object), allow_pickle=True),
+    }
+    for what, data in damaged.items():
+        ke_path.write_bytes(data)
         capsys.readouterr()
-        assert _run(*argv) == 1, text
+        assert _run(*argv) == 1, what
         err = capsys.readouterr().err
         assert f"error: {ke_path}: damaged keyword-extractor cache entry (it may be deleted)" in err, err
+        assert "internal error" not in err, err
     ke_path.unlink()
+    assert _run(*argv) == 0
+    assert ke_path.read_bytes() == good
+
+
+def test_empty_or_cut_off_index_array_exits_1(workdir, tmp_path, capsys):
+    # numpy raises EOFError, not ValueError, for a 0-byte .npy file.
+    idx = tmp_path / "idx"
+    assert _run("index", "build", "--input", workdir / "corpus.tsv", "--output", idx) == 0
+    argv = ("retrieve", "--index", idx, "--queries", workdir / "t5.tsv", "--out", tmp_path / "x.run")
+    for name, damage in (("offsets", lambda data: b""), ("doc_ords", lambda data: data[:-3])):
+        path = idx / f"{name}.npy"
+        good = path.read_bytes()
+        path.write_bytes(damage(good))
+        capsys.readouterr()
+        assert _run(*argv) == 1, name
+        err = capsys.readouterr().err
+        assert f"error: {idx}: {name}.npy: " in err and "internal error" not in err, err
+        path.write_bytes(good)
     assert _run(*argv) == 0
 
 

@@ -1,11 +1,14 @@
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from convpr.evaluation import evaluate_run, load_qrels
 from convpr.experiment import grid_search, load_config, run_experiment
+from convpr.index import InvertedIndex, Searcher
 from convpr.runs import read_run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -377,38 +380,53 @@ def test_second_save_to_a_finished_index_entry_uses_it(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == [target.name]  # no .index-*.tmp
 
 
-def test_warm_rerun_reuses_ke_cache(fixture_config, monkeypatch):
-    """A second run takes every keyword-extractor score from ke-*.json and
-    leaves that file untouched."""
-    from convpr import _bm25, experiment
+def _count_max_posting_score(monkeypatch) -> list:
+    """Record every call of the max-score kernel, which still runs."""
+    from convpr import _bm25
 
     calls = []
     real = _bm25.max_posting_score
+    monkeypatch.setattr(_bm25, "max_posting_score", lambda *args: calls.append(args) or real(*args))
+    return calls
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
 
-    monkeypatch.setattr(_bm25, "max_posting_score", counting)
+def _snapshot(directory: Path) -> dict:
+    """Every path under ``directory``, with its mtime and a file's bytes."""
+    return {
+        path: (path.stat().st_mtime_ns, path.is_file() and path.read_bytes())
+        for path in [directory, *directory.rglob("*")]
+    }
+
+
+def test_warm_rerun_reuses_ke_cache(fixture_config, monkeypatch):
+    """A cold run computes every keyword-extractor score in one kernel pass
+    and writes them to ke-*.npy; a warm experiment or grid takes them from
+    there and writes nothing to the cache."""
+    calls = _count_max_posting_score(monkeypatch)
     run_experiment(fixture_config)
-    assert calls
-    (ke_path,) = (fixture_config.output_dir / "cache").glob("ke-*.json")
-    cold = ke_path.read_bytes()
+    assert len(calls) == 1
+    cache = fixture_config.output_dir / "cache"
+    assert len(list(cache.glob("ke-*.npy"))) == 1
+    cold = _snapshot(cache)
 
     calls.clear()
-    real_write = experiment._write_atomically
-    written = []
-
-    def recording(path, write):
-        written.append(path)
-        real_write(path, write)
-
-    monkeypatch.setattr(experiment, "_write_atomically", recording)
     run_experiment(fixture_config)
     grid_search(fixture_config, "hqe", {"eta": [3.0]})
     assert calls == []
-    assert ke_path not in written
-    assert ke_path.read_bytes() == cold
+    assert _snapshot(cache) == cold
+
+
+def test_config_without_hqe_computes_no_keyword_scores(fixture_config, monkeypatch):
+    config = replace(
+        fixture_config,
+        methods=[m for m in fixture_config.methods if m.type not in ("hqe", "hqe-pos")],
+        fusion=None,
+    )
+    calls = _count_max_posting_score(monkeypatch)
+    run_experiment(config)
+    grid_search(config, "concat-pos", {"m_window": [1]})
+    assert calls == []
+    assert not list((config.output_dir / "cache").glob("ke-*"))
 
 
 def test_warm_run_copies_first_stage_runs_from_the_cache(fixture_config, monkeypatch):
@@ -835,8 +853,11 @@ def test_config_hash_logged_and_written(fixture_config):
 
 def test_ke_cache_persisted(fixture_config):
     run_experiment(fixture_config)
-    caches = list((fixture_config.output_dir / "cache").glob("ke-*.json"))
-    assert caches, "keyword-extractor cache not written"
+    cache = fixture_config.output_dir / "cache"
+    (ke_path,) = cache.glob("ke-*.npy")
+    (index_dir,) = cache.glob("index-*")
+    searcher = Searcher(InvertedIndex.load(index_dir), fixture_config.bm25)
+    assert np.load(ke_path).tobytes() == searcher.term_max_scores().tobytes()
 
 
 # -- grid search ----------------------------------------------------------------------

@@ -312,14 +312,45 @@ def test_score_postings_matches_fancy_index_add_bytewise(kernel, tf_dtype, ord_d
         index_mod._bm25.score_postings(starts, ends, weights, doc_ords, tfs, len_norm, got)
         _score_postings_reference(starts, ends, weights, doc_ords, tfs, len_norm, want)
         assert got.tobytes() == want.tobytes()
-    for t in range(len(sizes)):
-        s, e = offsets[t], offsets[t + 1]
-        want = 0.0
-        if e > s:
-            d, tf = doc_ords[s:e], tfs[s:e].astype(np.float64)
-            want = float((7.5 * tf / (tf + len_norm[d])).max())
-        got = index_mod._bm25.max_posting_score(int(s), int(e), 7.5, doc_ords, tfs, len_norm)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _max_posting_score_reference(offsets, weights, doc_ords, tfs, len_norm) -> np.ndarray:
+    """Each term's largest value of the written-out expression over its own
+    slice: what the run-at-a-time kernel must match bit for bit."""
+    out = np.empty(len(offsets) - 1)
+    for t in range(len(out)):
+        s, e = int(offsets[t]), int(offsets[t + 1])
+        d, tf = doc_ords[s:e], tfs[s:e].astype(np.float64)
+        out[t] = (weights[t] * tf / (tf + len_norm[d])).max()
+    return out
+
+
+@pytest.mark.parametrize("run_postings", [1, 7, 1 << 20])
+@pytest.mark.parametrize("tf_dtype", [np.uint8, np.uint16, np.float64])
+@pytest.mark.parametrize("n_docs,max_size", [(60, 12), (500, 500)])
+def test_max_posting_score_matches_per_term_expression_bytewise(
+    kernel, monkeypatch, n_docs, max_size, tf_dtype, run_postings
+):
+    # With runs of 1 and 7 postings most terms straddle a run boundary, and
+    # the long ones span several runs. The small collection has uint8
+    # offsets and ordinals; each collection's offsets are also given as
+    # uint64, which np.repeat and reduceat do not take.
+    monkeypatch.setattr(index_mod._bm25, "_RUN_POSTINGS", run_postings)
+    rng = np.random.default_rng(43)
+    sizes = [1, 1, max_size, *rng.integers(1, max_size, size=20, endpoint=True).tolist(), 1]
+    lists = [np.sort(rng.choice(n_docs, size=size, replace=False)) for size in sizes]
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    offsets = offsets.astype(np.min_scalar_type(offsets[-1]))
+    doc_ords = np.concatenate(lists).astype(np.min_scalar_type(n_docs - 1))
+    assert (offsets.dtype, doc_ords.dtype) == ((np.uint8, np.uint8) if n_docs == 60 else (np.uint16, np.uint16))
+    top = 1000 if tf_dtype == np.float64 else np.iinfo(tf_dtype).max
+    tfs = rng.integers(1, top, size=len(doc_ords), endpoint=True).astype(tf_dtype)
+    len_norm = rng.uniform(0.05, 3.0, size=n_docs)
+    weights = rng.uniform(0.1, 20.0, size=len(sizes))
+    want = _max_posting_score_reference(offsets, weights, doc_ords, tfs, len_norm)
+    for offsets in (offsets, offsets.astype(np.uint64)):
+        got = index_mod._bm25.max_posting_score(offsets, weights, doc_ords, tfs, len_norm)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("tf_dtype", [np.uint8, np.uint16, np.float64])
@@ -328,9 +359,10 @@ def test_kernels_leave_their_inputs_unchanged(kernel, tf_dtype):
     # of the index arrays instead would corrupt the index without an error.
     rng = np.random.default_rng(5)
     n_docs = 300
-    sizes = [0, 1, n_docs, *rng.integers(0, n_docs, size=20).tolist()]
+    # Every term holds a posting, as max_posting_score requires.
+    sizes = [1, n_docs, *rng.integers(1, n_docs, size=20).tolist()]
     lists = [np.sort(rng.choice(n_docs, size=size, replace=False)) for size in sizes]
-    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.uint32)
     doc_ords = np.concatenate(lists).astype(np.int32)
     tfs = rng.integers(1, 200, size=len(doc_ords)).astype(tf_dtype)
     len_norm = rng.uniform(0.05, 3.0, size=n_docs)
@@ -338,14 +370,12 @@ def test_kernels_leave_their_inputs_unchanged(kernel, tf_dtype):
     starts, ends = offsets[terms], offsets[terms + 1]
     weights = rng.uniform(0.5, 20.0, size=len(terms))
     inputs = {"doc_ords": doc_ords, "tfs": tfs, "len_norm": len_norm, "weights": weights,
-              "starts": starts, "ends": ends}
+              "starts": starts, "ends": ends, "offsets": offsets}
     before = {name: (a.dtype, a.tobytes()) for name, a in inputs.items()}
     scores = np.zeros(n_docs)
     index_mod._bm25.score_postings(starts, ends, weights, doc_ords, tfs, len_norm, scores)
     assert scores.any()
-    for t in terms:
-        index_mod._bm25.max_posting_score(int(starts[t]), int(ends[t]), float(weights[t]),
-                                          doc_ords, tfs, len_norm)
+    assert index_mod._bm25.max_posting_score(offsets, weights, doc_ords, tfs, len_norm).all()
     assert {name: (a.dtype, a.tobytes()) for name, a in inputs.items()} == before
 
 
@@ -434,6 +464,7 @@ def _lines(tamper):
         # when its values are in range.
         ("tfs", lambda a: a.astype(np.float64), f"tfs.npy {_UNSIGNED} 1-d float64"),
         ("tfs", lambda a: a.astype(np.int8), f"tfs.npy {_UNSIGNED} 1-d int8"),
+        ("tfs", lambda a: _with(a, 3, 0), "tfs.npy holds a term frequency of 0"),
         ("offsets", lambda a: a.astype(np.int64), f"offsets.npy {_UNSIGNED} 1-d int64"),
         ("offsets", lambda a: a.astype(np.float64), f"offsets.npy {_UNSIGNED} 1-d float64"),
         ("doc_ords", lambda a: a.astype(np.int32), f"doc_ords.npy {_UNSIGNED} 1-d int32"),
@@ -451,6 +482,10 @@ def _lines(tamper):
         ("offsets", lambda a: a + 1, "must start at 0"),
         ("offsets", lambda a: _with(a, -1, a[-2] - 1), "never decrease"),
         ("offsets", lambda a: _with(a, 1, 2**32 - 1, np.uint32), "never decrease"),
+        # A term without postings: build_index never writes one, and the
+        # max-score kernel would give it the next term's score.
+        ("offsets", lambda a: _with(a, 1, 0), "offsets.npy gives term 0 no postings"),
+        ("offsets", lambda a: _with(a, -2, a[-1]), "offsets.npy gives term 7 no postings"),
         ("offsets", lambda a: _with(a, -1, 2**64 - 1, np.uint64),
          "offsets.npy ends at 18446744073709551615, but doc_ords.npy holds 9 postings"),
         ("doc_lengths", lambda a: a[:2], "doc_lengths.npy holds 2 entries for 3 passages"),
@@ -772,10 +807,20 @@ def test_max_score_term_equals_top1_and_oracle(kernel):
         assert value == searcher.max_score([term])
 
 
-def test_max_score_term_cache_consistent(kernel):
+def test_max_score_term_cache_consistent(kernel, monkeypatch):
+    # One kernel pass fills every term's score; each probe reads the array.
+    calls = []
+    real = index_mod._bm25.max_posting_score
+    monkeypatch.setattr(index_mod._bm25, "max_posting_score", lambda *a: calls.append(a) or real(*a))
     searcher = Searcher(index_from(TOY))
     first = searcher.max_score_term("cat")
     assert searcher.max_score_term("cat") == first
+    assert searcher.max_score_term("dog") > 0.0
+    assert searcher.max_score_term("zzz") == 0.0
+    scores = searcher.term_max_scores()
+    assert len(calls) == 1 and searcher.term_max_scores() is scores
+    assert scores.dtype == np.float64 and scores.shape == (searcher.index.vocab_size,)
+    assert scores[searcher.index.term_ids["cat"]] == first
 
 
 def test_max_score_empty_stream_is_zero(kernel):
