@@ -1,19 +1,24 @@
 """Immutable inverted index with BM25 top-k retrieval.
 
 Postings live in a flat term-major layout (one slice per term) so the
-scoring kernels in :mod:`convpr._bm25` can run over plain arrays. An index
-directory (layout v4) holds ``meta.json`` (format, version and tokenizer),
-``terms.txt`` and ``doc_ids.txt`` (by id and by ordinal, one UTF-8 entry per
-``\n``-terminated line) and five numpy arrays. Each array is stored in the
-smallest unsigned integer dtype that holds its bound, the largest value it
-may hold:
+scoring kernels in :mod:`convpr._bm25` can run over plain arrays. Within
+a term the postings are ordered by (term frequency, doc ordinal), so they
+fall into tf groups, one per (term, tf) pair, in ascending tf, and each
+group's tf is stored once. An index directory (layout v5) holds
+``meta.json`` (format, version and tokenizer), ``terms.txt`` and
+``doc_ids.txt`` (by id and by ordinal, one UTF-8 entry per ``\n``-terminated
+line) and six numpy arrays. Each array is stored in the smallest unsigned
+integer dtype that holds its bound, the largest value it may hold:
 
-- ``offsets`` (vocab + 1; bound: the posting count): term ``t``'s postings
-  are ``offsets[t]:offsets[t + 1]``;
+- ``term_groups`` (vocab + 1; bound: the group count): term ``t``'s groups
+  are ``term_groups[t]:term_groups[t + 1]``;
+- ``group_offsets`` (groups + 1; bound: the posting count): group ``g``'s
+  postings are ``group_offsets[g]:group_offsets[g + 1]``;
+- ``group_tfs`` (groups; bound: the largest term frequency): each group's
+  term frequency, strictly increasing within a term; the kernels promote
+  it to float64 exactly;
 - ``doc_ords`` (bound: passages - 1): each posting's doc ordinal, ascending
-  within a term;
-- ``tfs`` (bound: the largest term frequency): each posting's term
-  frequency; the kernels promote it to float64 exactly;
+  within a group;
 - ``doc_lengths`` (bound: the longest passage): tokens per passage;
 - ``docid_rank`` (bound: passages - 1): :func:`convpr.runs.id_rank` of the
   doc ids, the tie-break that search hands to :func:`convpr.runs.best_first`.
@@ -22,11 +27,13 @@ may hold:
 :meth:`InvertedIndex.save` narrows whatever arrays the index holds to
 these dtypes; :meth:`InvertedIndex.load` takes any 1-d unsigned integer
 arrays whose values are in range. No array needs a decode step: the
-kernels convert each posting slice once, whatever its dtype.
+kernels repeat each group's tf over its postings, whatever its dtype.
 
 In memory the index holds each table once: its terms as one dict from
 term to id, in id order (``terms.txt`` holds its keys), and its doc ids as
 one numpy object array, from which a search gathers result ids in one call.
+It also derives ``offsets = group_offsets[term_groups]`` (vocab + 1), each
+term's posting bounds, on which document frequencies and search rest.
 
 :func:`build_index` inverts the corpus block by block with numpy, so no
 posting is ever a Python object. The scoring variant is the Lucene one:
@@ -60,13 +67,18 @@ from .runs import RankedList, best_first, id_rank
 from .tokenization import TokenizerConfig
 
 _FORMAT = "convpr.index"
-_VERSION = 4
+_VERSION = 5
 # Passages per inverted block of build_index. A block's sort and scatter
 # temporaries grow with it; per-block numpy call overhead shrinks with it.
 _BLOCK_PASSAGES = 256
 
+# Postings that build_index sorts by tf at once, in runs of whole terms.
+_SORT_POSTINGS = 1 << 16
+
 # The arrays of an index directory, each saved as <name>.npy.
-_ARRAYS = ("offsets", "doc_ords", "tfs", "doc_lengths", "docid_rank")
+_ARRAYS = ("term_groups", "group_offsets", "group_tfs", "doc_ords", "doc_lengths", "docid_rank")
+# Arrays of layout v4 that v5 replaced; save removes them from a reused directory.
+_V4_ARRAYS = ("offsets", "tfs")
 
 
 def _uint(bound: int) -> np.dtype:
@@ -93,18 +105,21 @@ class InvertedIndex:
         self,
         term_ids: dict[str, int],
         doc_ids: np.ndarray,
-        offsets: np.ndarray,
+        term_groups: np.ndarray,
+        group_offsets: np.ndarray,
+        group_tfs: np.ndarray,
         doc_ords: np.ndarray,
-        tfs: np.ndarray,
         doc_lengths: np.ndarray,
         docid_rank: np.ndarray,
         tokenizer: TokenizerConfig,
     ):
         self.term_ids = term_ids
         self.doc_ids = doc_ids
-        self.offsets = offsets
+        self.term_groups = term_groups
+        self.group_offsets = group_offsets
+        self.group_tfs = group_tfs
+        self.offsets = offsets = group_offsets[term_groups]
         self.doc_ords = doc_ords
-        self.tfs = tfs
         self.doc_lengths = doc_lengths
         self.docid_rank = docid_rank
         self.tokenizer = tokenizer
@@ -133,20 +148,22 @@ class InvertedIndex:
 
     def save(self, path: str | Path) -> None:
         """Write a versioned directory, ``meta.json`` last (an earlier one
-        first removed), each array in the dtype of its bound; rebuilding the
-        same corpus yields byte-identical files."""
+        first removed, with any v4 arrays), each array in the dtype of its
+        bound; rebuilding the same corpus yields byte-identical files."""
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
-        (path / "meta.json").unlink(missing_ok=True)
+        for name in ("meta.json", *(f"{array}.npy" for array in _V4_ARRAYS)):
+            (path / name).unlink(missing_ok=True)
         _write_lines(path / "terms.txt", self.term_ids)
         _write_lines(path / "doc_ids.txt", self.doc_ids)
         # Each array is narrowed to the dtype of its bound (a no-op for the
         # arrays of build_index), so wider arrays save the same bytes.
         last_doc = max(self.doc_count - 1, 0)
         bounds = {
-            "offsets": self.offsets[-1],
+            "term_groups": len(self.group_tfs),
+            "group_offsets": len(self.doc_ords),
+            "group_tfs": self.group_tfs.max(initial=0),
             "doc_ords": last_doc,
-            "tfs": self.tfs.max(initial=0),
             "doc_lengths": self.doc_lengths.max(initial=0),
             "docid_rank": last_doc,
         }
@@ -229,28 +246,33 @@ def _check_arrays(arrays: dict[str, np.ndarray], vocab_size: int, doc_ids: np.nd
     for name, a in arrays.items():
         if a.dtype.kind != "u" or a.ndim != 1:
             raise ValueError(f"{name}.npy must be a 1-d unsigned integer array, got {a.ndim}-d {a.dtype}")
-    offsets, doc_ords, tfs = arrays["offsets"], arrays["doc_ords"], arrays["tfs"]
-    if len(offsets) != vocab_size + 1:
-        raise ValueError(f"offsets.npy holds {len(offsets)} entries for {vocab_size} terms")
-    if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
-        raise ValueError("offsets.npy must start at 0 and never decrease")
-    # build_index writes no term without postings; the max-score kernel needs none.
-    empty = np.flatnonzero(offsets[1:] == offsets[:-1])
-    if len(empty):
-        raise ValueError(f"offsets.npy gives term {empty[0]} no postings")
-    if not offsets[-1] == len(doc_ords) == len(tfs):
-        raise ValueError(
-            f"offsets.npy ends at {offsets[-1]}, but doc_ords.npy holds {len(doc_ords)} "
-            f"postings and tfs.npy {len(tfs)}"
-        )
+    term_groups, group_offsets = arrays["term_groups"], arrays["group_offsets"]
+    group_tfs, doc_ords = arrays["group_tfs"], arrays["doc_ords"]
+    _check_slices("term_groups", term_groups, "term", vocab_size, "groups", "group_tfs", len(group_tfs))
+    _check_slices(
+        "group_offsets", group_offsets, "group", len(group_tfs), "postings", "doc_ords", len(doc_ords)
+    )
     for name in ("doc_lengths", "docid_rank"):
         if len(arrays[name]) != doc_count:
             raise ValueError(f"{name}.npy holds {len(arrays[name])} entries for {doc_count} passages")
     # A posting's tf is >= 1, so every term's max score is > 0.
-    if len(tfs) and tfs.min() == 0:
-        raise ValueError("tfs.npy holds a term frequency of 0")
+    if len(group_tfs) and group_tfs.min() == 0:
+        raise ValueError("group_tfs.npy holds a term frequency of 0")
+    # One group per (term, tf), in ascending tf, as build_index writes them;
+    # a term's first group may hold any tf.
+    rises = group_tfs[1:] > group_tfs[:-1]
+    rises[term_groups[1:-1] - 1] = True
+    if not rises.all():
+        raise ValueError("group_tfs.npy must strictly increase within each term")
     if len(doc_ords) and doc_ords.max() >= doc_count:
         raise ValueError(f"doc_ords.npy holds an ordinal outside 0..{doc_count - 1}")
+    # A repeated ordinal would add to one passage's score twice. Falls are
+    # counted over all postings and at group starts, where they are allowed,
+    # so no temporary of the posting count outlives its count.
+    starts = group_offsets[1:-1]
+    falls = np.count_nonzero(doc_ords[1:] <= doc_ords[:-1])
+    if falls != np.count_nonzero(doc_ords[starts] <= doc_ords[starts - 1]):
+        raise ValueError("doc_ords.npy must strictly increase within each tf group (a repeated ordinal?)")
     rank = arrays["docid_rank"]
     if doc_count and rank.max() >= doc_count:
         raise ValueError(f"docid_rank.npy holds a rank outside 0..{doc_count - 1}")
@@ -266,6 +288,24 @@ def _check_arrays(arrays: dict[str, np.ndarray], vocab_size: int, doc_ids: np.nd
         raise ValueError("doc ids must strictly increase in docid_rank order (a repeat or a wrong rank)")
 
 
+def _check_slices(
+    name: str, bounds: np.ndarray, owner: str, owners: int, held: str, source: str, total: int
+) -> None:
+    """Raise ValueError unless ``bounds`` cuts ``0..total``, the ``held``
+    entries of ``source``.npy, into one non-empty slice for each of
+    ``owners`` items named ``owner``."""
+    if len(bounds) != owners + 1:
+        raise ValueError(f"{name}.npy holds {len(bounds)} entries for {owners} {owner}s")
+    if bounds[0] != 0 or np.any(bounds[1:] < bounds[:-1]):
+        raise ValueError(f"{name}.npy must start at 0 and never decrease")
+    # build_index writes no empty slice; the max-score kernel takes none.
+    empty = np.flatnonzero(bounds[1:] == bounds[:-1])
+    if len(empty):
+        raise ValueError(f"{name}.npy gives {owner} {empty[0]} no {held}")
+    if bounds[-1] != total:
+        raise ValueError(f"{name}.npy ends at {bounds[-1]}, but {source}.npy holds {total} {held}")
+
+
 def build_index(passages: Iterable[Passage], tokenizer: TokenizerConfig | None = None) -> InvertedIndex:
     """Single-pass, deterministic build: term and doc ordinals follow first
     occurrence in the input stream, which is iterated once.
@@ -277,14 +317,16 @@ def build_index(passages: Iterable[Passage], tokenizer: TokenizerConfig | None =
     frequencies and the largest tf and passage length stay in memory. At
     the end the postings arrays are allocated once, in their final dtypes,
     and the blocks are read back, in doc order and one at a time, and
-    scattered into them, so doc ordinals ascend within every term. The
-    build thus holds the final arrays plus one block, and no posting is
-    ever a Python object. The offsets are summed in int64 and narrowed
-    once, at the end.
+    scattered into them, so doc ordinals ascend within every term. Then
+    :func:`_group_by_tf` orders each term's postings by tf and drops the
+    per-posting tfs for one tf per group. The build thus holds the final
+    arrays, the per-posting tfs and one block, and no posting is ever a
+    Python object. The offsets and group bounds are summed in int64 and
+    narrowed once, at the end.
 
     The spill file takes ~9 B of temporary disk per posting (int32 doc
     ordinal and uint8 tf, plus an int32 term id and count per (block, term)
-    group, ~0.49 groups per posting on the benchmark corpus). It is made
+    pair, ~0.49 pairs per posting on the benchmark corpus). It is made
     with :func:`tempfile.TemporaryFile`, so it lives in ``TMPDIR``, is
     unlinked at once on POSIX systems and is gone when the build returns or
     raises. The files saved are the same for any block size.
@@ -296,7 +338,7 @@ def build_index(passages: Iterable[Passage], tokenizer: TokenizerConfig | None =
     doc_ids: list[str] = []
     doc_lengths: list[int] = []
     stream: list[str] = []
-    # (groups, postings, tf dtype) of each spilled block, in doc order.
+    # (terms, postings, tf dtype) of each spilled block, in doc order.
     spilled: list[tuple[int, int, np.dtype]] = []
     # Document frequencies, grown geometrically with the vocabulary.
     df = np.zeros(0, dtype=np.int64)
@@ -342,10 +384,10 @@ def build_index(passages: Iterable[Passage], tokenizer: TokenizerConfig | None =
         # order.
         fill = offsets[:-1].copy()
         spill.seek(0)
-        for groups, postings, tf_dtype in spilled:
+        for terms, postings, tf_dtype in spilled:
             block = _Block(
-                terms=np.empty(groups, np.int32),
-                counts=np.empty(groups, np.int32),
+                terms=np.empty(terms, np.int32),
+                counts=np.empty(terms, np.int32),
                 docs=np.empty(postings, np.int32),
                 tfs=np.empty(postings, tf_dtype),
             )
@@ -358,6 +400,8 @@ def build_index(passages: Iterable[Passage], tokenizer: TokenizerConfig | None =
             tfs[pos] = block.tfs
             fill[block.terms] += block.counts
 
+    term_groups, group_offsets, group_tfs = _group_by_tf(offsets, doc_ords, tfs)
+    del tfs  # one tf per group from here on
     # The index keeps this dict; from now on a missing term is not added.
     term_ids.default_factory = None
     # id_rank sorts this array, so the ids are never copied.
@@ -365,13 +409,64 @@ def build_index(passages: Iterable[Passage], tokenizer: TokenizerConfig | None =
     return InvertedIndex(
         term_ids=term_ids,
         doc_ids=doc_ids,
-        offsets=offsets.astype(_uint(total)),
+        term_groups=term_groups,
+        group_offsets=group_offsets,
+        group_tfs=group_tfs,
         doc_ords=doc_ords,
-        tfs=tfs,
         doc_lengths=np.asarray(doc_lengths, dtype=_uint(max_len)),
         docid_rank=id_rank(doc_ids),
         tokenizer=tokenizer,
     )
+
+
+def _group_by_tf(offsets: np.ndarray, doc_ords: np.ndarray, tfs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Order each term's postings in ``doc_ords`` by (tf, doc ordinal), in
+    place, and return ``term_groups``, ``group_offsets`` and ``group_tfs``,
+    each in the dtype of its bound. ``offsets`` (int64) bounds each term's
+    postings, which ``doc_ords`` must hold in ascending doc order and
+    ``tfs`` their term frequencies.
+
+    Each run of whole terms of at most ``_SORT_POSTINGS`` postings, or one
+    longer term, takes one stable sort by (term, tf) keys, in the smallest
+    unsigned dtype that holds them, so stable order keeps the ordinals
+    ascending within a group and the temporaries stay at the run's size
+    (a longer term's size)."""
+    vocab, total = len(offsets) - 1, int(offsets[-1])
+    span = int(tfs.max(initial=0)) + 1
+    # A first part of no groups gives each cumulative sum its leading 0.
+    parts = [(np.zeros(1, np.int64), tfs[:0], np.zeros(1, np.int64))]
+    t = 0
+    while t < vocab:
+        u = max(t + 1, int(np.searchsorted(offsets, offsets[t] + _SORT_POSTINGS, "right")) - 1)
+        parts.append(_group_run(offsets[t : u + 1], doc_ords, tfs, span))
+        t = u
+    sizes, group_tfs, term_groups = zip(*parts)
+    group_offsets = np.cumsum(np.concatenate(sizes))
+    term_groups = np.cumsum(np.concatenate(term_groups))
+    groups = int(term_groups[-1])
+    return (
+        term_groups.astype(_uint(groups)),
+        group_offsets.astype(_uint(total)),
+        np.concatenate(group_tfs),
+    )
+
+
+def _group_run(
+    offsets: np.ndarray, doc_ords: np.ndarray, tfs: np.ndarray, span: int
+) -> tuple[np.ndarray, ...]:
+    """:func:`_group_by_tf` for the terms whose postings ``offsets`` bounds:
+    their groups' sizes, their tfs (in the dtype of ``tfs``) and each
+    term's group count. Every tf is below ``span``."""
+    s, e, top = int(offsets[0]), int(offsets[-1]), (len(offsets) - 1) * span
+    keys = np.repeat(np.arange(0, top, span, dtype=_uint(top - 1)), np.diff(offsets))
+    keys += tfs[s:e]
+    order = np.argsort(keys, kind="stable")
+    doc_ords[s:e] = doc_ords[s:e][order]
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    group_terms, group_tfs = np.divmod(keys[starts].astype(np.int64), span)
+    counts = np.bincount(group_terms, minlength=len(offsets) - 1)
+    return np.diff(starts, append=e - s), group_tfs.astype(tfs.dtype), counts
 
 
 class _Block(NamedTuple):
@@ -416,27 +511,33 @@ class Searcher:
         dl = index.doc_lengths.astype(np.float64)
         ratio = dl / index.avg_doc_len if index.avg_doc_len > 0 else np.zeros_like(dl)
         self._len_norm = self.params.k1 * (1.0 - self.params.b + self.params.b * ratio)
+        # Each tf group's size and tf in the kernel's dtypes, so that a query
+        # term's tf column is one np.repeat of two slices.
+        self._group_sizes = np.diff(index.group_offsets.astype(np.intp))
+        self._group_tfs = index.group_tfs.astype(np.float64)
         self._term_max: np.ndarray | None = None
 
     def tokenize(self, text: str) -> list[str]:
         return self.index.tokenize(text)
 
-    def _query_weights(self, tokens: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Posting-slice bounds and weights ``qtf * idf * (k1 + 1)`` of the
-        query's indexed terms, in first-occurrence order."""
-        counts = Counter(tid for tid in map(self.index.term_ids.get, tokens) if tid is not None)
+    def _query_weights(
+        self, tokens: Sequence[str]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, _bm25.TfGroups]:
+        """Posting-slice bounds, weights ``qtf * idf * (k1 + 1)`` and tf
+        groups of the query's indexed terms, in first-occurrence order."""
+        index = self.index
+        counts = Counter(tid for tid in map(index.term_ids.get, tokens) if tid is not None)
         tids = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
         qtfs = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-        offsets = self.index.offsets
-        return offsets[tids], offsets[tids + 1], qtfs * self.index.idf[tids] * (self.params.k1 + 1.0)
+        offsets, term_groups = index.offsets, index.term_groups
+        groups = _bm25.TfGroups(term_groups[tids], term_groups[tids + 1], self._group_sizes, self._group_tfs)
+        return offsets[tids], offsets[tids + 1], qtfs * index.idf[tids] * (self.params.k1 + 1.0), groups
 
     def _score_all(self, tokens: Sequence[str]) -> np.ndarray:
         scores = np.zeros(self.index.doc_count, dtype=np.float64)
-        starts, ends, weights = self._query_weights(tokens)
+        starts, ends, weights, groups = self._query_weights(tokens)
         if len(starts):
-            _bm25.score_postings(
-                starts, ends, weights, self.index.doc_ords, self.index.tfs, self._len_norm, scores
-            )
+            _bm25.score_postings(starts, ends, weights, self.index.doc_ords, groups, self._len_norm, scores)
         return scores
 
     def search(self, tokens: Sequence[str], k: int = 1000, qid: str = "0") -> RankedList:
@@ -471,7 +572,7 @@ class Searcher:
         if self._term_max is None:
             index, weights = self.index, self.index.idf * (self.params.k1 + 1.0)
             self._term_max = _bm25.max_posting_score(
-                index.offsets, weights, index.doc_ords, index.tfs, self._len_norm
+                index.offsets, weights, index.doc_ords, index.group_offsets, index.group_tfs, self._len_norm
             )
         return self._term_max
 

@@ -96,14 +96,14 @@ def qpp_score(docs: dict[str, list[str]], tokens: list[str], k1: float, b: float
 
 
 def reference_index(passages, tokenizer):
-    """The v2 index arrays built the direct way: one Python list of doc
-    ordinals and one of tfs per term, filled passage by passage, and the
-    doc_id rank written ordinal by ordinal."""
+    """The v5 index arrays built the direct way: one Python list of (doc
+    ordinal, tf) pairs per term, filled passage by passage, then split into
+    one group per distinct tf, and the doc_id rank written ordinal by
+    ordinal."""
     from convpr.index import InvertedIndex
 
     term_ids: dict[str, int] = {}
-    per_term_docs: list[list[int]] = []
-    per_term_tfs: list[list[int]] = []
+    per_term: list[list[tuple[int, int]]] = []
     doc_ids: list[str] = []
     doc_lengths: list[int] = []
     for ordinal, passage in enumerate(passages):
@@ -113,26 +113,26 @@ def reference_index(passages, tokenizer):
         for term, tf in Counter(tokens).items():
             if term not in term_ids:
                 term_ids[term] = len(term_ids)
-                per_term_docs.append([])
-                per_term_tfs.append([])
-            per_term_docs[term_ids[term]].append(ordinal)
-            per_term_tfs[term_ids[term]].append(tf)
+                per_term.append([])
+            per_term[term_ids[term]].append((ordinal, tf))
 
-    offsets = np.zeros(len(term_ids) + 1, dtype=np.int64)
-    for tid, docs in enumerate(per_term_docs):
-        offsets[tid + 1] = offsets[tid] + len(docs)
-    all_tfs = [tf for freqs in per_term_tfs for tf in freqs]
-    doc_ords = np.array([d for docs in per_term_docs for d in docs], dtype=np.int32)
-    tfs = np.array(all_tfs, dtype=np.min_scalar_type(max(all_tfs, default=0)))
+    term_groups, group_offsets, group_tfs, doc_ords = [0], [0], [], []
+    for postings in per_term:
+        for tf, count in sorted(Counter(tf for _, tf in postings).items()):
+            group_tfs.append(tf)
+            group_offsets.append(group_offsets[-1] + count)
+            doc_ords += [d for d, f in postings if f == tf]
+        term_groups.append(len(group_tfs))
     docid_rank = np.empty(len(doc_ids), dtype=np.int32)
     for pos, ordinal in enumerate(sorted(range(len(doc_ids)), key=doc_ids.__getitem__)):
         docid_rank[ordinal] = pos
     return InvertedIndex(
         term_ids=term_ids,
         doc_ids=np.array(doc_ids, dtype=object),
-        offsets=offsets,
-        doc_ords=doc_ords,
-        tfs=tfs,
+        term_groups=np.array(term_groups, dtype=np.int64),
+        group_offsets=np.array(group_offsets, dtype=np.int64),
+        group_tfs=np.array(group_tfs, dtype=np.min_scalar_type(max(group_tfs, default=0))),
+        doc_ords=np.array(doc_ords, dtype=np.int32),
         doc_lengths=np.array(doc_lengths, dtype=np.int64),
         docid_rank=docid_rank,
         tokenizer=tokenizer,

@@ -5,6 +5,8 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracer  # noqa: E402
@@ -151,3 +153,21 @@ def test_cold_experiment_builds_through_the_traced_name(tmp_path):
         t.restore()
     assert t.summary()["index.build_index"]["calls"] == 1
     assert t.counts["index.postings"] == ws.searcher.index.doc_ords.size > 0
+
+
+def test_search_postings_and_candidates_are_read_from_the_kernel_arguments():
+    # The tracer reads score_postings' arguments by position: 0 and 1 (the
+    # terms' posting bounds) for index.search.postings, 6 (the scores) for
+    # the candidates of each search. A reordered signature would miscount.
+    docs = {"d1": ["cat", "sat"], "d2": ["dog", "cat"], "d3": ["cat", "cat", "dog"], "d4": ["bird"]}
+    searcher = Searcher(index_from(docs))
+    query = ["cat", "dog", "oov", "cat"]
+    t = tracer.Tracer()
+    try:
+        tracer.install(t, 12.5)
+        searcher.search(query, k=10, qid="q")
+    finally:
+        t.restore()
+    index = searcher.index
+    assert t.counts["index.search.postings"] == index.df("cat") + index.df("dog") == 5
+    assert t.candidates == [3] == [int(np.count_nonzero(searcher._score_all(query)))]

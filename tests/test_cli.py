@@ -409,7 +409,7 @@ def test_empty_or_cut_off_index_array_exits_1(workdir, tmp_path, capsys):
     idx = tmp_path / "idx"
     assert _run("index", "build", "--input", workdir / "corpus.tsv", "--output", idx) == 0
     argv = ("retrieve", "--index", idx, "--queries", workdir / "t5.tsv", "--out", tmp_path / "x.run")
-    for name, damage in (("offsets", lambda data: b""), ("doc_ords", lambda data: data[:-3])):
+    for name, damage in (("term_groups", lambda data: b""), ("doc_ords", lambda data: data[:-3])):
         path = idx / f"{name}.npy"
         good = path.read_bytes()
         path.write_bytes(damage(good))
@@ -419,6 +419,45 @@ def test_empty_or_cut_off_index_array_exits_1(workdir, tmp_path, capsys):
         assert f"error: {idx}: {name}.npy: " in err and "internal error" not in err, err
         path.write_bytes(good)
     assert _run(*argv) == 0
+
+
+def test_repeated_doc_ordinal_in_a_tf_group_exits_1(tmp_path, capsys):
+    # A repeat would add one passage's contribution twice and drop another
+    # passage from the term's list: d1 would score "cat" twice and d2 not at all.
+    (tmp_path / "corpus.tsv").write_text("d1\tcat sat\nd2\tdog cat\nd3\tcat cat dog\n", encoding="utf-8")
+    (tmp_path / "q.tsv").write_text("q1\tcat\n", encoding="utf-8")
+    idx = tmp_path / "idx"
+    assert _run("index", "build", "--input", tmp_path / "corpus.tsv", "--output", idx) == 0
+    argv = ("retrieve", "--index", idx, "--queries", tmp_path / "q.tsv", "--out", tmp_path / "x.run")
+    path = idx / "doc_ords.npy"
+    good = np.load(path)
+    # "cat" holds tf groups [d1 d2] (tf 1) and [d3] (tf 2), then "sat", "dog".
+    assert good.tolist() == [0, 1, 2, 0, 1, 2]
+    for bad in ([0, 0, 2, 0, 1, 2], [1, 0, 2, 0, 1, 2], [0, 1, 2, 0, 2, 2]):
+        np.save(path, np.array(bad, dtype=good.dtype))
+        capsys.readouterr()
+        assert _run(*argv) == 1, bad
+        err = capsys.readouterr().err
+        assert f"error: {idx}: doc_ords.npy must strictly increase within each tf group" in err, err
+        assert "internal error" not in err
+    np.save(path, good)
+    assert _run(*argv) == 0
+
+
+def test_index_build_into_a_v4_directory_leaves_no_v4_arrays(workdir, tmp_path):
+    # index build reuses its --output directory; the per-posting offsets.npy
+    # and tfs.npy of layout v4 would stay behind there as dead bytes.
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    reused.mkdir()
+    (reused / "meta.json").write_text('{"format": "convpr.index", "version": 4}', encoding="utf-8")
+    for name in ("offsets.npy", "tfs.npy", "doc_ords.npy"):
+        np.save(reused / name, np.arange(5, dtype=np.uint8))
+    for out in (fresh, reused):
+        assert _run("index", "build", "--input", workdir / "corpus.tsv", "--output", out) == 0
+    files = sorted(p.name for p in fresh.iterdir())
+    assert "tfs.npy" not in files and "offsets.npy" not in files
+    assert sorted(p.name for p in reused.iterdir()) == files
+    assert all((reused / name).read_bytes() == (fresh / name).read_bytes() for name in files)
 
 
 def test_damaged_evaluation_cache_entry_exits_1_naming_it(workdir, tmp_path, capsys):
@@ -459,11 +498,11 @@ def test_damaged_index_meta_and_quoted_tokenizer_flags_exit_1(workdir, tmp_path,
     meta_path = idx / "meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     # an index of an earlier layout must be rebuilt
-    meta_path.write_text(json.dumps({**meta, "version": 3}), encoding="utf-8")
+    meta_path.write_text(json.dumps({**meta, "version": 4}), encoding="utf-8")
     assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv",
                 "--out", tmp_path / "x.run") == 1
     err = capsys.readouterr().err
-    assert f"{idx}: not a convpr.index v4 directory" in err and "internal error" not in err
+    assert f"{idx}: not a convpr.index v5 directory" in err and "internal error" not in err
     meta["tokenizer"] = "stem"
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
     assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv",

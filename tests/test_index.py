@@ -3,6 +3,7 @@ import shutil
 import tempfile
 import tracemalloc
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import oracles
 from conftest import index_from, passages_from
 from convpr import index as index_mod
 from convpr.corpus import Passage
+from convpr._bm25 import TfGroups
 from convpr.index import Bm25Params, InvertedIndex, Searcher, build_index
 from convpr.runs import RankedList, RunFileWarning
 from convpr.tokenization import TokenizerConfig
@@ -76,14 +78,15 @@ def test_rebuild_is_byte_identical(tmp_path):
 
 
 def _wide(index: InvertedIndex, tfs_dtype=np.int32) -> InvertedIndex:
-    """``index`` with its arrays in int64 (offsets, doc lengths), int32
+    """``index`` with its arrays in int64 (group bounds, doc lengths), int32
     (ordinals, ranks) and ``tfs_dtype``, as a caller might build it."""
     return InvertedIndex(
         term_ids=index.term_ids,
         doc_ids=index.doc_ids,
-        offsets=index.offsets.astype(np.int64),
+        term_groups=index.term_groups.astype(np.int64),
+        group_offsets=index.group_offsets.astype(np.int64),
+        group_tfs=index.group_tfs.astype(tfs_dtype),
         doc_ords=index.doc_ords.astype(np.int32),
-        tfs=index.tfs.astype(tfs_dtype),
         doc_lengths=index.doc_lengths.astype(np.int64),
         docid_rank=index.docid_rank.astype(np.int32),
         tokenizer=index.tokenizer,
@@ -91,19 +94,21 @@ def _wide(index: InvertedIndex, tfs_dtype=np.int32) -> InvertedIndex:
 
 
 def _boundary_passages(n: int) -> list[Passage]:
-    """``n`` passages whose five bounds all equal ``n - 1``: the first is
-    empty, the last holds one term ``n - 1`` times and the others hold it
-    once, so there are ``n - 1`` postings, the largest tf and the longest
-    passage are ``n - 1``, and so are the largest ordinal and rank."""
-    texts = ["", *["t"] * (n - 2), " ".join(["t"] * (n - 1))]
-    return [Passage(f"p{i:03d}", text) for i, text in enumerate(texts)]
+    """``n`` passages whose six bounds all equal ``n - 1``: passage ``i``
+    holds one term ``i`` times, so there are ``n - 1`` postings, each in a
+    group of its own, the largest tf and the longest passage are ``n - 1``,
+    and so are the largest ordinal and rank."""
+    return [Passage(f"p{i:03d}", " ".join(["t"] * i)) for i in range(n)]
 
 
 @pytest.mark.parametrize("n,dtype", [(256, np.uint8), (257, np.uint16)])
 def test_every_array_takes_the_smallest_unsigned_dtype(tmp_path, kernel, n, dtype):
     index = build_index(_boundary_passages(n))
-    bounds = (index.doc_count - 1, index.offsets[-1], index.tfs.max(), index.doc_lengths.max())
-    assert bounds == (n - 1,) * 4
+    bounds = (
+        index.doc_count - 1, len(index.doc_ords), len(index.group_tfs), index.group_tfs.max(),
+        index.doc_lengths.max(),
+    )
+    assert bounds == (n - 1,) * 5
     assert {name: getattr(index, name).dtype for name in index_mod._ARRAYS} == dict.fromkeys(
         index_mod._ARRAYS, dtype
     )
@@ -165,9 +170,12 @@ def _block_corpora(block: int) -> dict[str, tuple[list[Passage], TokenizerConfig
     return corpora
 
 
+@pytest.mark.parametrize("sort", [1, 5, index_mod._SORT_POSTINGS])
 @pytest.mark.parametrize("block", [1, 2, 3, 7, index_mod._BLOCK_PASSAGES])
-def test_block_build_matches_reference_byte_for_byte(tmp_path, monkeypatch, block):
+def test_block_build_matches_reference_byte_for_byte(tmp_path, monkeypatch, block, sort):
+    # Sorting runs of at most 1 or 5 postings sorts most terms alone.
     monkeypatch.setattr(index_mod, "_BLOCK_PASSAGES", block)
+    monkeypatch.setattr(index_mod, "_SORT_POSTINGS", sort)
     for name, (passages, tokenizer) in _block_corpora(block).items():
         build_index(iter(passages), tokenizer).save(tmp_path / name / "block")
         oracles.reference_index(passages, tokenizer).save(tmp_path / name / "reference")
@@ -199,7 +207,8 @@ def test_build_transient_memory_does_not_grow_with_the_postings(monkeypatch):
     # The tracemalloc peak of a build minus what its index keeps is the
     # memory the build held only while it ran. Holding every inverted block
     # until the end costs ~13 B per posting here; spilled blocks leave one
-    # block plus per-passage lists (doc ids, lengths, the id sort).
+    # block plus per-passage lists (doc ids, lengths, the id sort) and the
+    # per-posting tfs, 1 B each, which the index replaces by its tf groups.
     monkeypatch.setattr(index_mod, "_BLOCK_PASSAGES", 16)
     gaps, postings = [], []
     for n in (2000, 8000):
@@ -260,7 +269,7 @@ def test_integer_tfs_score_bitwise_like_float64(kernel):
     docs["long"] = ["w1"] * 300 + ["w2"]
     for corpus, dtype in ((oracles.random_corpus(rng, max_docs=60), np.uint8), (docs, np.uint16)):
         index = index_from(corpus)
-        assert index.tfs.dtype == index.doc_lengths.dtype == dtype
+        assert index.group_tfs.dtype == index.doc_lengths.dtype == dtype
         assert index.doc_ords.dtype == index.docid_rank.dtype == np.uint8
         ints, floats = Searcher(index), Searcher(_wide(index, np.float64))
         for _ in range(30):
@@ -274,9 +283,61 @@ def test_integer_tfs_score_bitwise_like_float64(kernel):
             ).tobytes()
 
 
+class _Postings(NamedTuple):
+    """Posting lists as an index stores them, ordered by (tf, ordinal)
+    within a term and grouped by tf, with each posting's tf as well."""
+
+    offsets: np.ndarray
+    doc_ords: np.ndarray
+    tfs: np.ndarray
+    term_groups: np.ndarray
+    group_offsets: np.ndarray
+    group_tfs: np.ndarray
+
+    def groups(self, terms: np.ndarray) -> TfGroups:
+        """The kernel's tf groups of ``terms``, as a Searcher passes them."""
+        sizes, tfs = np.diff(self.group_offsets.astype(np.intp)), self.group_tfs.astype(np.float64)
+        return TfGroups(self.term_groups[terms], self.term_groups[terms + 1], sizes, tfs)
+
+
+def _postings(rng, sizes, n_docs: int, ord_dtype, tf_dtype, bound_dtype=None) -> _Postings:
+    """Lists of ``sizes`` postings over ``n_docs`` passages, most of tf 1 and
+    the rest drawn up to the largest ``tf_dtype`` value (1000 for a float),
+    so groups of one posting and long ones both occur. Offsets and group
+    bounds take ``bound_dtype``, else the smallest dtype of their bound."""
+    top = 1000 if np.dtype(tf_dtype).kind == "f" else np.iinfo(tf_dtype).max
+    docs, tfs, term_groups, group_offsets, group_tfs = [], [], [0], [0], []
+    for size in sizes:
+        d = rng.choice(n_docs, size=size, replace=False)
+        tf = rng.integers(1, top, size=size, endpoint=True)
+        tf[rng.random(size) < 0.7] = 1
+        order = np.lexsort((d, tf))
+        docs.append(d[order])
+        tfs.append(tf[order])
+        values, counts = np.unique(tf, return_counts=True)
+        group_tfs += values.tolist()
+        group_offsets += (group_offsets[-1] + np.cumsum(counts)).tolist()
+        term_groups.append(len(group_tfs))
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+
+    def bounds(values):
+        values = np.asarray(values)
+        return values.astype(bound_dtype or np.min_scalar_type(values[-1]))
+
+    return _Postings(
+        offsets=bounds(offsets),
+        doc_ords=np.concatenate(docs).astype(ord_dtype),
+        tfs=np.concatenate(tfs).astype(tf_dtype),
+        term_groups=bounds(term_groups),
+        group_offsets=bounds(group_offsets),
+        group_tfs=np.array(group_tfs).astype(tf_dtype),
+    )
+
+
 def _score_postings_reference(starts, ends, weights, doc_ords, tfs, len_norm, scores) -> None:
-    """The kernel as a fancy-index `+=` over the stored slices: the
-    expression the `np.add.at` kernel must match bit for bit."""
+    """The kernel as a fancy-index `+=` over the stored slices, each posting
+    with its own tf: the expression the `np.add.at` kernel must match bit
+    for bit."""
     for t in range(starts.shape[0]):
         s, e = starts[t], ends[t]
         d = doc_ords[s:e]
@@ -290,13 +351,11 @@ def test_score_postings_matches_fancy_index_add_bytewise(kernel, tf_dtype, ord_d
     rng = np.random.default_rng(41)
     # As many passages as uint8 ordinals can number, else 500.
     n_docs = min(500, np.iinfo(ord_dtype).max + 1)
-    # Posting lists of 0, 1 and up to n_docs postings, ordinals ascending.
+    # Posting lists of 0, 1 and up to n_docs postings.
     sizes = [0, 1, 0, 1, 2, n_docs, *rng.integers(0, n_docs, size=40).tolist()]
-    lists = [np.sort(rng.choice(n_docs, size=size, replace=False)) for size in sizes]
-    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.uint32)
-    doc_ords = np.concatenate(lists).astype(ord_dtype)
-    assert doc_ords.max() == n_docs - 1
-    tfs = rng.integers(1, np.iinfo(tf_dtype).max, size=len(doc_ords), endpoint=True).astype(tf_dtype)
+    p = _postings(rng, sizes, n_docs, ord_dtype, tf_dtype, np.uint32)
+    assert p.doc_ords.max() == n_docs - 1
+    assert len(p.group_tfs) > len(sizes) and np.diff(p.group_offsets).max() > 100
     len_norm = rng.uniform(0.05, 3.0, size=n_docs)
     for trial in range(60):
         # Terms 0-3 are the empty and one-posting lists; a repeat lists a
@@ -305,18 +364,19 @@ def test_score_postings_matches_fancy_index_add_bytewise(kernel, tf_dtype, ord_d
         terms = rng.choice(len(sizes), size=int(rng.integers(1, 12)))
         if trial % 3 == 0:
             terms = np.concatenate((terms, terms[:1], [trial % 4]))
-        starts, ends = offsets[terms], offsets[terms + 1]
+        starts, ends = p.offsets[terms], p.offsets[terms + 1]
         weights = rng.uniform(0.0, 20.0, size=len(terms))
         base = np.zeros(n_docs) if trial % 2 else rng.uniform(0.0, 5.0, size=n_docs)
         got, want = base.copy(), base.copy()
-        index_mod._bm25.score_postings(starts, ends, weights, doc_ords, tfs, len_norm, got)
-        _score_postings_reference(starts, ends, weights, doc_ords, tfs, len_norm, want)
+        index_mod._bm25.score_postings(starts, ends, weights, p.doc_ords, p.groups(terms), len_norm, got)
+        _score_postings_reference(starts, ends, weights, p.doc_ords, p.tfs, len_norm, want)
         assert got.tobytes() == want.tobytes()
 
 
 def _max_posting_score_reference(offsets, weights, doc_ords, tfs, len_norm) -> np.ndarray:
     """Each term's largest value of the written-out expression over its own
-    slice: what the run-at-a-time kernel must match bit for bit."""
+    slice, each posting with its own tf: what the run-at-a-time kernel must
+    match bit for bit."""
     out = np.empty(len(offsets) - 1)
     for t in range(len(out)):
         s, e = int(offsets[t]), int(offsets[t + 1])
@@ -331,25 +391,25 @@ def _max_posting_score_reference(offsets, weights, doc_ords, tfs, len_norm) -> n
 def test_max_posting_score_matches_per_term_expression_bytewise(
     kernel, monkeypatch, n_docs, max_size, tf_dtype, run_postings
 ):
-    # With runs of 1 and 7 postings most terms straddle a run boundary, and
-    # the long ones span several runs. The small collection has uint8
-    # offsets and ordinals; each collection's offsets are also given as
-    # uint64, which np.repeat and reduceat do not take.
+    # With runs of 1 and 7 postings most terms and many groups straddle a
+    # run boundary, and the long ones span several runs. The small
+    # collection has uint8 offsets and ordinals; each collection's offsets
+    # and group bounds are also given as uint64, which np.repeat and
+    # reduceat do not take.
     monkeypatch.setattr(index_mod._bm25, "_RUN_POSTINGS", run_postings)
     rng = np.random.default_rng(43)
     sizes = [1, 1, max_size, *rng.integers(1, max_size, size=20, endpoint=True).tolist(), 1]
-    lists = [np.sort(rng.choice(n_docs, size=size, replace=False)) for size in sizes]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    offsets = offsets.astype(np.min_scalar_type(offsets[-1]))
-    doc_ords = np.concatenate(lists).astype(np.min_scalar_type(n_docs - 1))
-    assert (offsets.dtype, doc_ords.dtype) == ((np.uint8, np.uint8) if n_docs == 60 else (np.uint16, np.uint16))
-    top = 1000 if tf_dtype == np.float64 else np.iinfo(tf_dtype).max
-    tfs = rng.integers(1, top, size=len(doc_ords), endpoint=True).astype(tf_dtype)
+    p = _postings(rng, sizes, n_docs, np.min_scalar_type(n_docs - 1), tf_dtype)
+    narrow = np.uint8 if n_docs == 60 else np.uint16
+    assert (p.offsets.dtype, p.group_offsets.dtype, p.doc_ords.dtype) == (narrow,) * 3
     len_norm = rng.uniform(0.05, 3.0, size=n_docs)
     weights = rng.uniform(0.1, 20.0, size=len(sizes))
-    want = _max_posting_score_reference(offsets, weights, doc_ords, tfs, len_norm)
-    for offsets in (offsets, offsets.astype(np.uint64)):
-        got = index_mod._bm25.max_posting_score(offsets, weights, doc_ords, tfs, len_norm)
+    want = _max_posting_score_reference(p.offsets, weights, p.doc_ords, p.tfs, len_norm)
+    for dtype in (None, np.uint64):
+        offsets, group_offsets = (a.astype(dtype or a.dtype) for a in (p.offsets, p.group_offsets))
+        got = index_mod._bm25.max_posting_score(
+            offsets, weights, p.doc_ords, group_offsets, p.group_tfs, len_norm
+        )
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
@@ -361,21 +421,20 @@ def test_kernels_leave_their_inputs_unchanged(kernel, tf_dtype):
     n_docs = 300
     # Every term holds a posting, as max_posting_score requires.
     sizes = [1, n_docs, *rng.integers(1, n_docs, size=20).tolist()]
-    lists = [np.sort(rng.choice(n_docs, size=size, replace=False)) for size in sizes]
-    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.uint32)
-    doc_ords = np.concatenate(lists).astype(np.int32)
-    tfs = rng.integers(1, 200, size=len(doc_ords)).astype(tf_dtype)
+    p = _postings(rng, sizes, n_docs, np.int32, tf_dtype, np.uint32)
     len_norm = rng.uniform(0.05, 3.0, size=n_docs)
     terms = np.arange(len(sizes))
-    starts, ends = offsets[terms], offsets[terms + 1]
+    starts, ends, groups = p.offsets[terms], p.offsets[terms + 1], p.groups(terms)
     weights = rng.uniform(0.5, 20.0, size=len(terms))
-    inputs = {"doc_ords": doc_ords, "tfs": tfs, "len_norm": len_norm, "weights": weights,
-              "starts": starts, "ends": ends, "offsets": offsets}
+    inputs = {"len_norm": len_norm, "weights": weights, "starts": starts, "ends": ends,
+              **p._asdict(), **groups._asdict()}
     before = {name: (a.dtype, a.tobytes()) for name, a in inputs.items()}
     scores = np.zeros(n_docs)
-    index_mod._bm25.score_postings(starts, ends, weights, doc_ords, tfs, len_norm, scores)
+    index_mod._bm25.score_postings(starts, ends, weights, p.doc_ords, groups, len_norm, scores)
     assert scores.any()
-    assert index_mod._bm25.max_posting_score(offsets, weights, doc_ords, tfs, len_norm).all()
+    assert index_mod._bm25.max_posting_score(
+        p.offsets, weights, p.doc_ords, p.group_offsets, p.group_tfs, len_norm
+    ).all()
     assert {name: (a.dtype, a.tobytes()) for name, a in inputs.items()} == before
 
 
@@ -458,36 +517,50 @@ def _lines(tamper):
 @pytest.mark.parametrize(
     "name,tamper,message",
     [
-        ("tfs", lambda a: np.concatenate([a, np.ones(7, a.dtype)]), "holds 9 postings and tfs.npy 16"),
-        ("tfs", lambda a: a[:-1], "holds 9 postings and tfs.npy 8"),
+        # TOY has 8 terms, 9 postings and 9 groups: "cat" has tf 1 in d1 and 2 in d2.
+        ("group_tfs", lambda a: np.concatenate([a, np.ones(7, a.dtype)]),
+         "term_groups.npy ends at 9, but group_tfs.npy holds 16 groups"),
+        ("group_tfs", lambda a: a[:-1], "term_groups.npy ends at 9, but group_tfs.npy holds 8 groups"),
+        ("doc_ords", lambda a: np.concatenate([a, a[:7]]),
+         "group_offsets.npy ends at 9, but doc_ords.npy holds 16 postings"),
         # Every array is unsigned: a signed or float one is an error, even
         # when its values are in range.
-        ("tfs", lambda a: a.astype(np.float64), f"tfs.npy {_UNSIGNED} 1-d float64"),
-        ("tfs", lambda a: a.astype(np.int8), f"tfs.npy {_UNSIGNED} 1-d int8"),
-        ("tfs", lambda a: _with(a, 3, 0), "tfs.npy holds a term frequency of 0"),
-        ("offsets", lambda a: a.astype(np.int64), f"offsets.npy {_UNSIGNED} 1-d int64"),
-        ("offsets", lambda a: a.astype(np.float64), f"offsets.npy {_UNSIGNED} 1-d float64"),
+        ("group_tfs", lambda a: a.astype(np.float64), f"group_tfs.npy {_UNSIGNED} 1-d float64"),
+        ("group_tfs", lambda a: a.astype(np.int8), f"group_tfs.npy {_UNSIGNED} 1-d int8"),
+        ("group_tfs", lambda a: _with(a, 3, 0), "group_tfs.npy holds a term frequency of 0"),
+        # One group per (term, tf), in ascending tf
+        ("group_tfs", lambda a: _with(a, 1, 1), "group_tfs.npy must strictly increase within each term"),
+        ("group_tfs", lambda a: _with(a, 0, 3), "group_tfs.npy must strictly increase within each term"),
+        ("term_groups", lambda a: a.astype(np.int64), f"term_groups.npy {_UNSIGNED} 1-d int64"),
+        ("term_groups", lambda a: a.astype(np.float64), f"term_groups.npy {_UNSIGNED} 1-d float64"),
+        ("group_offsets", lambda a: a.astype(np.int32), f"group_offsets.npy {_UNSIGNED} 1-d int32"),
         ("doc_ords", lambda a: a.astype(np.int32), f"doc_ords.npy {_UNSIGNED} 1-d int32"),
         ("doc_ords", lambda a: _with(a, -1, -1, np.int64), f"doc_ords.npy {_UNSIGNED} 1-d int64"),
         ("doc_lengths", lambda a: a.astype(np.int64), f"doc_lengths.npy {_UNSIGNED} 1-d int64"),
         ("doc_lengths", lambda a: a.astype(np.float32), f"doc_lengths.npy {_UNSIGNED} 1-d float32"),
         ("docid_rank", lambda a: a.astype(np.int32), f"docid_rank.npy {_UNSIGNED} 1-d int32"),
         ("docid_rank", lambda a: a.reshape(1, 3), f"docid_rank.npy {_UNSIGNED} 2-d uint8"),
-        # Ordinals, ranks and offsets out of range, in their own dtype and in
+        # Ordinals, ranks and bounds out of range, in their own dtype and in
         # wider ones.
         ("doc_ords", lambda a: _with(a, -1, 3), "ordinal outside 0..2"),
         ("doc_ords", lambda a: _with(a, -1, 255), "ordinal outside 0..2"),
         ("doc_ords", lambda a: _with(a, 0, 2**16 - 1, np.uint16), "ordinal outside 0..2"),
-        ("offsets", lambda a: a[:-1], "offsets.npy holds 8 entries for 8 terms"),
-        ("offsets", lambda a: a + 1, "must start at 0"),
-        ("offsets", lambda a: _with(a, -1, a[-2] - 1), "never decrease"),
-        ("offsets", lambda a: _with(a, 1, 2**32 - 1, np.uint32), "never decrease"),
-        # A term without postings: build_index never writes one, and the
-        # max-score kernel would give it the next term's score.
-        ("offsets", lambda a: _with(a, 1, 0), "offsets.npy gives term 0 no postings"),
-        ("offsets", lambda a: _with(a, -2, a[-1]), "offsets.npy gives term 7 no postings"),
-        ("offsets", lambda a: _with(a, -1, 2**64 - 1, np.uint64),
-         "offsets.npy ends at 18446744073709551615, but doc_ords.npy holds 9 postings"),
+        ("term_groups", lambda a: a[:-1], "term_groups.npy holds 8 entries for 8 terms"),
+        ("term_groups", lambda a: a + 1, "term_groups.npy must start at 0"),
+        ("term_groups", lambda a: _with(a, -1, a[-2] - 1), "term_groups.npy must start at 0 and never"),
+        ("term_groups", lambda a: _with(a, 1, 2**32 - 1, np.uint32), "never decrease"),
+        ("group_offsets", lambda a: a[:-1], "group_offsets.npy holds 9 entries for 9 groups"),
+        ("group_offsets", lambda a: a + 1, "group_offsets.npy must start at 0"),
+        ("group_offsets", lambda a: _with(a, 1, 2**32 - 1, np.uint32), "group_offsets.npy must start"),
+        # A term or group without postings: build_index never writes one,
+        # and the max-score kernel would give it the next term's score.
+        ("term_groups", lambda a: _with(a, 1, 0), "term_groups.npy gives term 0 no groups"),
+        ("term_groups", lambda a: _with(a, -2, a[-1]), "term_groups.npy gives term 7 no groups"),
+        ("group_offsets", lambda a: _with(a, 1, 0), "group_offsets.npy gives group 0 no postings"),
+        ("term_groups", lambda a: _with(a, -1, 2**64 - 1, np.uint64),
+         "term_groups.npy ends at 18446744073709551615, but group_tfs.npy holds 9 groups"),
+        ("group_offsets", lambda a: _with(a, -1, 2**64 - 1, np.uint64),
+         "group_offsets.npy ends at 18446744073709551615, but doc_ords.npy holds 9 postings"),
         ("doc_lengths", lambda a: a[:2], "doc_lengths.npy holds 2 entries for 3 passages"),
         ("docid_rank", lambda a: np.zeros_like(a), "not a permutation"),
         ("docid_rank", lambda a: _with(a, -1, 3), "rank outside 0..2"),
@@ -499,8 +572,8 @@ def _lines(tamper):
          "must strictly increase in docid_rank order"),
         ("doc_ids", _lines(lambda ids: ids[:2]), "doc_lengths.npy holds 3 entries for 2 passages"),
         ("terms", _lines(lambda lines: [lines[0], *lines]), "repeats a term: 8 distinct in 9 lines"),
-        ("terms", _lines(lambda lines: [*lines, "zebra"]), "offsets.npy holds 9 entries for 9 terms"),
-        ("terms", _lines(lambda lines: lines[:-1]), "offsets.npy holds 9 entries for 7 terms"),
+        ("terms", _lines(lambda lines: [*lines, "zebra"]), "term_groups.npy holds 9 entries for 9 terms"),
+        ("terms", _lines(lambda lines: lines[:-1]), "term_groups.npy holds 9 entries for 7 terms"),
         ("terms", _lines(lambda lines: [lines[0], lines[0], *lines[2:]]),
          "repeats a term: 7 distinct in 8 lines"),
         # a table cut off mid-line would otherwise load the term "sang" as "san"
@@ -560,8 +633,9 @@ def test_save_rejects_an_entry_with_a_line_break(tmp_path):
         # 257 would wrap to ordinal 1 in uint8, a valid one
         ("doc_ords", lambda a: _with(a, -1, 257, np.int32), "doc_ords holds a value outside 0..2"),
         ("docid_rank", lambda a: _with(a, 0, -1, np.int64), "docid_rank holds a value outside 0..2"),
-        ("offsets", lambda a: _with(a, 1, -1, np.int64), "offsets holds a value outside 0..9"),
-        ("tfs", lambda a: a + 0.5, r"tfs holds a value outside 0..2$"),
+        ("term_groups", lambda a: _with(a, 1, -1, np.int64), "term_groups holds a value outside 0..9"),
+        ("group_offsets", lambda a: _with(a, 1, 257, np.int64), "group_offsets holds a value outside 0..9"),
+        ("group_tfs", lambda a: a + 0.5, r"group_tfs holds a value outside 0..2$"),
     ],
 )
 def test_save_rejects_a_value_the_narrow_dtype_cannot_hold(tmp_path, name, tamper, message):
@@ -582,15 +656,27 @@ def test_doc_ids_are_read_back_exactly(tmp_path):
 def test_index_directory_holds_each_fact_once(tmp_path):
     index_from(TOY).save(tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "doc_ids.txt", "doc_lengths.npy", "doc_ords.npy", "docid_rank.npy",
-        "meta.json", "offsets.npy", "terms.txt", "tfs.npy",
+        "doc_ids.txt", "doc_lengths.npy", "doc_ords.npy", "docid_rank.npy", "group_offsets.npy",
+        "group_tfs.npy", "meta.json", "term_groups.npy", "terms.txt",
     ]
     meta = json.loads((tmp_path / "meta.json").read_text(encoding="utf-8"))
-    assert meta == {"format": "convpr.index", "version": 4, "tokenizer": TokenizerConfig().to_dict()}
+    assert meta == {"format": "convpr.index", "version": 5, "tokenizer": TokenizerConfig().to_dict()}
     assert (tmp_path / "doc_ids.txt").read_bytes() == b"d1\nd2\nd3\n"
     loaded = InvertedIndex.load(tmp_path)
     assert (loaded.doc_count, loaded.vocab_size) == (3, 8)
     assert loaded.avg_doc_len == pytest.approx((4 + 4 + 2) / 3)
+
+
+def test_loaded_index_holds_no_per_posting_array_but_the_ordinals(tmp_path):
+    # 40 passages, 2 terms, 64 postings in 5 tf groups: only doc_ords is as
+    # long as the postings; the tfs are one per group.
+    index_from(_hit_corpus(np.random.default_rng(37), 40, 37)).save(tmp_path)
+    index = InvertedIndex.load(tmp_path)
+    sizes = {name: a.size for name, a in vars(index).items() if isinstance(a, np.ndarray)}
+    postings = index.doc_ords.size
+    assert (postings, index.doc_count, len(index.group_tfs)) == (64, 40, 5)
+    assert [name for name, size in sizes.items() if size >= postings] == ["doc_ords"]
+    assert index.offsets.tolist() == index.group_offsets[index.term_groups].tolist()
 
 
 @pytest.mark.parametrize(
@@ -621,11 +707,13 @@ def test_load_rejects_incomplete_meta(tmp_path, tamper, message):
         '{"format": "convpr.index", "version": 2}',
         # layout v3 stored ordinals as int32 and offsets as int64: rebuild it
         '{"format": "convpr.index", "version": 3}',
+        # layout v4 stored a tf per posting
+        '{"format": "convpr.index", "version": 4}',
     ],
 )
 def test_load_rejects_foreign_directory(tmp_path, meta):
     (tmp_path / "meta.json").write_text(meta, encoding="utf-8")
-    with pytest.raises(ValueError, match="not a convpr.index v4 directory"):
+    with pytest.raises(ValueError, match="not a convpr.index v5 directory"):
         InvertedIndex.load(tmp_path)
 
 
