@@ -288,7 +288,13 @@ def cmd_grid(args) -> int:
         if "=" not in spec:
             raise ValueError(f"--param expects name=v1,v2,..., got {spec!r}")
         name, _, values = spec.partition("=")
-        grid[name.strip()] = [float(v) for v in values.split(",") if v != ""]
+        name = name.strip()
+        if name in grid:
+            raise ValueError(f"--param {name} is given more than once")
+        try:
+            grid[name] = [float(v) for v in values.split(",") if v != ""]
+        except ValueError:
+            raise ValueError(f"--param {name}: every value must be a number, got {values!r}") from None
     rows = grid_search(config, args.method, grid)
     keys = sorted(grid)
     header = "\t".join(keys + ["recall", "map"])

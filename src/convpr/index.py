@@ -4,11 +4,13 @@ Postings live in a flat term-major layout (one slice per term) so the
 scoring kernels in :mod:`convpr._bm25` can run over plain arrays. Within
 a term the postings are ordered by (term frequency, doc ordinal), so they
 fall into tf groups, one per (term, tf) pair, in ascending tf, and each
-group's tf is stored once. An index directory (layout v5) holds
-``meta.json`` (format, version and tokenizer), ``terms.txt`` and
-``doc_ids.txt`` (by id and by ordinal, one UTF-8 entry per ``\n``-terminated
-line) and six numpy arrays. Each array is stored in the smallest unsigned
-integer dtype that holds its bound, the largest value it may hold:
+group's tf is stored once. Passages are numbered in doc-id order, so a
+doc ordinal is its tie rank for :func:`convpr.runs.best_first`. An index
+directory (layout v6) holds ``meta.json`` (format, version and tokenizer),
+``terms.txt`` and ``doc_ids.txt`` (by id and by ordinal, one UTF-8 entry
+per ``\n``-terminated line) and five numpy arrays. Each array is stored in
+the smallest unsigned integer dtype that holds its bound, the largest
+value it may hold:
 
 - ``term_groups`` (vocab + 1; bound: the group count): term ``t``'s groups
   are ``term_groups[t]:term_groups[t + 1]``;
@@ -19,10 +21,7 @@ integer dtype that holds its bound, the largest value it may hold:
   it to float64 exactly;
 - ``doc_ords`` (bound: passages - 1): each posting's doc ordinal, ascending
   within a group;
-- ``doc_lengths`` (bound: the longest passage): tokens per passage;
-- ``docid_rank`` (bound: passages - 1): :func:`convpr.runs.id_rank` of the
-  doc ids, the tie-break that search hands to :func:`convpr.runs.best_first`.
-  It is computed once at build time, so loading never sorts the doc ids.
+- ``doc_lengths`` (bound: the longest passage): tokens per passage.
 
 :meth:`InvertedIndex.save` narrows whatever arrays the index holds to
 these dtypes; :meth:`InvertedIndex.load` takes any 1-d unsigned integer
@@ -67,18 +66,20 @@ from .runs import RankedList, best_first, id_rank
 from .tokenization import TokenizerConfig
 
 _FORMAT = "convpr.index"
-_VERSION = 5
+_VERSION = 6
 # Passages per inverted block of build_index. A block's sort and scatter
 # temporaries grow with it; per-block numpy call overhead shrinks with it.
 _BLOCK_PASSAGES = 256
 
 # Postings that build_index sorts by tf at once, in runs of whole terms.
 _SORT_POSTINGS = 1 << 16
+# Postings whose term frequencies load adds up at once.
+_CHECK_POSTINGS = 1 << 15
 
 # The arrays of an index directory, each saved as <name>.npy.
-_ARRAYS = ("term_groups", "group_offsets", "group_tfs", "doc_ords", "doc_lengths", "docid_rank")
-# Arrays of layout v4 that v5 replaced; save removes them from a reused directory.
-_V4_ARRAYS = ("offsets", "tfs")
+_ARRAYS = ("term_groups", "group_offsets", "group_tfs", "doc_ords", "doc_lengths")
+# Arrays of earlier layouts; save removes them from a reused directory.
+_OLD_ARRAYS = ("offsets", "tfs", "docid_rank")
 
 
 def _uint(bound: int) -> np.dtype:
@@ -110,7 +111,6 @@ class InvertedIndex:
         group_tfs: np.ndarray,
         doc_ords: np.ndarray,
         doc_lengths: np.ndarray,
-        docid_rank: np.ndarray,
         tokenizer: TokenizerConfig,
     ):
         self.term_ids = term_ids
@@ -121,7 +121,6 @@ class InvertedIndex:
         self.offsets = offsets = group_offsets[term_groups]
         self.doc_ords = doc_ords
         self.doc_lengths = doc_lengths
-        self.docid_rank = docid_rank
         self.tokenizer = tokenizer
         self.avg_doc_len = float(doc_lengths.mean()) if len(doc_lengths) else 0.0
 
@@ -148,24 +147,22 @@ class InvertedIndex:
 
     def save(self, path: str | Path) -> None:
         """Write a versioned directory, ``meta.json`` last (an earlier one
-        first removed, with any v4 arrays), each array in the dtype of its
-        bound; rebuilding the same corpus yields byte-identical files."""
+        first removed, with any old-layout arrays), each array in the dtype
+        of its bound; rebuilding the same corpus yields byte-identical files."""
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
-        for name in ("meta.json", *(f"{array}.npy" for array in _V4_ARRAYS)):
+        for name in ("meta.json", *(f"{array}.npy" for array in _OLD_ARRAYS)):
             (path / name).unlink(missing_ok=True)
         _write_lines(path / "terms.txt", self.term_ids)
         _write_lines(path / "doc_ids.txt", self.doc_ids)
         # Each array is narrowed to the dtype of its bound (a no-op for the
         # arrays of build_index), so wider arrays save the same bytes.
-        last_doc = max(self.doc_count - 1, 0)
         bounds = {
             "term_groups": len(self.group_tfs),
             "group_offsets": len(self.doc_ords),
             "group_tfs": self.group_tfs.max(initial=0),
-            "doc_ords": last_doc,
+            "doc_ords": max(self.doc_count - 1, 0),
             "doc_lengths": self.doc_lengths.max(initial=0),
-            "docid_rank": last_doc,
         }
         for name, bound in bounds.items():
             array, bound = getattr(self, name), int(bound)
@@ -252,9 +249,9 @@ def _check_arrays(arrays: dict[str, np.ndarray], vocab_size: int, doc_ids: np.nd
     _check_slices(
         "group_offsets", group_offsets, "group", len(group_tfs), "postings", "doc_ords", len(doc_ords)
     )
-    for name in ("doc_lengths", "docid_rank"):
-        if len(arrays[name]) != doc_count:
-            raise ValueError(f"{name}.npy holds {len(arrays[name])} entries for {doc_count} passages")
+    doc_lengths = arrays["doc_lengths"]
+    if len(doc_lengths) != doc_count:
+        raise ValueError(f"doc_lengths.npy holds {len(doc_lengths)} entries for {doc_count} passages")
     # A posting's tf is >= 1, so every term's max score is > 0.
     if len(group_tfs) and group_tfs.min() == 0:
         raise ValueError("group_tfs.npy holds a term frequency of 0")
@@ -273,19 +270,40 @@ def _check_arrays(arrays: dict[str, np.ndarray], vocab_size: int, doc_ids: np.nd
     falls = np.count_nonzero(doc_ords[1:] <= doc_ords[:-1])
     if falls != np.count_nonzero(doc_ords[starts] <= doc_ords[starts - 1]):
         raise ValueError("doc_ords.npy must strictly increase within each tf group (a repeated ordinal?)")
-    rank = arrays["docid_rank"]
-    if doc_count and rank.max() >= doc_count:
-        raise ValueError(f"docid_rank.npy holds a rank outside 0..{doc_count - 1}")
-    seen = np.zeros(doc_count, dtype=bool)
-    seen[rank] = True
-    if not seen.all():
-        raise ValueError("docid_rank.npy is not a permutation of the doc ordinals")
-    # Strictly increasing in rank order: the ids are unique and docid_rank
-    # is their sort order, so search breaks ties as it did at build time.
-    by_rank = np.empty(doc_count, dtype=object)
-    by_rank[rank] = doc_ids
-    if not np.all(by_rank[:-1] < by_rank[1:]):
-        raise ValueError("doc ids must strictly increase in docid_rank order (a repeat or a wrong rank)")
+    # Unique and in id order, so each ordinal is its passage's tie rank.
+    if not np.all(doc_ids[:-1] < doc_ids[1:]):
+        raise ValueError("doc_ids.txt must strictly increase (a repeated id or ids out of order)")
+    _check_lengths(doc_ords, group_offsets, group_tfs, doc_lengths)
+
+
+def _check_lengths(
+    doc_ords: np.ndarray, group_offsets: np.ndarray, group_tfs: np.ndarray, doc_lengths: np.ndarray
+) -> None:
+    """Raise ValueError unless each passage's postings' term frequencies sum
+    to its entry of ``doc_lengths``. A moved doc ordinal changes two sums,
+    even one that repeats a passage in two tf groups of one term, which the
+    check within each group cannot see. The postings are summed
+    ``_CHECK_POSTINGS`` at a time, so no temporary but the sums, one per
+    passage, grows with the index."""
+    total = len(doc_ords)
+    # The runs' bounds, in the dtype of group_offsets, so that searchsorted
+    # does not convert the whole array.
+    cuts = np.append(np.arange(0, total, _CHECK_POSTINGS), total).astype(group_offsets.dtype)
+    firsts = np.searchsorted(group_offsets, cuts[:-1], "right") - 1
+    ends = np.searchsorted(group_offsets, cuts[1:], "left")
+    sums = np.zeros(len(doc_lengths), dtype=np.uint64)
+    for s, e, g, h in zip(cuts[:-1].tolist(), cuts[1:].tolist(), firsts.tolist(), ends.tolist()):
+        sizes = np.diff(np.clip(group_offsets[g : h + 1], s, e)).astype(np.intp)
+        # In the dtype of sums, which np.add.at needs for its fast path.
+        tfs = np.repeat(group_tfs[g:h].astype(np.uint64), sizes)
+        np.add.at(sums, doc_ords[s:e].astype(np.intp), tfs)
+    wrong = np.flatnonzero(sums != doc_lengths)
+    if len(wrong):
+        d = wrong[0]
+        raise ValueError(
+            f"doc_ords.npy and group_tfs.npy give passage {d} {sums[d]} tokens, but doc_lengths.npy"
+            f" gives it {doc_lengths[d]} (a moved doc ordinal?)"
+        )
 
 
 def _check_slices(
@@ -307,8 +325,9 @@ def _check_slices(
 
 
 def build_index(passages: Iterable[Passage], tokenizer: TokenizerConfig | None = None) -> InvertedIndex:
-    """Single-pass, deterministic build: term and doc ordinals follow first
-    occurrence in the input stream, which is iterated once.
+    """Single-pass, deterministic build: term ids follow first occurrence in
+    the input stream, which is iterated once, and doc ordinals follow doc-id
+    order.
 
     Each passage is tokenized once and its tokens become an int32 term-id
     stream. Every ``_BLOCK_PASSAGES`` passages that stream is inverted with
@@ -316,13 +335,13 @@ def build_index(passages: Iterable[Passage], tokenizer: TokenizerConfig | None =
     a temporary spill file at once; only its sizes, the running document
     frequencies and the largest tf and passage length stay in memory. At
     the end the postings arrays are allocated once, in their final dtypes,
-    and the blocks are read back, in doc order and one at a time, and
-    scattered into them, so doc ordinals ascend within every term. Then
-    :func:`_group_by_tf` orders each term's postings by tf and drops the
-    per-posting tfs for one tf per group. The build thus holds the final
-    arrays, the per-posting tfs and one block, and no posting is ever a
-    Python object. The offsets and group bounds are summed in int64 and
-    narrowed once, at the end.
+    and the blocks are read back one at a time and scattered into them,
+    each stream position mapped to its ordinal in doc-id order. Then
+    :func:`_group_by_tf` orders each term's postings by (tf, ordinal) and
+    drops the per-posting tfs for one tf per group. The build thus holds
+    the final arrays, the per-posting tfs and one block, and no posting is
+    ever a Python object. The offsets and group bounds are summed in int64
+    and narrowed once, at the end.
 
     The spill file takes ~9 B of temporary disk per posting (int32 doc
     ordinal and uint8 tf, plus an int32 term id and count per (block, term)
@@ -374,14 +393,16 @@ def build_index(passages: Iterable[Passage], tokenizer: TokenizerConfig | None =
         if len(doc_ids) % _BLOCK_PASSAGES:
             flush()
 
+        # The passage at stream position i gets ordinal rank[i]. id_rank
+        # sorts this array, so the ids are never copied.
+        doc_ids = np.array(doc_ids, dtype=object)
+        rank = id_rank(doc_ids)
         offsets = np.zeros(len(term_ids) + 1, dtype=np.int64)
         np.cumsum(df[: len(term_ids)], out=offsets[1:])
         total = int(offsets[-1])
         doc_ords = np.empty(total, dtype=_uint(len(doc_ids) - 1))
         tfs = np.empty(total, dtype=_uint(max_tf))
-        # fill[t]: where the next posting of term t goes. Blocks are read
-        # back in doc order, so each term's postings land in ascending doc
-        # order.
+        # fill[t]: where the next posting of term t goes.
         fill = offsets[:-1].copy()
         spill.seek(0)
         for terms, postings, tf_dtype in spilled:
@@ -396,49 +417,54 @@ def build_index(passages: Iterable[Passage], tokenizer: TokenizerConfig | None =
             group_starts = np.cumsum(block.counts) - block.counts
             pos = np.repeat(fill[block.terms] - group_starts, block.counts)
             pos += np.arange(len(pos))
-            doc_ords[pos] = block.docs
+            doc_ords[pos] = rank[block.docs]
             tfs[pos] = block.tfs
             fill[block.terms] += block.counts
 
-    term_groups, group_offsets, group_tfs = _group_by_tf(offsets, doc_ords, tfs)
+    term_groups, group_offsets, group_tfs = _group_by_tf(offsets, doc_ords, tfs, len(doc_ids))
     del tfs  # one tf per group from here on
     # The index keeps this dict; from now on a missing term is not added.
     term_ids.default_factory = None
-    # id_rank sorts this array, so the ids are never copied.
-    doc_ids = np.array(doc_ids, dtype=object)
+    by_ordinal, lengths = np.empty_like(doc_ids), np.empty(len(doc_ids), dtype=_uint(max_len))
+    by_ordinal[rank], lengths[rank] = doc_ids, doc_lengths
     return InvertedIndex(
         term_ids=term_ids,
-        doc_ids=doc_ids,
+        doc_ids=by_ordinal,
         term_groups=term_groups,
         group_offsets=group_offsets,
         group_tfs=group_tfs,
         doc_ords=doc_ords,
-        doc_lengths=np.asarray(doc_lengths, dtype=_uint(max_len)),
-        docid_rank=id_rank(doc_ids),
+        doc_lengths=lengths,
         tokenizer=tokenizer,
     )
 
 
-def _group_by_tf(offsets: np.ndarray, doc_ords: np.ndarray, tfs: np.ndarray) -> tuple[np.ndarray, ...]:
+def _group_by_tf(
+    offsets: np.ndarray, doc_ords: np.ndarray, tfs: np.ndarray, doc_count: int
+) -> tuple[np.ndarray, ...]:
     """Order each term's postings in ``doc_ords`` by (tf, doc ordinal), in
     place, and return ``term_groups``, ``group_offsets`` and ``group_tfs``,
     each in the dtype of its bound. ``offsets`` (int64) bounds each term's
-    postings, which ``doc_ords`` must hold in ascending doc order and
-    ``tfs`` their term frequencies.
+    postings, ordinals below ``doc_count`` in any order, and ``tfs`` are
+    their term frequencies.
 
     Each run of whole terms of at most ``_SORT_POSTINGS`` postings, or one
-    longer term, takes one stable sort by (term, tf) keys, in the smallest
-    unsigned dtype that holds them, so stable order keeps the ordinals
-    ascending within a group and the temporaries stay at the run's size
-    (a longer term's size)."""
+    longer term, is sorted as one array of uint64 keys (term, tf, ordinal),
+    so the temporaries stay at the run's size (a longer term's size). A run
+    is shorter where its keys would not fit; one term's fit while bits(max
+    tf) + bits(doc_count - 1) <= 64, as in any collection that fits in memory."""
     vocab, total = len(offsets) - 1, int(offsets[-1])
     span = int(tfs.max(initial=0)) + 1
+    bits = (doc_count - 1).bit_length()
+    # The keys of a run of n terms are below (n * span) << bits.
+    run_terms = max(1, (1 << (64 - bits)) // span)
     # A first part of no groups gives each cumulative sum its leading 0.
     parts = [(np.zeros(1, np.int64), tfs[:0], np.zeros(1, np.int64))]
     t = 0
     while t < vocab:
         u = max(t + 1, int(np.searchsorted(offsets, offsets[t] + _SORT_POSTINGS, "right")) - 1)
-        parts.append(_group_run(offsets[t : u + 1], doc_ords, tfs, span))
+        u = min(u, t + run_terms)
+        parts.append(_group_run(offsets[t : u + 1], doc_ords, tfs, span, bits))
         t = u
     sizes, group_tfs, term_groups = zip(*parts)
     group_offsets = np.cumsum(np.concatenate(sizes))
@@ -452,17 +478,20 @@ def _group_by_tf(offsets: np.ndarray, doc_ords: np.ndarray, tfs: np.ndarray) -> 
 
 
 def _group_run(
-    offsets: np.ndarray, doc_ords: np.ndarray, tfs: np.ndarray, span: int
+    offsets: np.ndarray, doc_ords: np.ndarray, tfs: np.ndarray, span: int, bits: int
 ) -> tuple[np.ndarray, ...]:
     """:func:`_group_by_tf` for the terms whose postings ``offsets`` bounds:
     their groups' sizes, their tfs (in the dtype of ``tfs``) and each
-    term's group count. Every tf is below ``span``."""
+    term's group count. Every tf is below ``span`` and every ordinal below
+    ``1 << bits``."""
     s, e, top = int(offsets[0]), int(offsets[-1]), (len(offsets) - 1) * span
-    keys = np.repeat(np.arange(0, top, span, dtype=_uint(top - 1)), np.diff(offsets))
+    keys = np.repeat(np.arange(0, top, span, dtype=np.uint64), np.diff(offsets))
     keys += tfs[s:e]
-    order = np.argsort(keys, kind="stable")
-    doc_ords[s:e] = doc_ords[s:e][order]
-    keys = keys[order]
+    keys <<= bits
+    keys |= doc_ords[s:e]
+    keys.sort()
+    np.bitwise_and(keys, (1 << bits) - 1, out=doc_ords[s:e], casting="unsafe")
+    keys >>= bits
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     group_terms, group_tfs = np.divmod(keys[starts].astype(np.int64), span)
     counts = np.bincount(group_terms, minlength=len(offsets) - 1)
@@ -541,8 +570,9 @@ class Searcher:
         return scores
 
     def search(self, tokens: Sequence[str], k: int = 1000, qid: str = "0") -> RankedList:
-        """Top-k by BM25 in :func:`convpr.runs.best_first` order with
-        ``docid_rank``; only docs scoring > 0 appear, so there may be fewer."""
+        """Top-k by BM25 in :func:`convpr.runs.best_first` order, a search's
+        ordinals being its tie ranks; only docs scoring > 0 appear, so there
+        may be fewer."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         scores = self._score_all(tokens)
@@ -561,7 +591,7 @@ class Searcher:
                 found = scores[cand]
                 cand = cand[found >= np.partition(found, n_pos - k)[n_pos - k]]
         found = scores[cand]
-        top = cand[best_first(found, lambda: self.index.docid_rank[cand], k)]
+        top = cand[best_first(found, lambda: cand, k)]
         # Unique by construction (ordinals are unique, load proves the doc
         # ids unique) and ordered by best_first, so the list skips the checks.
         return RankedList(qid, self.index.doc_ids[top].tolist(), scores[top], _ordered=True)

@@ -96,20 +96,22 @@ def qpp_score(docs: dict[str, list[str]], tokens: list[str], k1: float, b: float
 
 
 def reference_index(passages, tokenizer):
-    """The v5 index arrays built the direct way: one Python list of (doc
-    ordinal, tf) pairs per term, filled passage by passage, then split into
-    one group per distinct tf, and the doc_id rank written ordinal by
-    ordinal."""
+    """The v6 index arrays built the direct way: passages numbered by a
+    Python sort of their ids, one Python list of (doc ordinal, tf) pairs per
+    term (ids by first occurrence in the input), filled passage by passage,
+    then split into one group per distinct tf."""
     from convpr.index import InvertedIndex
 
+    passages = list(passages)
+    doc_ids = sorted(p.doc_id for p in passages)
+    ordinal_of = {doc_id: ordinal for ordinal, doc_id in enumerate(doc_ids)}
     term_ids: dict[str, int] = {}
     per_term: list[list[tuple[int, int]]] = []
-    doc_ids: list[str] = []
-    doc_lengths: list[int] = []
-    for ordinal, passage in enumerate(passages):
-        doc_ids.append(passage.doc_id)
+    doc_lengths = [0] * len(doc_ids)
+    for passage in passages:
+        ordinal = ordinal_of[passage.doc_id]
         tokens = tokenizer(passage.text)
-        doc_lengths.append(len(tokens))
+        doc_lengths[ordinal] = len(tokens)
         for term, tf in Counter(tokens).items():
             if term not in term_ids:
                 term_ids[term] = len(term_ids)
@@ -121,11 +123,8 @@ def reference_index(passages, tokenizer):
         for tf, count in sorted(Counter(tf for _, tf in postings).items()):
             group_tfs.append(tf)
             group_offsets.append(group_offsets[-1] + count)
-            doc_ords += [d for d, f in postings if f == tf]
+            doc_ords += sorted(d for d, f in postings if f == tf)
         term_groups.append(len(group_tfs))
-    docid_rank = np.empty(len(doc_ids), dtype=np.int32)
-    for pos, ordinal in enumerate(sorted(range(len(doc_ids)), key=doc_ids.__getitem__)):
-        docid_rank[ordinal] = pos
     return InvertedIndex(
         term_ids=term_ids,
         doc_ids=np.array(doc_ids, dtype=object),
@@ -134,7 +133,6 @@ def reference_index(passages, tokenizer):
         group_tfs=np.array(group_tfs, dtype=np.min_scalar_type(max(group_tfs, default=0))),
         doc_ords=np.array(doc_ords, dtype=np.int32),
         doc_lengths=np.array(doc_lengths, dtype=np.int64),
-        docid_rank=docid_rank,
         tokenizer=tokenizer,
     )
 

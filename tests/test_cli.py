@@ -262,6 +262,11 @@ def test_validation_failures_exit_1(workdir, tmp_path, capsys):
         # an empty value list would sweep nothing and print a bare header
         ((*grid, "--param", "eta="), "grid: parameter 'eta' has no values"),
         ((*grid, "--param", "eta=3", "--param", "r_sub=,"), "grid: parameter 'r_sub' has no values"),
+        # a repeated name would sweep only its last values; a word is no value
+        ((*grid, "--param", "eta=1", "--param", " eta=2"), "--param eta is given more than once"),
+        ((*grid, "--param", "eta=abc"), "--param eta: every value must be a number, got 'abc'"),
+        ((*grid, "--param", "r_sub=1.5", "--param", "eta=2,x"),
+         "--param eta: every value must be a number, got '2,x'"),
         # a flag that the method would ignore
         ((*concat, "--eta", "5"), "reformulate (concat): 'hqe' is only read by type hqe or hqe-pos"),
         ((*concat, "--hqe-preset", "rerank"), "'hqe' is only read by type hqe or hqe-pos"),
@@ -444,18 +449,42 @@ def test_repeated_doc_ordinal_in_a_tf_group_exits_1(tmp_path, capsys):
     assert _run(*argv) == 0
 
 
+def test_doc_ordinal_repeated_across_tf_groups_exits_1(tmp_path, capsys):
+    # Each group's ordinals still increase, but d1 is in both of "cat"'s tf
+    # groups and d3 in none: d1 would score 0.3170 for "cat", not 0.1396,
+    # and d3 would drop out. d1's postings hold 4 tokens, d3's 1.
+    (tmp_path / "corpus.tsv").write_text("d1\tcat sat\nd2\tdog cat\nd3\tcat cat dog\n", encoding="utf-8")
+    (tmp_path / "q.tsv").write_text("q1\tcat\n", encoding="utf-8")
+    idx = tmp_path / "idx"
+    assert _run("index", "build", "--input", tmp_path / "corpus.tsv", "--output", idx) == 0
+    argv = ("retrieve", "--index", idx, "--queries", tmp_path / "q.tsv", "--out", tmp_path / "x.run")
+    path = idx / "doc_ords.npy"
+    good = np.load(path)
+    np.save(path, np.array([0, 1, 0, 0, 1, 2], dtype=good.dtype))
+    assert _run(*argv) == 1
+    err = capsys.readouterr().err
+    assert (
+        f"error: {idx}: doc_ords.npy and group_tfs.npy give passage 0 4 tokens, but doc_lengths.npy"
+        " gives it 2 (a moved doc ordinal?)"
+    ) in err, err
+    assert "internal error" not in err and not (tmp_path / "x.run").exists()
+    np.save(path, good)
+    assert _run(*argv) == 0
+
+
 def test_index_build_into_a_v4_directory_leaves_no_v4_arrays(workdir, tmp_path):
     # index build reuses its --output directory; the per-posting offsets.npy
-    # and tfs.npy of layout v4 would stay behind there as dead bytes.
+    # and tfs.npy of layout v4, and the docid_rank.npy of v5, would stay
+    # behind there as dead bytes.
     fresh, reused = tmp_path / "fresh", tmp_path / "reused"
     reused.mkdir()
     (reused / "meta.json").write_text('{"format": "convpr.index", "version": 4}', encoding="utf-8")
-    for name in ("offsets.npy", "tfs.npy", "doc_ords.npy"):
+    for name in ("offsets.npy", "tfs.npy", "docid_rank.npy", "doc_ords.npy"):
         np.save(reused / name, np.arange(5, dtype=np.uint8))
     for out in (fresh, reused):
         assert _run("index", "build", "--input", workdir / "corpus.tsv", "--output", out) == 0
     files = sorted(p.name for p in fresh.iterdir())
-    assert "tfs.npy" not in files and "offsets.npy" not in files
+    assert not {"tfs.npy", "offsets.npy", "docid_rank.npy"} & set(files)
     assert sorted(p.name for p in reused.iterdir()) == files
     assert all((reused / name).read_bytes() == (fresh / name).read_bytes() for name in files)
 
@@ -498,11 +527,11 @@ def test_damaged_index_meta_and_quoted_tokenizer_flags_exit_1(workdir, tmp_path,
     meta_path = idx / "meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     # an index of an earlier layout must be rebuilt
-    meta_path.write_text(json.dumps({**meta, "version": 4}), encoding="utf-8")
+    meta_path.write_text(json.dumps({**meta, "version": 5}), encoding="utf-8")
     assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv",
                 "--out", tmp_path / "x.run") == 1
     err = capsys.readouterr().err
-    assert f"{idx}: not a convpr.index v5 directory" in err and "internal error" not in err
+    assert f"{idx}: not a convpr.index v6 directory" in err and "internal error" not in err
     meta["tokenizer"] = "stem"
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
     assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv",
@@ -564,7 +593,7 @@ def test_index_build_does_not_depend_on_the_hash_seed(tmp_path):
             check=True, capture_output=True, timeout=120,
         )
     files = sorted(p.name for p in (tmp_path / "1").iterdir())
-    assert "docid_rank.npy" in files
+    assert "doc_ords.npy" in files and "docid_rank.npy" not in files
     assert files == sorted(p.name for p in (tmp_path / "2").iterdir())
     for name in files:
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name

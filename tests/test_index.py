@@ -79,7 +79,7 @@ def test_rebuild_is_byte_identical(tmp_path):
 
 def _wide(index: InvertedIndex, tfs_dtype=np.int32) -> InvertedIndex:
     """``index`` with its arrays in int64 (group bounds, doc lengths), int32
-    (ordinals, ranks) and ``tfs_dtype``, as a caller might build it."""
+    (ordinals) and ``tfs_dtype``, as a caller might build it."""
     return InvertedIndex(
         term_ids=index.term_ids,
         doc_ids=index.doc_ids,
@@ -88,16 +88,15 @@ def _wide(index: InvertedIndex, tfs_dtype=np.int32) -> InvertedIndex:
         group_tfs=index.group_tfs.astype(tfs_dtype),
         doc_ords=index.doc_ords.astype(np.int32),
         doc_lengths=index.doc_lengths.astype(np.int64),
-        docid_rank=index.docid_rank.astype(np.int32),
         tokenizer=index.tokenizer,
     )
 
 
 def _boundary_passages(n: int) -> list[Passage]:
-    """``n`` passages whose six bounds all equal ``n - 1``: passage ``i``
+    """``n`` passages whose five bounds all equal ``n - 1``: passage ``i``
     holds one term ``i`` times, so there are ``n - 1`` postings, each in a
     group of its own, the largest tf and the longest passage are ``n - 1``,
-    and so are the largest ordinal and rank."""
+    and so is the largest ordinal."""
     return [Passage(f"p{i:03d}", " ".join(["t"] * i)) for i in range(n)]
 
 
@@ -161,6 +160,9 @@ def _block_corpora(block: int) -> dict[str, tuple[list[Passage], TokenizerConfig
     texts = _texts(3 * block, rng)
     corpora["whole-blocks"] = ([Passage(f"w{i}", t) for i, t in enumerate(texts)], plain)
     corpora["one"] = ([Passage("only", "one passage, one term twice: passage")], plain)
+    # Descending ids: every block's ordinals are the reverse of its stream order.
+    texts = _texts(2 * block + 3, rng)
+    corpora["descending"] = ([Passage(f"r{len(texts) - i:04d}", t) for i, t in enumerate(texts)], plain)
     sentences = ["The cats are running to the rivers", "A runner ran and is running", "rivers of the cat"]
     texts = [sentences[i % 3] for i in range(2 * block + 2)]
     corpora["analyzed"] = (
@@ -180,6 +182,34 @@ def test_block_build_matches_reference_byte_for_byte(tmp_path, monkeypatch, bloc
         build_index(iter(passages), tokenizer).save(tmp_path / name / "block")
         oracles.reference_index(passages, tokenizer).save(tmp_path / name / "reference")
         assert _files(tmp_path / name / "block") == _files(tmp_path / name / "reference"), name
+
+
+def test_group_by_tf_shortens_runs_whose_keys_would_not_fit_in_64_bits():
+    # A run of n terms packs keys below (n * (max tf + 1)) << bits(passages - 1).
+    # With 2**62 passages and tfs of 1, two terms fill the 64 bits exactly
+    # and a third would wrap; with 2**62 + 1 passages one term fills them.
+    vocab = 7
+    offsets = np.arange(0, 2 * vocab + 1, 2, dtype=np.int64)
+    doc_ords = np.tile(np.array([1, 0], dtype=np.uint8), vocab)
+    tfs = np.ones(2 * vocab, dtype=np.uint8)
+    want_ords = np.tile(np.array([0, 1], dtype=np.uint8), vocab)
+    runs = []
+    group_run = index_mod._group_run
+
+    def recording(run_offsets, *args):
+        runs.append(len(run_offsets) - 1)
+        return group_run(run_offsets, *args)
+
+    for doc_count, run_terms in ((2, vocab), (2**62, 2), (2**62 + 1, 1)):
+        runs.clear()
+        ords = doc_ords.copy()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(index_mod, "_group_run", recording)
+            term_groups, group_offsets, group_tfs = index_mod._group_by_tf(offsets, ords, tfs, doc_count)
+        assert max(runs) == run_terms and sum(runs) == vocab, (doc_count, runs)
+        assert ords.tolist() == want_ords.tolist(), doc_count
+        assert term_groups.tolist() == list(range(vocab + 1))
+        assert group_offsets.tolist() == offsets.tolist() and group_tfs.tolist() == [1] * vocab
 
 
 def test_build_pulls_each_passage_once():
@@ -270,7 +300,7 @@ def test_integer_tfs_score_bitwise_like_float64(kernel):
     for corpus, dtype in ((oracles.random_corpus(rng, max_docs=60), np.uint8), (docs, np.uint16)):
         index = index_from(corpus)
         assert index.group_tfs.dtype == index.doc_lengths.dtype == dtype
-        assert index.doc_ords.dtype == index.docid_rank.dtype == np.uint8
+        assert index.doc_ords.dtype == np.uint8
         ints, floats = Searcher(index), Searcher(_wide(index, np.float64))
         for _ in range(30):
             query = oracles.random_query(rng)
@@ -438,7 +468,7 @@ def test_kernels_leave_their_inputs_unchanged(kernel, tf_dtype):
     assert {name: (a.dtype, a.tobytes()) for name, a in inputs.items()} == before
 
 
-def test_search_breaks_ties_in_python_string_order(kernel):
+def test_search_breaks_ties_in_python_string_order(tmp_path, kernel):
     # numpy's fixed-width strings drop trailing NULs, so it sees "a" and
     # "a\x00" as equal; "\uffff" sorts after "\U00010000" in UTF-16.
     # Python compares code points: every id here is distinct and ordered.
@@ -452,15 +482,19 @@ def test_search_breaks_ties_in_python_string_order(kernel):
     # Reverse Python order, so ordinal order is no help.
     docs.update((doc_id, ["tie", "pad"]) for doc_id in sorted(tied, reverse=True))
     docs["lo"] = ["tie", "pad", "pad", "pad"]
-    searcher = Searcher(index_from(docs))
+    index = index_from(docs)
+    index.save(tmp_path)
     ranked = ["hi", *sorted(tied), "lo"]
-    full = searcher.search(["tie"], k=1000, qid="q")
-    assert full.ids == ranked
-    assert full.scores[0] > full.scores[1] == full.scores[80] > full.scores[81]
-    for k in (1, 2, 3, 5, 8, 17, 40, 80, 81, 82, 100):
-        got = searcher.search(["tie"], k=k, qid="q")
-        assert got.ids == ranked[:k], k
-        assert got.scores.tobytes() == full.scores[:k].tobytes()
+    # Passages are numbered in id order, before and after save and load.
+    for searcher in (Searcher(index), Searcher(InvertedIndex.load(tmp_path))):
+        assert searcher.index.doc_ids.tolist() == sorted(docs)
+        full = searcher.search(["tie"], k=1000, qid="q")
+        assert full.ids == ranked
+        assert full.scores[0] > full.scores[1] == full.scores[80] > full.scores[81]
+        for k in (1, 2, 3, 5, 8, 17, 40, 80, 81, 82, 100):
+            got = searcher.search(["tie"], k=k, qid="q")
+            assert got.ids == ranked[:k], k
+            assert got.scores.tobytes() == full.scores[:k].tobytes()
 
 
 def _tie_heavy_corpus(rng) -> dict[str, list[str]]:
@@ -538,10 +572,9 @@ def _lines(tamper):
         ("doc_ords", lambda a: _with(a, -1, -1, np.int64), f"doc_ords.npy {_UNSIGNED} 1-d int64"),
         ("doc_lengths", lambda a: a.astype(np.int64), f"doc_lengths.npy {_UNSIGNED} 1-d int64"),
         ("doc_lengths", lambda a: a.astype(np.float32), f"doc_lengths.npy {_UNSIGNED} 1-d float32"),
-        ("docid_rank", lambda a: a.astype(np.int32), f"docid_rank.npy {_UNSIGNED} 1-d int32"),
-        ("docid_rank", lambda a: a.reshape(1, 3), f"docid_rank.npy {_UNSIGNED} 2-d uint8"),
-        # Ordinals, ranks and bounds out of range, in their own dtype and in
-        # wider ones.
+        ("doc_lengths", lambda a: a.reshape(1, 3), f"doc_lengths.npy {_UNSIGNED} 2-d uint8"),
+        # Ordinals and bounds out of range, in their own dtype and in wider
+        # ones.
         ("doc_ords", lambda a: _with(a, -1, 3), "ordinal outside 0..2"),
         ("doc_ords", lambda a: _with(a, -1, 255), "ordinal outside 0..2"),
         ("doc_ords", lambda a: _with(a, 0, 2**16 - 1, np.uint16), "ordinal outside 0..2"),
@@ -562,14 +595,17 @@ def _lines(tamper):
         ("group_offsets", lambda a: _with(a, -1, 2**64 - 1, np.uint64),
          "group_offsets.npy ends at 18446744073709551615, but doc_ords.npy holds 9 postings"),
         ("doc_lengths", lambda a: a[:2], "doc_lengths.npy holds 2 entries for 3 passages"),
-        ("docid_rank", lambda a: np.zeros_like(a), "not a permutation"),
-        ("docid_rank", lambda a: _with(a, -1, 3), "rank outside 0..2"),
-        ("docid_rank", lambda a: _with(a, -1, 2**32 - 1, np.uint32), "rank outside 0..2"),
-        ("docid_rank", lambda a: a[:2], "docid_rank.npy holds 2 entries"),
-        # a valid permutation that is not the ids' order would change tie order
-        ("docid_rank", lambda a: a[::-1].copy(), "must strictly increase in docid_rank order"),
-        ("doc_ids", _lines(lambda ids: [ids[0], ids[0], ids[2]]),
-         "must strictly increase in docid_rank order"),
+        # Each passage's postings must add up to its length. "cat" is in d1's
+        # tf-1 group and d2's tf-2 group: d1 moved into both keeps every
+        # group's ordinals increasing but gives d1 6 tokens and d2 2.
+        ("doc_lengths", lambda a: _with(a, 2, 3),
+         r"give passage 2 2 tokens, but doc_lengths.npy gives it 3 \(a moved doc ordinal\?\)"),
+        ("doc_ords", lambda a: _with(a, 1, 0), "give passage 0 6 tokens, but doc_lengths.npy gives it 4"),
+        # An ordinal is its passage's tie rank: ids out of order would change
+        # the tie order, and a repeated id would make two results one.
+        ("doc_ids", _lines(lambda ids: ids[::-1]), "doc_ids.txt must strictly increase"),
+        ("doc_ids", _lines(lambda ids: [ids[1], ids[0], ids[2]]), "doc_ids.txt must strictly increase"),
+        ("doc_ids", _lines(lambda ids: [ids[0], ids[0], ids[2]]), "doc_ids.txt must strictly increase"),
         ("doc_ids", _lines(lambda ids: ids[:2]), "doc_lengths.npy holds 3 entries for 2 passages"),
         ("terms", _lines(lambda lines: [lines[0], *lines]), "repeats a term: 8 distinct in 9 lines"),
         ("terms", _lines(lambda lines: [*lines, "zebra"]), "term_groups.npy holds 9 entries for 9 terms"),
@@ -609,7 +645,7 @@ def test_load_takes_any_unsigned_dtype_that_holds_the_values(tmp_path, kernel):
     assert all(getattr(wide, name).dtype == np.uint64 for name in index_mod._ARRAYS)
     a, b = Searcher(narrow), Searcher(wide)
     for query in (["hit"], ["pad"], ["hit", "pad", "hit"]):
-        # The scores tie in runs, so best_first ranks by docid_rank.
+        # The scores tie in runs, so best_first ranks by doc ordinal.
         got, want = b.search(query, k=30, qid="q"), a.search(query, k=30, qid="q")
         assert got.ids == want.ids and got.scores.tobytes() == want.scores.tobytes()
         assert b.max_score(query) == a.max_score(query)
@@ -632,7 +668,7 @@ def test_save_rejects_an_entry_with_a_line_break(tmp_path):
     [
         # 257 would wrap to ordinal 1 in uint8, a valid one
         ("doc_ords", lambda a: _with(a, -1, 257, np.int32), "doc_ords holds a value outside 0..2"),
-        ("docid_rank", lambda a: _with(a, 0, -1, np.int64), "docid_rank holds a value outside 0..2"),
+        ("doc_lengths", lambda a: _with(a, 0, -1, np.int64), "doc_lengths holds a value outside 0..4"),
         ("term_groups", lambda a: _with(a, 1, -1, np.int64), "term_groups holds a value outside 0..9"),
         ("group_offsets", lambda a: _with(a, 1, 257, np.int64), "group_offsets holds a value outside 0..9"),
         ("group_tfs", lambda a: a + 0.5, r"group_tfs holds a value outside 0..2$"),
@@ -648,19 +684,19 @@ def test_save_rejects_a_value_the_narrow_dtype_cannot_hold(tmp_path, name, tampe
 
 def test_doc_ids_are_read_back_exactly(tmp_path):
     # only \n ends a line: no other line break is translated or splits an id
-    ids = ["d\r1", "\u00e9\u2028", "x\x85y\r"]
+    ids = ["d\r1", "x\x85y\r", "\u00e9\u2028"]
     build_index([Passage(i, "cat") for i in ids]).save(tmp_path)
-    assert InvertedIndex.load(tmp_path).doc_ids.tolist() == ids
+    assert InvertedIndex.load(tmp_path).doc_ids.tolist() == sorted(ids) == ids
 
 
 def test_index_directory_holds_each_fact_once(tmp_path):
     index_from(TOY).save(tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "doc_ids.txt", "doc_lengths.npy", "doc_ords.npy", "docid_rank.npy", "group_offsets.npy",
-        "group_tfs.npy", "meta.json", "term_groups.npy", "terms.txt",
+        "doc_ids.txt", "doc_lengths.npy", "doc_ords.npy", "group_offsets.npy", "group_tfs.npy",
+        "meta.json", "term_groups.npy", "terms.txt",
     ]
     meta = json.loads((tmp_path / "meta.json").read_text(encoding="utf-8"))
-    assert meta == {"format": "convpr.index", "version": 5, "tokenizer": TokenizerConfig().to_dict()}
+    assert meta == {"format": "convpr.index", "version": 6, "tokenizer": TokenizerConfig().to_dict()}
     assert (tmp_path / "doc_ids.txt").read_bytes() == b"d1\nd2\nd3\n"
     loaded = InvertedIndex.load(tmp_path)
     assert (loaded.doc_count, loaded.vocab_size) == (3, 8)
@@ -709,11 +745,13 @@ def test_load_rejects_incomplete_meta(tmp_path, tamper, message):
         '{"format": "convpr.index", "version": 3}',
         # layout v4 stored a tf per posting
         '{"format": "convpr.index", "version": 4}',
+        # layout v5 numbered passages in input order and stored their id order
+        '{"format": "convpr.index", "version": 5}',
     ],
 )
 def test_load_rejects_foreign_directory(tmp_path, meta):
     (tmp_path / "meta.json").write_text(meta, encoding="utf-8")
-    with pytest.raises(ValueError, match="not a convpr.index v5 directory"):
+    with pytest.raises(ValueError, match="not a convpr.index v6 directory"):
         InvertedIndex.load(tmp_path)
 
 
