@@ -6,6 +6,7 @@ malformed rows corrupt retrieval metrics silently, so both are errors.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -73,6 +74,16 @@ def open_text(path: Path, newline: str | None = None) -> Iterator[TextIO]:
             yield fh
         except UnicodeDecodeError as exc:
             raise ValueError(_utf8_error(path, exc)) from None
+
+
+def file_digest(path: Path) -> str:
+    """The sha256 of the bytes of ``path`` as hex digits, read 1 MiB at a
+    time, so no temporary grows with the file."""
+    h = hashlib.sha256()
+    with path.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def _utf8_error(path: Path, exc: UnicodeDecodeError) -> str:

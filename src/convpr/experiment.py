@@ -30,7 +30,7 @@ import yaml
 
 from . import evaluation
 from . import index as index_format
-from .corpus import Session, is_integral, load_passages, load_sessions
+from .corpus import Session, file_digest, is_integral, load_passages, load_sessions
 from .cqr import (
     CONCAT_DEFAULT_WINDOW,
     HqeParams,
@@ -315,14 +315,6 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
 # -- caching ------------------------------------------------------------------
 
 
-def _file_digest(path: Path) -> str:
-    h = hashlib.sha256()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _cache_key(**parts) -> str:
     """Name a cache entry: the first 16 hex digits of the sha256 of
     ``parts`` as sorted JSON. ``parts`` must cover every byte of the entry."""
@@ -378,7 +370,7 @@ def _open_workspace(config: ExperimentConfig) -> _Workspace:
     sessions = load_sessions(config.topics)
     qrels = load_qrels(config.qrels)
     index_key = _cache_key(
-        corpus=_file_digest(config.corpus),
+        corpus=file_digest(config.corpus),
         format=config.corpus_format,
         tokenizer=config.tokenizer.to_dict(),
         # A new layout gets a new entry instead of failing to load the old one.
@@ -406,7 +398,7 @@ def _open_workspace(config: ExperimentConfig) -> _Workspace:
                     np.save(fh, scores)
 
             _write_atomically(ke_path, save)
-    return _Workspace(sessions, qrels, searcher, cache_dir, index_key, _file_digest(config.topics))
+    return _Workspace(sessions, qrels, searcher, cache_dir, index_key, file_digest(config.topics))
 
 
 def _load_ke_cache(path: Path, vocab_size: int) -> np.ndarray:
@@ -416,8 +408,8 @@ def _load_ke_cache(path: Path, vocab_size: int) -> np.ndarray:
     entry is damaged."""
     damaged = f"{path}: damaged keyword-extractor cache entry (it may be deleted)"
     try:
-        scores = index_format._load_array(path)
-    except ValueError as exc:
+        scores = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:  # EOFError: a 0-byte file
         raise ValueError(f"{damaged}: {exc}") from None
     _require(
         isinstance(scores, np.ndarray) and scores.dtype == np.float64 and scores.shape == (vocab_size,)
@@ -439,8 +431,8 @@ def _run_cache_path(ws: _Workspace, config: ExperimentConfig, method: MethodSpec
             "type": method.type,
             "m_window": method.m_window,
             "hqe": astuple(method.hqe),
-            "rewrites": _file_digest(method.rewrites) if method.rewrites else None,
-            "pos": _file_digest(method.pos_annotations) if method.pos_annotations else None,
+            "rewrites": file_digest(method.rewrites) if method.rewrites else None,
+            "pos": file_digest(method.pos_annotations) if method.pos_annotations else None,
         },
     )
     return ws.cache_dir / f"run-{key}.run"
@@ -459,7 +451,7 @@ def _evaluate_cached_run(
     On a miss the run is evaluated (``run`` is its parsed form if the
     caller holds it, else the file is read) and the entry written."""
     key = _cache_key(
-        run=_file_digest(cached_run),
+        run=file_digest(cached_run),
         qrels=qrels_digest,
         metrics=config.metrics,
         depth=config.depth,
@@ -571,7 +563,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     emitted. A run outlives its emission only as a fusion input, so a warm
     experiment holds the index or the runs, never both. Stage 2 parses
     only the first-stage runs that are reranked or fused; the metrics of
-    the others come from their evaluation cache entries."""
+    every first-stage run come from its evaluation cache entry."""
     out_dir = config.output_dir
     runs_dir = out_dir / "runs"
     rewrites_dir = out_dir / "rewrites"
@@ -596,7 +588,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             _write_atomically(cached_run, lambda tmp: write_run(tmp, run, tag=method.name))
     # The workspace holds the only reference to the searcher and its index.
     del ws
-    qrels_digest = _file_digest(config.qrels)
+    qrels_digest = file_digest(config.qrels)
 
     # Every run and scores file read here shares one string per doc id and
     # qid. Methods and early fusion often share one scores file; parse each
@@ -636,17 +628,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for method, cached_run in zip(config.methods, cached_runs):
         run = searched.pop(method.name, None)
         run_cache = "hit" if run is None else "miss"
-        if method.rerank_scores is None and method.name not in fusion_inputs:
-            # Nothing consumes this run, so only its metrics are needed.
-            report, entry = _evaluate_cached_run(cached_run, run, qrels, qrels_digest, config, pool)
-            emit(method.name, None, cached_run, report)
-        else:
-            entry = "not used (run consumed)"
-            if run is None:
-                run = read_run(cached_run, pool=pool)
-            emit(method.name, run, cached_run)
-            if method.rerank_scores is not None:
-                emit(method.name + RERANK_SUFFIX, rerank_run(run, rerank_scores(method.rerank_scores)))
+        # Only a run that is reranked or fused is parsed on a hit.
+        consumed = method.rerank_scores is not None or method.name in fusion_inputs
+        if run is None and consumed:
+            run = read_run(cached_run, pool=pool)
+        report, entry = _evaluate_cached_run(cached_run, run, qrels, qrels_digest, config, pool)
+        emit(method.name, run, cached_run, report)
+        if method.rerank_scores is not None:
+            emit(method.name + RERANK_SUFFIX, rerank_run(run, rerank_scores(method.rerank_scores)))
         logger.info("method %s: run cache %s, evaluation entry %s", method.name, run_cache, entry)
         del run  # only a fusion input outlives its emission
 

@@ -6,11 +6,11 @@ a term the postings are ordered by (term frequency, doc ordinal), so they
 fall into tf groups, one per (term, tf) pair, in ascending tf, and each
 group's tf is stored once. Passages are numbered in doc-id order, so a
 doc ordinal is its tie rank for :func:`convpr.runs.best_first`. An index
-directory (layout v6) holds ``meta.json`` (format, version and tokenizer),
-``terms.txt`` and ``doc_ids.txt`` (by id and by ordinal, one UTF-8 entry
-per ``\n``-terminated line) and five numpy arrays. Each array is stored in
-the smallest unsigned integer dtype that holds its bound, the largest
-value it may hold:
+directory (layout v7) holds ``meta.json`` (format, version, tokenizer and
+the sha256 of each other file), ``terms.txt`` and ``doc_ids.txt`` (by id
+and by ordinal, one UTF-8 entry per ``\n``-terminated line) and five numpy
+arrays. Each array is stored in the smallest unsigned integer dtype that
+holds its bound, the largest value it may hold:
 
 - ``term_groups`` (vocab + 1; bound: the group count): term ``t``'s groups
   are ``term_groups[t]:term_groups[t + 1]``;
@@ -24,9 +24,10 @@ value it may hold:
 - ``doc_lengths`` (bound: the longest passage): tokens per passage.
 
 :meth:`InvertedIndex.save` narrows whatever arrays the index holds to
-these dtypes; :meth:`InvertedIndex.load` takes any 1-d unsigned integer
-arrays whose values are in range. No array needs a decode step: the
-kernels repeat each group's tf over its postings, whatever its dtype.
+these dtypes and checks them against each other before it writes a file;
+:meth:`InvertedIndex.load` checks only that each file's sha256 is the one
+``save`` recorded. No array needs a decode step: the kernels repeat each
+group's tf over its postings, whatever its dtype.
 
 In memory the index holds each table once: its terms as one dict from
 term to id, in id order (``terms.txt`` holds its keys), and its doc ids as
@@ -61,23 +62,25 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import _bm25
-from .corpus import Passage
+from .corpus import Passage, file_digest
 from .runs import RankedList, best_first, id_rank
 from .tokenization import TokenizerConfig
 
 _FORMAT = "convpr.index"
-_VERSION = 6
+_VERSION = 7
 # Passages per inverted block of build_index. A block's sort and scatter
 # temporaries grow with it; per-block numpy call overhead shrinks with it.
 _BLOCK_PASSAGES = 256
 
 # Postings that build_index sorts by tf at once, in runs of whole terms.
 _SORT_POSTINGS = 1 << 16
-# Postings whose term frequencies load adds up at once.
+# Postings whose term frequencies save adds up at once.
 _CHECK_POSTINGS = 1 << 15
 
 # The arrays of an index directory, each saved as <name>.npy.
 _ARRAYS = ("term_groups", "group_offsets", "group_tfs", "doc_ords", "doc_lengths")
+# The files whose sha256 meta.json records.
+_FILES = ("terms.txt", "doc_ids.txt", *(f"{name}.npy" for name in _ARRAYS))
 # Arrays of earlier layouts; save removes them from a reused directory.
 _OLD_ARRAYS = ("offsets", "tfs", "docid_rank")
 
@@ -148,13 +151,10 @@ class InvertedIndex:
     def save(self, path: str | Path) -> None:
         """Write a versioned directory, ``meta.json`` last (an earlier one
         first removed, with any old-layout arrays), each array in the dtype
-        of its bound; rebuilding the same corpus yields byte-identical files."""
+        of its bound; rebuilding the same corpus yields byte-identical files.
+        The arrays are checked before the first file is written, so an
+        inconsistent index is never saved."""
         path = Path(path)
-        path.mkdir(parents=True, exist_ok=True)
-        for name in ("meta.json", *(f"{array}.npy" for array in _OLD_ARRAYS)):
-            (path / name).unlink(missing_ok=True)
-        _write_lines(path / "terms.txt", self.term_ids)
-        _write_lines(path / "doc_ids.txt", self.doc_ids)
         # Each array is narrowed to the dtype of its bound (a no-op for the
         # arrays of build_index), so wider arrays save the same bytes.
         bounds = {
@@ -164,15 +164,24 @@ class InvertedIndex:
             "doc_ords": max(self.doc_count - 1, 0),
             "doc_lengths": self.doc_lengths.max(initial=0),
         }
+        arrays = {}
         for name, bound in bounds.items():
             array, bound = getattr(self, name), int(bound)
-            narrow = array.astype(_uint(bound), copy=False)
+            narrow = arrays[name] = array.astype(_uint(bound), copy=False)
             # A value the narrow dtype cannot hold would wrap into one that
-            # loads, such as ordinal 257 of 3 passages as 1.
+            # passes the checks, such as ordinal 257 of 3 passages as 1.
             if narrow is not array and not np.array_equal(narrow, array):
                 raise ValueError(f"{name} holds a value outside 0..{bound}")
-            np.save(path / f"{name}.npy", narrow)
+        _check_arrays(arrays, self.vocab_size, self.doc_ids)
+        path.mkdir(parents=True, exist_ok=True)
+        for name in ("meta.json", *(f"{array}.npy" for array in _OLD_ARRAYS)):
+            (path / name).unlink(missing_ok=True)
+        _write_lines(path / "terms.txt", self.term_ids)
+        _write_lines(path / "doc_ids.txt", self.doc_ids)
+        for name, array in arrays.items():
+            np.save(path / f"{name}.npy", array)
         meta = {"format": _FORMAT, "version": _VERSION, "tokenizer": self.tokenizer.to_dict()}
+        meta["sha256"] = {name: file_digest(path / name) for name in _FILES}
         with (path / "meta.json").open("w", encoding="utf-8", newline="\n") as fh:
             json.dump(meta, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -180,34 +189,28 @@ class InvertedIndex:
     @classmethod
     def load(cls, path: str | Path) -> "InvertedIndex":
         """Read a directory written by :meth:`save`, deriving every count from
-        its tables. They are checked against each other first, so a damaged
-        directory is a ValueError here and not a wrong score later."""
+        its tables. Every file's sha256 must be the one ``meta.json``
+        records, so a file changed since save, by damage or by hand, is a
+        ValueError here and not a wrong score later."""
         path = Path(path)
         try:
             with (path / "meta.json").open("r", encoding="utf-8") as fh:
                 meta = json.load(fh)
             if not isinstance(meta, dict) or meta.get("format") != _FORMAT or meta.get("version") != _VERSION:
                 raise ValueError(f"not a {_FORMAT} v{_VERSION} directory")
-            terms = _read_lines(path / "terms.txt", allow_cr=False)
-            term_ids = {t: i for i, t in enumerate(terms)}
-            if len(term_ids) != len(terms):
-                raise ValueError(f"terms.txt repeats a term: {len(term_ids)} distinct in {len(terms)} lines")
-            doc_ids = np.array(_read_lines(path / "doc_ids.txt"), dtype=object)
-            arrays = {name: _load_array(path / f"{name}.npy") for name in _ARRAYS}
-            _check_arrays(arrays, len(term_ids), doc_ids)
             tokenizer = TokenizerConfig.from_dict(meta.get("tokenizer", {}))
+            digests = meta.get("sha256")
+            if not isinstance(digests, dict) or sorted(digests) != sorted(_FILES):
+                raise ValueError(f"meta.json must give the sha256 of each of {', '.join(_FILES)}")
+            for name in _FILES:
+                if not (path / name).is_file() or file_digest(path / name) != digests[name]:
+                    raise ValueError(f"{name} changed or damaged since save")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        term_ids = {t: i for i, t in enumerate(_read_lines(path / "terms.txt"))}
+        doc_ids = np.array(_read_lines(path / "doc_ids.txt"), dtype=object)
+        arrays = {name: np.load(path / f"{name}.npy", allow_pickle=False) for name in _ARRAYS}
         return cls(term_ids, doc_ids, tokenizer=tokenizer, **arrays)
-
-
-def _load_array(path: Path) -> np.ndarray:
-    """``np.load`` without pickles; numpy's EOFError for a 0-byte file is a
-    ValueError naming the file, like any other unreadable array."""
-    try:
-        return np.load(path, allow_pickle=False)
-    except (ValueError, EOFError) as exc:
-        raise ValueError(f"{path.name}: {exc}") from None
 
 
 def _write_lines(path: Path, entries: Iterable[str]) -> None:
@@ -223,17 +226,9 @@ def _write_lines(path: Path, entries: Iterable[str]) -> None:
             fh.write(text.encode("utf-8"))
 
 
-def _read_lines(path: Path, *, allow_cr: bool = True) -> list[str]:
-    """The entries of a :func:`_write_lines` file; one not ending in ``\n`` was
-    cut off. Unless ``allow_cr``, an entry may not hold ``\r``: no term can,
-    so one there means the file's lines were given CRLF ends."""
-    data = path.read_bytes()
-    if not allow_cr and b"\r" in data:
-        raise ValueError(f"{path.name} holds a carriage return, which no entry may (CRLF line ends?)")
-    entries = data.decode("utf-8").split("\n")
-    if entries.pop():
-        raise ValueError(f"{path.name} does not end in a line break (cut off?)")
-    return entries
+def _read_lines(path: Path) -> list[str]:
+    """The entries of a :func:`_write_lines` file."""
+    return path.read_bytes().decode("utf-8").split("\n")[:-1]
 
 
 def _check_arrays(arrays: dict[str, np.ndarray], vocab_size: int, doc_ids: np.ndarray) -> None:
@@ -241,8 +236,8 @@ def _check_arrays(arrays: dict[str, np.ndarray], vocab_size: int, doc_ids: np.nd
     ``vocab_size`` terms and the passages ``doc_ids``. Each check is O(n)."""
     doc_count = len(doc_ids)
     for name, a in arrays.items():
-        if a.dtype.kind != "u" or a.ndim != 1:
-            raise ValueError(f"{name}.npy must be a 1-d unsigned integer array, got {a.ndim}-d {a.dtype}")
+        if a.ndim != 1:
+            raise ValueError(f"{name} must be a 1-d array, got {a.ndim}-d")
     term_groups, group_offsets = arrays["term_groups"], arrays["group_offsets"]
     group_tfs, doc_ords = arrays["group_tfs"], arrays["doc_ords"]
     _check_slices("term_groups", term_groups, "term", vocab_size, "groups", "group_tfs", len(group_tfs))
@@ -251,28 +246,28 @@ def _check_arrays(arrays: dict[str, np.ndarray], vocab_size: int, doc_ids: np.nd
     )
     doc_lengths = arrays["doc_lengths"]
     if len(doc_lengths) != doc_count:
-        raise ValueError(f"doc_lengths.npy holds {len(doc_lengths)} entries for {doc_count} passages")
+        raise ValueError(f"doc_lengths holds {len(doc_lengths)} entries for {doc_count} passages")
     # A posting's tf is >= 1, so every term's max score is > 0.
     if len(group_tfs) and group_tfs.min() == 0:
-        raise ValueError("group_tfs.npy holds a term frequency of 0")
+        raise ValueError("group_tfs holds a term frequency of 0")
     # One group per (term, tf), in ascending tf, as build_index writes them;
     # a term's first group may hold any tf.
     rises = group_tfs[1:] > group_tfs[:-1]
     rises[term_groups[1:-1] - 1] = True
     if not rises.all():
-        raise ValueError("group_tfs.npy must strictly increase within each term")
+        raise ValueError("group_tfs must strictly increase within each term")
     if len(doc_ords) and doc_ords.max() >= doc_count:
-        raise ValueError(f"doc_ords.npy holds an ordinal outside 0..{doc_count - 1}")
+        raise ValueError(f"doc_ords holds an ordinal outside 0..{doc_count - 1}")
     # A repeated ordinal would add to one passage's score twice. Falls are
     # counted over all postings and at group starts, where they are allowed,
     # so no temporary of the posting count outlives its count.
     starts = group_offsets[1:-1]
     falls = np.count_nonzero(doc_ords[1:] <= doc_ords[:-1])
     if falls != np.count_nonzero(doc_ords[starts] <= doc_ords[starts - 1]):
-        raise ValueError("doc_ords.npy must strictly increase within each tf group (a repeated ordinal?)")
+        raise ValueError("doc_ords must strictly increase within each tf group (a repeated ordinal?)")
     # Unique and in id order, so each ordinal is its passage's tie rank.
     if not np.all(doc_ids[:-1] < doc_ids[1:]):
-        raise ValueError("doc_ids.txt must strictly increase (a repeated id or ids out of order)")
+        raise ValueError("doc_ids must strictly increase (a repeated id or ids out of order)")
     _check_lengths(doc_ords, group_offsets, group_tfs, doc_lengths)
 
 
@@ -301,8 +296,8 @@ def _check_lengths(
     if len(wrong):
         d = wrong[0]
         raise ValueError(
-            f"doc_ords.npy and group_tfs.npy give passage {d} {sums[d]} tokens, but doc_lengths.npy"
-            f" gives it {doc_lengths[d]} (a moved doc ordinal?)"
+            f"doc_ords and group_tfs give passage {d} {sums[d]} tokens, but doc_lengths gives it"
+            f" {doc_lengths[d]} (a moved doc ordinal?)"
         )
 
 
@@ -310,18 +305,18 @@ def _check_slices(
     name: str, bounds: np.ndarray, owner: str, owners: int, held: str, source: str, total: int
 ) -> None:
     """Raise ValueError unless ``bounds`` cuts ``0..total``, the ``held``
-    entries of ``source``.npy, into one non-empty slice for each of
+    entries of ``source``, into one non-empty slice for each of
     ``owners`` items named ``owner``."""
     if len(bounds) != owners + 1:
-        raise ValueError(f"{name}.npy holds {len(bounds)} entries for {owners} {owner}s")
+        raise ValueError(f"{name} holds {len(bounds)} entries for {owners} {owner}s")
     if bounds[0] != 0 or np.any(bounds[1:] < bounds[:-1]):
-        raise ValueError(f"{name}.npy must start at 0 and never decrease")
+        raise ValueError(f"{name} must start at 0 and never decrease")
     # build_index writes no empty slice; the max-score kernel takes none.
     empty = np.flatnonzero(bounds[1:] == bounds[:-1])
     if len(empty):
-        raise ValueError(f"{name}.npy gives {owner} {empty[0]} no {held}")
+        raise ValueError(f"{name} gives {owner} {empty[0]} no {held}")
     if bounds[-1] != total:
-        raise ValueError(f"{name}.npy ends at {bounds[-1]}, but {source}.npy holds {total} {held}")
+        raise ValueError(f"{name} ends at {bounds[-1]}, but {source} holds {total} {held}")
 
 
 def build_index(passages: Iterable[Passage], tokenizer: TokenizerConfig | None = None) -> InvertedIndex:
@@ -592,7 +587,7 @@ class Searcher:
                 cand = cand[found >= np.partition(found, n_pos - k)[n_pos - k]]
         found = scores[cand]
         top = cand[best_first(found, lambda: cand, k)]
-        # Unique by construction (ordinals are unique, load proves the doc
+        # Unique by construction (ordinals are unique, save proves the doc
         # ids unique) and ordered by best_first, so the list skips the checks.
         return RankedList(qid, self.index.doc_ids[top].tolist(), scores[top], _ordered=True)
 

@@ -96,10 +96,10 @@ def qpp_score(docs: dict[str, list[str]], tokens: list[str], k1: float, b: float
 
 
 def reference_index(passages, tokenizer):
-    """The v6 index arrays built the direct way: passages numbered by a
-    Python sort of their ids, one Python list of (doc ordinal, tf) pairs per
-    term (ids by first occurrence in the input), filled passage by passage,
-    then split into one group per distinct tf."""
+    """The index arrays (as of layout v6) built the direct way: passages
+    numbered by a Python sort of their ids, one Python list of (doc ordinal,
+    tf) pairs per term (ids by first occurrence in the input), filled
+    passage by passage, then split into one group per distinct tf."""
     from convpr.index import InvertedIndex
 
     passages = list(passages)

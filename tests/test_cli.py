@@ -194,7 +194,7 @@ def test_validation_failures_exit_1(workdir, tmp_path, capsys):
                     "--param", param, "--set", f"output_dir={tmp_path / 'grid'}") == 1
     assert "r_topic (1.9) must exceed r_sub (2.5)" in capsys.readouterr().err
     assert not (tmp_path / "grid").exists()
-    # an index directory whose arrays disagree is a validation error
+    # an index directory changed since it was saved is a validation error
     idx = tmp_path / "damaged"
     assert _run("index", "build", "--input", workdir / "corpus.tsv", "--output", idx) == 0
     doc_ords = np.load(idx / "doc_ords.npy")
@@ -202,7 +202,7 @@ def test_validation_failures_exit_1(workdir, tmp_path, capsys):
     np.save(idx / "doc_ords.npy", doc_ords)
     assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv",
                 "--out", tmp_path / "x.run") == 1
-    assert "doc_ords.npy holds an ordinal outside" in capsys.readouterr().err
+    assert f"{idx}: doc_ords.npy changed or damaged since save" in capsys.readouterr().err
     # a NaN score in a run or a rerank-score file, named with its line
     run = tmp_path / "nan.run"
     run.write_text("7_1 Q0 d1 1 2.0 t\n7_1 Q0 d2 2 nan t\n", encoding="utf-8")
@@ -410,7 +410,8 @@ def test_damaged_keyword_cache_entry_exits_1_naming_it(workdir, tmp_path, capsys
 
 
 def test_empty_or_cut_off_index_array_exits_1(workdir, tmp_path, capsys):
-    # numpy raises EOFError, not ValueError, for a 0-byte .npy file.
+    # numpy would raise EOFError, not ValueError, for a 0-byte .npy file;
+    # the digest check comes first.
     idx = tmp_path / "idx"
     assert _run("index", "build", "--input", workdir / "corpus.tsv", "--output", idx) == 0
     argv = ("retrieve", "--index", idx, "--queries", workdir / "t5.tsv", "--out", tmp_path / "x.run")
@@ -421,7 +422,8 @@ def test_empty_or_cut_off_index_array_exits_1(workdir, tmp_path, capsys):
         capsys.readouterr()
         assert _run(*argv) == 1, name
         err = capsys.readouterr().err
-        assert f"error: {idx}: {name}.npy: " in err and "internal error" not in err, err
+        assert f"error: {idx}: {name}.npy changed or damaged since save" in err, err
+        assert "internal error" not in err, err
         path.write_bytes(good)
     assert _run(*argv) == 0
 
@@ -443,7 +445,7 @@ def test_repeated_doc_ordinal_in_a_tf_group_exits_1(tmp_path, capsys):
         capsys.readouterr()
         assert _run(*argv) == 1, bad
         err = capsys.readouterr().err
-        assert f"error: {idx}: doc_ords.npy must strictly increase within each tf group" in err, err
+        assert f"error: {idx}: doc_ords.npy changed or damaged since save" in err, err
         assert "internal error" not in err
     np.save(path, good)
     assert _run(*argv) == 0
@@ -463,13 +465,31 @@ def test_doc_ordinal_repeated_across_tf_groups_exits_1(tmp_path, capsys):
     np.save(path, np.array([0, 1, 0, 0, 1, 2], dtype=good.dtype))
     assert _run(*argv) == 1
     err = capsys.readouterr().err
-    assert (
-        f"error: {idx}: doc_ords.npy and group_tfs.npy give passage 0 4 tokens, but doc_lengths.npy"
-        " gives it 2 (a moved doc ordinal?)"
-    ) in err, err
+    assert f"error: {idx}: doc_ords.npy changed or damaged since save" in err, err
     assert "internal error" not in err and not (tmp_path / "x.run").exists()
     np.save(path, good)
     assert _run(*argv) == 0
+
+
+def test_swapped_doc_ordinals_exit_1(tmp_path, capsys):
+    # "sat" holds d1 and "dog" d2, d3: swapping d1 and d2 there keeps every
+    # group increasing and every passage's length sum, and would make
+    # "sat" find d2.
+    (tmp_path / "corpus.tsv").write_text("d1\tcat sat\nd2\tdog cat\nd3\tcat cat dog\n", encoding="utf-8")
+    (tmp_path / "q.tsv").write_text("q1\tsat\n", encoding="utf-8")
+    idx = tmp_path / "idx"
+    assert _run("index", "build", "--input", tmp_path / "corpus.tsv", "--output", idx) == 0
+    argv = ("retrieve", "--index", idx, "--queries", tmp_path / "q.tsv", "--out", tmp_path / "x.run")
+    path = idx / "doc_ords.npy"
+    ords = np.load(path)
+    assert ords.tolist() == [0, 1, 2, 0, 1, 2]
+    ords[[3, 4]] = ords[[4, 3]]
+    np.save(path, ords)
+    capsys.readouterr()
+    assert _run(*argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {idx}: doc_ords.npy changed or damaged since save" in err, err
+    assert "internal error" not in err and not (tmp_path / "x.run").exists()
 
 
 def test_index_build_into_a_v4_directory_leaves_no_v4_arrays(workdir, tmp_path):
@@ -531,7 +551,7 @@ def test_damaged_index_meta_and_quoted_tokenizer_flags_exit_1(workdir, tmp_path,
     assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv",
                 "--out", tmp_path / "x.run") == 1
     err = capsys.readouterr().err
-    assert f"{idx}: not a convpr.index v6 directory" in err and "internal error" not in err
+    assert f"{idx}: not a convpr.index v7 directory" in err and "internal error" not in err
     meta["tokenizer"] = "stem"
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
     assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv",

@@ -611,9 +611,10 @@ def _count_calls(monkeypatch, module, name, record=lambda *args: None):
 
 
 def test_warm_run_parses_only_the_consumed_runs(fixture_config, monkeypatch):
-    """raw and concat-pos are neither reranked nor fused: a warm run takes
-    their metrics from eval-*.json and parses only hqe and t5, with the
-    outputs of a cold run."""
+    """raw and concat-pos are neither reranked nor fused: a warm run parses
+    only hqe and t5, takes every first-stage run's metrics from eval-*.json
+    and evaluates only the reranked and fused runs, with the outputs of a
+    cold run."""
     import convpr.experiment as experiment
 
     evaluated = _count_calls(monkeypatch, experiment, "evaluate_run")
@@ -621,13 +622,13 @@ def test_warm_run_parses_only_the_consumed_runs(fixture_config, monkeypatch):
     out = fixture_config.output_dir
     cold = _outputs(out)
     assert len(evaluated) == 6
-    assert len(list((out / "cache").glob("eval-*.json"))) == 2
+    assert len(list((out / "cache").glob("eval-*.json"))) == 4
 
     evaluated.clear()
     read = _count_calls(monkeypatch, experiment, "read_run", lambda path, *_: _tags(path))
     run_experiment(fixture_config)
     assert sorted(tag for tags in read for tag in tags) == ["hqe", "t5"]
-    assert len(evaluated) == 4
+    assert len(evaluated) == 2
     assert _outputs(out) == cold
     assert (out / "metrics.csv").read_bytes() == (FIXTURES / "golden_metrics.csv").read_bytes()
 
@@ -654,7 +655,7 @@ def test_edited_run_entry_is_evaluated_again(fixture_config):
     assert entry.stat().st_size == len(raw_bytes)
 
     result = run_experiment(fixture_config)
-    assert len(list((out / "cache").glob("eval-*.json"))) == 3
+    assert len(list((out / "cache").glob("eval-*.json"))) == 5
     config = fixture_config
     edited = evaluate_run(read_run(entry), load_qrels(config.qrels), config.metrics, config.depth)
     assert edited.per_query != before.per_query
@@ -685,7 +686,7 @@ def test_edited_qrels_or_metrics_get_new_evaluation_entries(tmp_path, edit):
     before = (tmp_path / "warm" / "metrics.csv").read_bytes()
     run_experiment(load_config(config, {"output_dir": "warm", **overrides}))
     run_experiment(load_config(config, {"output_dir": "cold", **overrides}))
-    assert len(list((tmp_path / "warm" / "cache").glob("eval-*.json"))) == 4
+    assert len(list((tmp_path / "warm" / "cache").glob("eval-*.json"))) == 8
     assert (tmp_path / "warm" / "metrics.csv").read_bytes() != before
     assert _outputs(tmp_path / "warm") == _outputs(tmp_path / "cold")
 
@@ -699,7 +700,7 @@ def test_evaluation_version_is_part_of_the_evaluation_key(fixture_config, monkey
     outputs = _outputs(fixture_config.output_dir)
     monkeypatch.setattr(evaluation, "_VERSION", evaluation._VERSION + 1)
     run_experiment(fixture_config)
-    assert len(list((fixture_config.output_dir / "cache").glob("eval-*.json"))) == 4
+    assert len(list((fixture_config.output_dir / "cache").glob("eval-*.json"))) == 8
     assert _outputs(fixture_config.output_dir) == outputs
 
 
@@ -801,10 +802,8 @@ def test_each_method_logs_its_cache_use(fixture_config, caplog):
         run_experiment(fixture_config)
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("method ")]
         expected = [
-            f"method raw: run cache {run_cache}, evaluation entry {evaluation_entry}",
-            f"method concat-pos: run cache {run_cache}, evaluation entry {evaluation_entry}",
-            f"method hqe: run cache {run_cache}, evaluation entry not used (run consumed)",
-            f"method t5: run cache {run_cache}, evaluation entry not used (run consumed)",
+            f"method {name}: run cache {run_cache}, evaluation entry {evaluation_entry}"
+            for name in ("raw", "concat-pos", "hqe", "t5")
         ]
         assert lines == expected
 
