@@ -355,16 +355,12 @@ class _Workspace:
     searcher: Searcher
     cache_dir: Path
     index_key: str
-    # Every query's text and qid comes from the topics, so every run key
-    # covers them.
-    topics_digest: str
 
 
 def _open_workspace(config: ExperimentConfig) -> _Workspace:
     """Load topics and qrels, and the index and (for HQE) keyword-extractor
-    scores from ``output_dir/cache``, computing either on a miss. The corpus and
-    topics are hashed once here; everything downstream reuses ``index_key``
-    and ``topics_digest``."""
+    scores from ``output_dir/cache``, computing either on a miss. The corpus is
+    hashed once here; everything downstream reuses ``index_key``."""
     cache_dir = config.output_dir / "cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
     sessions = load_sessions(config.topics)
@@ -398,7 +394,7 @@ def _open_workspace(config: ExperimentConfig) -> _Workspace:
                     np.save(fh, scores)
 
             _write_atomically(ke_path, save)
-    return _Workspace(sessions, qrels, searcher, cache_dir, index_key, file_digest(config.topics))
+    return _Workspace(sessions, qrels, searcher, cache_dir, index_key)
 
 
 def _load_ke_cache(path: Path, vocab_size: int) -> np.ndarray:
@@ -419,21 +415,19 @@ def _load_ke_cache(path: Path, vocab_size: int) -> np.ndarray:
     return scores
 
 
-def _run_cache_path(ws: _Workspace, config: ExperimentConfig, method: MethodSpec) -> Path:
+def _run_cache_path(
+    ws: _Workspace, config: ExperimentConfig, name: str, queries: Sequence[ReformulatedQuery]
+) -> Path:
+    """The cache entry of method ``name``'s first-stage run of ``queries``,
+    keyed by exactly what retrieve_all and write_run read, so a rewrite
+    that changes gets a new entry and an input edit that changes no query
+    reuses the old one. ``name`` is the tag column of every line."""
     key = _cache_key(
         index=ws.index_key,
-        topics=ws.topics_digest,
         bm25=astuple(config.bm25),
         depth=config.depth,
-        method={
-            # The name is the tag column of every line in the entry.
-            "name": method.name,
-            "type": method.type,
-            "m_window": method.m_window,
-            "hqe": astuple(method.hqe),
-            "rewrites": file_digest(method.rewrites) if method.rewrites else None,
-            "pos": file_digest(method.pos_annotations) if method.pos_annotations else None,
-        },
+        name=name,
+        queries=[[q.qid, q.tokens] for q in queries],
     )
     return ws.cache_dir / f"run-{key}.run"
 
@@ -576,13 +570,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     ws = _open_workspace(config)
     qrels = ws.qrels
-    cached_runs = [_run_cache_path(ws, config, method) for method in config.methods]
+    cached_runs: list[Path] = []
     # The first-stage runs searched here, by method name; the rest are read
     # from their cache entries in stage 2.
     searched: dict[str, dict[str, RankedList]] = {}
-    for method, cached_run in zip(config.methods, cached_runs):
+    for method in config.methods:
         queries = reformulate_method(method, ws.sessions, ws.searcher, config.tokenizer)
         _write_atomically(rewrites_dir / f"{method.name}.tsv", lambda tmp: write_rewrites(tmp, queries))
+        cached_run = _run_cache_path(ws, config, method.name, queries)
+        cached_runs.append(cached_run)
         if not cached_run.exists():
             run = searched[method.name] = retrieve_all(ws.searcher, queries, config.depth)
             _write_atomically(cached_run, lambda tmp: write_run(tmp, run, tag=method.name))

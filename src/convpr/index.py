@@ -6,11 +6,12 @@ a term the postings are ordered by (term frequency, doc ordinal), so they
 fall into tf groups, one per (term, tf) pair, in ascending tf, and each
 group's tf is stored once. Passages are numbered in doc-id order, so a
 doc ordinal is its tie rank for :func:`convpr.runs.best_first`. An index
-directory (layout v7) holds ``meta.json`` (format, version, tokenizer and
-the sha256 of each other file), ``terms.txt`` and ``doc_ids.txt`` (by id
-and by ordinal, one UTF-8 entry per ``\n``-terminated line) and five numpy
-arrays. Each array is stored in the smallest unsigned integer dtype that
-holds its bound, the largest value it may hold:
+directory (layout v8) holds ``meta.json`` (format, version and the sha256
+of each other file), ``tokenizer.json`` (the tokenizer's settings),
+``terms.txt`` and ``doc_ids.txt`` (by id and by ordinal, one UTF-8 entry
+per ``\n``-terminated line) and five numpy arrays. Each array is stored
+in the smallest unsigned integer dtype that holds its bound, the largest
+value it may hold:
 
 - ``term_groups`` (vocab + 1; bound: the group count): term ``t``'s groups
   are ``term_groups[t]:term_groups[t + 1]``;
@@ -67,7 +68,10 @@ from .runs import RankedList, best_first, id_rank
 from .tokenization import TokenizerConfig
 
 _FORMAT = "convpr.index"
-_VERSION = 7
+# Bumped by any change to the layout, and by any change that alters a
+# search result without one: the experiment cache keys every index, and so
+# every run searched on it, by this version.
+_VERSION = 8
 # Passages per inverted block of build_index. A block's sort and scatter
 # temporaries grow with it; per-block numpy call overhead shrinks with it.
 _BLOCK_PASSAGES = 256
@@ -80,7 +84,7 @@ _CHECK_POSTINGS = 1 << 15
 # The arrays of an index directory, each saved as <name>.npy.
 _ARRAYS = ("term_groups", "group_offsets", "group_tfs", "doc_ords", "doc_lengths")
 # The files whose sha256 meta.json records.
-_FILES = ("terms.txt", "doc_ids.txt", *(f"{name}.npy" for name in _ARRAYS))
+_FILES = ("terms.txt", "doc_ids.txt", *(f"{name}.npy" for name in _ARRAYS), "tokenizer.json")
 # Arrays of earlier layouts; save removes them from a reused directory.
 _OLD_ARRAYS = ("offsets", "tfs", "docid_rank")
 
@@ -176,41 +180,46 @@ class InvertedIndex:
         path.mkdir(parents=True, exist_ok=True)
         for name in ("meta.json", *(f"{array}.npy" for array in _OLD_ARRAYS)):
             (path / name).unlink(missing_ok=True)
+        _write_json(path / "tokenizer.json", self.tokenizer.to_dict())
         _write_lines(path / "terms.txt", self.term_ids)
         _write_lines(path / "doc_ids.txt", self.doc_ids)
         for name, array in arrays.items():
             np.save(path / f"{name}.npy", array)
-        meta = {"format": _FORMAT, "version": _VERSION, "tokenizer": self.tokenizer.to_dict()}
-        meta["sha256"] = {name: file_digest(path / name) for name in _FILES}
-        with (path / "meta.json").open("w", encoding="utf-8", newline="\n") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        digests = {name: file_digest(path / name) for name in _FILES}
+        _write_json(path / "meta.json", {"format": _FORMAT, "version": _VERSION, "sha256": digests})
 
     @classmethod
     def load(cls, path: str | Path) -> "InvertedIndex":
         """Read a directory written by :meth:`save`, deriving every count from
         its tables. Every file's sha256 must be the one ``meta.json``
         records, so a file changed since save, by damage or by hand, is a
-        ValueError here and not a wrong score later."""
+        ValueError here and not a wrong score later; the tokenizer is read
+        only once its file's digest matches."""
         path = Path(path)
         try:
             with (path / "meta.json").open("r", encoding="utf-8") as fh:
                 meta = json.load(fh)
             if not isinstance(meta, dict) or meta.get("format") != _FORMAT or meta.get("version") != _VERSION:
                 raise ValueError(f"not a {_FORMAT} v{_VERSION} directory")
-            tokenizer = TokenizerConfig.from_dict(meta.get("tokenizer", {}))
             digests = meta.get("sha256")
             if not isinstance(digests, dict) or sorted(digests) != sorted(_FILES):
                 raise ValueError(f"meta.json must give the sha256 of each of {', '.join(_FILES)}")
             for name in _FILES:
                 if not (path / name).is_file() or file_digest(path / name) != digests[name]:
                     raise ValueError(f"{name} changed or damaged since save")
+            tokenizer = TokenizerConfig.from_dict(json.loads((path / "tokenizer.json").read_bytes()))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         term_ids = {t: i for i, t in enumerate(_read_lines(path / "terms.txt"))}
         doc_ids = np.array(_read_lines(path / "doc_ids.txt"), dtype=object)
         arrays = {name: np.load(path / f"{name}.npy", allow_pickle=False) for name in _ARRAYS}
         return cls(term_ids, doc_ids, tokenizer=tokenizer, **arrays)
+
+
+def _write_json(path: Path, record: dict) -> None:
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        json.dump(record, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _write_lines(path: Path, entries: Iterable[str]) -> None:

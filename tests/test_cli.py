@@ -551,13 +551,14 @@ def test_damaged_index_meta_and_quoted_tokenizer_flags_exit_1(workdir, tmp_path,
     assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv",
                 "--out", tmp_path / "x.run") == 1
     err = capsys.readouterr().err
-    assert f"{idx}: not a convpr.index v7 directory" in err and "internal error" not in err
-    meta["tokenizer"] = "stem"
+    assert f"{idx}: not a convpr.index v8 directory" in err and "internal error" not in err
+    # the tokenizer record is under a digest: stemming cannot be switched on by hand
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    (idx / "tokenizer.json").write_text('{"stem": true}', encoding="utf-8")
     assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv",
                 "--out", tmp_path / "x.run") == 1
     err = capsys.readouterr().err
-    assert f"{idx}: tokenizer must be a mapping" in err and "internal error" not in err
+    assert f"{idx}: tokenizer.json changed or damaged since save" in err and "internal error" not in err
     # bool("false") is True: a quoted flag must not build a stemmed index
     assert _run("experiment", "--config", workdir / "config.yaml", "--output-dir",
                 tmp_path / "out", "--set", "tokenizer.stem='false'") == 1

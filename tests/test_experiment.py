@@ -486,13 +486,18 @@ def test_index_format_version_is_part_of_the_index_key(fixture_config, monkeypat
     assert _outputs(fixture_config.output_dir) == outputs
 
 
-def test_edited_topics_are_not_served_stale_runs(tmp_path):
-    """Every query comes from the topics, so they are part of every run key:
-    after an utterance changes, a warm run gives the outputs of a cold one."""
+def _copy_fixtures(tmp_path):
     for name in ("config.yaml", "corpus.tsv", "topics.json", "qrels.txt", "pos.jsonl",
                  "scores.tsv", "t5.tsv"):
         shutil.copy(FIXTURES / name, tmp_path / name)
-    config, topics = tmp_path / "config.yaml", tmp_path / "topics.json"
+    return tmp_path / "config.yaml", tmp_path / "topics.json"
+
+
+def test_edited_topics_are_not_served_stale_runs(tmp_path):
+    """Every run key covers the queries searched: after an utterance
+    changes, a warm run gives the outputs of a cold one. t5 reads its
+    queries from t5.tsv, not from the topics, so it keeps its entry."""
+    config, topics = _copy_fixtures(tmp_path)
     run_experiment(load_config(config, {"output_dir": "warm"}))
     before = (tmp_path / "warm" / "runs" / "raw.run").read_bytes()
     text = topics.read_text(encoding="utf-8")
@@ -502,7 +507,47 @@ def test_edited_topics_are_not_served_stale_runs(tmp_path):
     run_experiment(load_config(config, {"output_dir": "cold"}))
     assert (tmp_path / "warm" / "runs" / "raw.run").read_bytes() != before
     assert _outputs(tmp_path / "warm") == _outputs(tmp_path / "cold")
-    assert len(list((tmp_path / "warm" / "cache").glob("run-*.run"))) == 8
+    assert len(list((tmp_path / "warm" / "cache").glob("run-*.run"))) == 7
+
+
+def test_edit_that_changes_no_query_reuses_every_run(tmp_path):
+    """A punctuation-only edit of an utterance changes no query token, so
+    a warm run searches nothing and writes nothing to the cache; only the
+    rewrites that quote the utterance change."""
+    config, topics = _copy_fixtures(tmp_path)
+    run_experiment(load_config(config))
+    out = tmp_path / "out"
+    before, cache = _outputs(out), _snapshot(out / "cache")
+    text = topics.read_text(encoding="utf-8")
+    assert text.count("What about its glow?") == 1
+    topics.write_text(text.replace("What about its glow?", "What about its glow!"), encoding="utf-8")
+    run_experiment(load_config(config))
+    assert _snapshot(out / "cache") == cache
+    assert len(list((out / "cache").glob("run-*.run"))) == 4
+    assert _outputs(out) == {rel: data.replace(b"glow?", b"glow!") for rel, data in before.items()}
+    assert (out / "rewrites" / "raw.tsv").read_bytes() != before[Path("rewrites/raw.tsv")]
+
+
+def test_changed_rewrite_code_is_not_served_a_stale_run(tmp_path, monkeypatch):
+    """The run key covers each query's tokens, not how they were made, so a
+    reformulation that now returns other tokens gets a new entry: a warm run
+    gives the outputs of a cold one."""
+    import convpr.experiment as experiment
+
+    config, _ = _copy_fixtures(tmp_path)
+    run_experiment(load_config(config, {"output_dir": "warm"}))
+    before = (tmp_path / "warm" / "runs" / "raw.run").read_bytes()
+    real_raw_query = experiment.raw_query
+
+    def raw_query(utterance, tokenizer):
+        q = real_raw_query(utterance, tokenizer)
+        return replace(q, tokens=(*q.tokens, "quasar"), display_text=q.display_text + " quasar")
+
+    monkeypatch.setattr(experiment, "raw_query", raw_query)
+    run_experiment(load_config(config, {"output_dir": "warm"}))
+    run_experiment(load_config(config, {"output_dir": "cold"}))
+    assert (tmp_path / "warm" / "runs" / "raw.run").read_bytes() != before
+    assert _outputs(tmp_path / "warm") == _outputs(tmp_path / "cold")
 
 
 def test_warm_run_holds_one_string_per_doc_id(fixture_config, monkeypatch):
@@ -670,10 +715,7 @@ def test_edited_run_entry_is_evaluated_again(fixture_config):
 def test_edited_qrels_or_metrics_get_new_evaluation_entries(tmp_path, edit):
     """The evaluation key covers the qrels bytes and the metric names: after
     either changes, a warm run gives the outputs of a cold one."""
-    for name in ("config.yaml", "corpus.tsv", "topics.json", "qrels.txt", "pos.jsonl",
-                 "scores.tsv", "t5.tsv"):
-        shutil.copy(FIXTURES / name, tmp_path / name)
-    config = tmp_path / "config.yaml"
+    config, _ = _copy_fixtures(tmp_path)
     run_experiment(load_config(config, {"output_dir": "warm"}))
     overrides = {}
     if edit == "qrels":

@@ -741,11 +741,13 @@ def test_index_directory_holds_each_fact_once(tmp_path):
     index_from(TOY).save(tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "doc_ids.txt", "doc_lengths.npy", "doc_ords.npy", "group_offsets.npy", "group_tfs.npy",
-        "meta.json", "term_groups.npy", "terms.txt",
+        "meta.json", "term_groups.npy", "terms.txt", "tokenizer.json",
     ]
     meta = json.loads((tmp_path / "meta.json").read_text(encoding="utf-8"))
     digests = meta.pop("sha256")
-    assert meta == {"format": "convpr.index", "version": 7, "tokenizer": TokenizerConfig().to_dict()}
+    assert meta == {"format": "convpr.index", "version": 8}
+    tokenizer = json.loads((tmp_path / "tokenizer.json").read_text(encoding="utf-8"))
+    assert tokenizer == TokenizerConfig().to_dict()
     files = [p for p in tmp_path.iterdir() if p.name != "meta.json"]
     assert digests == {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
     assert (tmp_path / "doc_ids.txt").read_bytes() == b"d1\nd2\nd3\n"
@@ -769,12 +771,9 @@ def test_loaded_index_holds_no_per_posting_array_but_the_ordinals(tmp_path):
 @pytest.mark.parametrize(
     "tamper,message",
     [
-        (lambda m: m["tokenizer"].update(stem="false"), "tokenizer.stem must be true or false"),
-        (lambda m: m["tokenizer"].update(remove_stopwords=0), "tokenizer.remove_stopwords must be"),
-        (lambda m: m.update(tokenizer="stem"), "tokenizer must be a mapping"),
-        (lambda m: m.update(tokenizer=None), "tokenizer must be a mapping"),
         # the digests vouch for every other file
         (lambda m: m.pop("sha256"), "meta.json must give the sha256 of each of terms.txt, doc_ids.txt, "),
+        (lambda m: m["sha256"].pop("tokenizer.json"), "meta.json must give the sha256 of each of"),
         (lambda m: m["sha256"].pop("doc_ords.npy"), "meta.json must give the sha256 of each of"),
         (lambda m: m.update(sha256=list(m["sha256"])), "meta.json must give the sha256 of each of"),
     ],
@@ -785,6 +784,43 @@ def test_load_rejects_incomplete_meta(tmp_path, tamper, message):
     meta = json.loads(path.read_text(encoding="utf-8"))
     tamper(meta)
     path.write_text(json.dumps(meta), encoding="utf-8")
+    with pytest.raises(ValueError, match=message) as exc:
+        InvertedIndex.load(tmp_path)
+    assert str(exc.value).startswith(f"{tmp_path}: ")
+
+
+def test_edited_or_missing_tokenizer_record_fails_to_load(tmp_path):
+    # Loaded with stemming, this unstemmed index would answer "running"
+    # with d2 ("run") instead of d1.
+    build_index([Passage("d1", "running dogs"), Passage("d2", "run dog")]).save(tmp_path)
+    assert Searcher(InvertedIndex.load(tmp_path)).search(["running"], k=2).ids == ["d1"]
+    path = tmp_path / "tokenizer.json"
+    path.write_text(json.dumps({"stem": True, "remove_stopwords": False}), encoding="utf-8")
+    with pytest.raises(ValueError, match="tokenizer.json changed or damaged since save") as exc:
+        InvertedIndex.load(tmp_path)
+    assert str(exc.value).startswith(f"{tmp_path}: ")
+    path.unlink()
+    with pytest.raises(ValueError, match="tokenizer.json changed or damaged since save"):
+        InvertedIndex.load(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        ('{"stem": "false"}', "tokenizer.stem must be true or false"),
+        ('{"remove_stopwords": 0}', "tokenizer.remove_stopwords must be"),
+        ('"stem"', "tokenizer must be a mapping"),
+        ("null", "tokenizer must be a mapping"),
+        ('{"stem": ', "Expecting value"),
+    ],
+)
+def test_load_checks_a_tokenizer_record_whose_digest_matches(tmp_path, record, message):
+    # A record edited together with its digest is still parsed strictly.
+    index_from(TOY).save(tmp_path)
+    (tmp_path / "tokenizer.json").write_text(record, encoding="utf-8")
+    meta = json.loads((tmp_path / "meta.json").read_text(encoding="utf-8"))
+    meta["sha256"]["tokenizer.json"] = hashlib.sha256(record.encode()).hexdigest()
+    (tmp_path / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
     with pytest.raises(ValueError, match=message) as exc:
         InvertedIndex.load(tmp_path)
     assert str(exc.value).startswith(f"{tmp_path}: ")
@@ -804,11 +840,13 @@ def test_load_rejects_incomplete_meta(tmp_path, tamper, message):
         '{"format": "convpr.index", "version": 5}',
         # layout v6 recorded no digests
         '{"format": "convpr.index", "version": 6}',
+        # layout v7 kept the tokenizer in meta.json, under no digest
+        '{"format": "convpr.index", "version": 7, "tokenizer": {"stem": false}}',
     ],
 )
 def test_load_rejects_foreign_directory(tmp_path, meta):
     (tmp_path / "meta.json").write_text(meta, encoding="utf-8")
-    with pytest.raises(ValueError, match="not a convpr.index v7 directory"):
+    with pytest.raises(ValueError, match="not a convpr.index v8 directory"):
         InvertedIndex.load(tmp_path)
 
 
