@@ -2,6 +2,9 @@
 
 Exit codes: 0 on success, 1 for validation problems (bad arguments,
 malformed config or data files), 2 for unexpected runtime failures.
+Every file a command writes, other than an index directory, is written to
+a temp file and renamed into place, so a command killed mid-write leaves
+the complete file of the run before, or none.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .experiment import (
     METHOD_TYPES,
     _METHOD_KEYS,
     _method_from_dict,
+    _write_atomically,
     grid_search,
     load_config,
     reformulate_method,
@@ -113,7 +117,7 @@ def cmd_reformulate(args) -> int:
         tokenizer = index.tokenizer
         searcher = Searcher(index, _bm25_params(args))
     queries = reformulate_method(spec, sessions, searcher, tokenizer)
-    write_rewrites(args.out, queries)
+    _write_atomically(Path(args.out), lambda tmp: write_rewrites(tmp, queries))
     print(f"wrote {len(queries)} rewrites -> {args.out}")
     return 0
 
@@ -123,7 +127,7 @@ def cmd_retrieve(args) -> int:
     searcher = Searcher(index, _bm25_params(args))
     queries = load_external_rewrites(args.queries, index.tokenizer)
     run = retrieve_all(searcher, queries.values(), args.k)
-    write_run(args.out, run, tag=args.tag)
+    _write_atomically(Path(args.out), lambda tmp: write_run(tmp, run, tag=args.tag))
     print(f"retrieved top-{args.k} for {len(run)} queries -> {args.out}")
     return 0
 
@@ -132,7 +136,7 @@ def cmd_fuse(args) -> int:
     pool: dict[str, str] = {}
     runs = [read_run(p, pool=pool) for p in args.runs]
     fused = fuse_runs(runs, RrfParams(k=args.k), args.depth)
-    write_run(args.out, fused, tag=args.tag)
+    _write_atomically(Path(args.out), lambda tmp: write_run(tmp, fused, tag=args.tag))
     print(f"fused {len(runs)} runs over {len(fused)} qids -> {args.out}")
     return 0
 
@@ -141,7 +145,7 @@ def cmd_rerank(args) -> int:
     pool: dict[str, str] = {}
     run = read_run(args.run, pool=pool)
     reranked = rerank_run(run, load_rerank_scores(args.scores, pool=pool))
-    write_run(args.out, reranked, tag=args.tag)
+    _write_atomically(Path(args.out), lambda tmp: write_run(tmp, reranked, tag=args.tag))
     print(f"reranked {len(run)} qids -> {args.out}")
     return 0
 
@@ -157,7 +161,8 @@ def cmd_eval(args) -> int:
             print(f"{qid}\t{vals}")
     print(report.format_table(label=Path(args.run).stem))
     if args.csv:
-        write_metrics_csv(args.csv, metrics, {Path(args.run).stem: report})
+        reports = {Path(args.run).stem: report}
+        _write_atomically(Path(args.csv), lambda tmp: write_metrics_csv(tmp, metrics, reports))
         print(f"per-query CSV -> {args.csv}")
     return 0
 
@@ -305,7 +310,8 @@ def cmd_grid(args) -> int:
         print(line)
         lines.append(line)
     if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        text = "\n".join(lines) + "\n"
+        _write_atomically(Path(args.out), lambda tmp: tmp.write_text(text, encoding="utf-8"))
         print(f"grid table -> {args.out}")
     return 0
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import Utterance, open_text
+from .corpus import Utterance, open_text, reject_bools
 from .index import Searcher
 from .tokenization import TokenizerConfig, tokenize
 
@@ -45,6 +45,7 @@ class HqeParams:
     m_window: int = 5
 
     def __post_init__(self) -> None:
+        reject_bools(self)
         # A NaN eta would silently switch the subtopic branch off, and a
         # non-finite threshold admits every keyword or none.
         for name in ("r_topic", "r_sub", "eta"):

@@ -187,6 +187,17 @@ def parse_metric(name: str) -> tuple[str, int | None]:
     raise ValueError(f"unknown metric {name!r} (expected map, ndcg@k or recall@k)")
 
 
+def parse_metrics(names: Sequence[str]) -> dict[str, tuple[str, int | None]]:
+    """Parse each name with parse_metric. A metric named twice (``map`` and
+    ``MAP``, say) is an error, since it would repeat a column."""
+    parsed = [parse_metric(name) for name in names]
+    for i, metric in enumerate(parsed):
+        if metric in parsed[:i]:
+            first = names[parsed.index(metric)]
+            raise ValueError(f"metrics name one metric twice: {first!r} and {names[i]!r}")
+    return dict(zip(names, parsed))
+
+
 # Each takes (ranked, qrels, cutoff): map cuts at the depth, the others at k.
 _METRIC_FNS = {"map": average_precision, "ndcg": ndcg_at_k, "recall": recall_at_k}
 
@@ -205,7 +216,7 @@ def evaluate_run(
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    parsed = {m: parse_metric(m) for m in metrics}
+    parsed = parse_metrics(metrics)
     qids = [
         qid
         for qid in sorted(run, key=qid_sort_key)

@@ -4,12 +4,12 @@ fuse → evaluate, driven by a declarative YAML config.
 Outputs are deterministic for a given config + data: rewrites and run
 files, a per-query metrics CSV, and a summary table. The config hash is
 logged and written next to the outputs; the index, keyword-extractor
-scores, first-stage runs and the metrics of first-stage runs that nothing
-reranks or fuses are cached on disk under ``output_dir/cache`` keyed by
-hashes of the inputs they depend on, so a re-run or a grid sweep does not
-repeat work. Every output and cache entry is written to a temp file and
-renamed into place, so an experiment killed mid-write leaves no cut-off
-file that a later one, or ``convpr eval``, would read as whole.
+scores, first-stage runs and their metrics are cached on disk under
+``output_dir/cache`` keyed by hashes of the inputs they depend on, so a
+re-run or a grid sweep does not repeat work. Every output and cache entry
+is written to a temp file and renamed into place, so an experiment killed
+mid-write leaves no cut-off file that a later one, or ``convpr eval``,
+would read as whole.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .evaluation import (
     evaluate_run,
     format_summary,
     load_qrels,
-    parse_metric,
+    parse_metrics,
     write_metrics_csv,
 )
 from .fusion import RrfParams, fuse_runs, load_rerank_scores, rerank_run
@@ -263,6 +263,9 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
         _require(
             mode in FUSION_MODES, f"config: fusion.mode must be one of {FUSION_MODES}, got {mode!r}"
         )
+        _require(
+            isinstance(fraw.get("methods", []), list), "config: fusion.methods must be a list of method names"
+        )
         fmethods = tuple(str(m) for m in fraw.get("methods", ()))
         _require(len(fmethods) >= 2, "config: fusion.methods needs at least two methods")
         by_name = {m.name: m for m in methods}
@@ -289,9 +292,9 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
                 )
         fusion = FusionSpec(mode=mode, methods=fmethods, rerank_scores=scores)
 
+    _require(isinstance(raw.get("metrics", []), list), "config: metrics must be a list of metric names")
     metrics = tuple(str(m) for m in raw.get("metrics", DEFAULT_METRICS))
-    for m in metrics:
-        parse_metric(m)
+    parse_metrics(metrics)
 
     config = ExperimentConfig(
         corpus=corpus,
@@ -438,12 +441,12 @@ def _evaluate_cached_run(
     qrels: Qrels,
     qrels_digest: str,
     config: ExperimentConfig,
-    pool: dict[str, str],
 ) -> tuple[MetricReport, str]:
     """The metrics of the first-stage run cached at ``cached_run``, from its
     evaluation entry beside it, and whether that entry was a hit or a miss.
-    On a miss the run is evaluated (``run`` is its parsed form if the
-    caller holds it, else the file is read) and the entry written."""
+    ``run`` is the run just searched on a run-cache miss, None on a hit. On
+    an evaluation miss the run is evaluated (parsed from its entry if
+    ``run`` is None, then dropped) and the entry written."""
     key = _cache_key(
         run=file_digest(cached_run),
         qrels=qrels_digest,
@@ -465,9 +468,7 @@ def _evaluate_cached_run(
         qids = entry["qids"]
         per_query = {m: dict(zip(qids, column)) for m, column in zip(metrics, entry["values"])}
         return MetricReport(config.metrics, per_query, qids), "hit"
-    if run is None:
-        run = read_run(cached_run, pool=pool)
-    report = evaluate_run(run, qrels, config.metrics, config.depth)
+    report = evaluate_run(read_run(cached_run) if run is None else run, qrels, config.metrics, config.depth)
     values = [[report.per_query[m][qid] for qid in report.qids] for m in metrics]
     text = json.dumps({"metrics": metrics, "qids": report.qids, "values": values}, sort_keys=True) + "\n"
     _write_atomically(path, lambda tmp: tmp.write_text(text, encoding="utf-8", newline="\n"))
@@ -550,14 +551,15 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every method, rerank and fuse, and evaluate each emitted run.
 
-    Stage 1 does everything that needs the index: it reformulates each
-    method's queries, writes the rewrites and, on a cache miss, searches
-    and caches the first-stage run. Then the index is freed, before stage
-    2 reads any run file, reranks, fuses and evaluates each run as it is
-    emitted. A run outlives its emission only as a fusion input, so a warm
-    experiment holds the index or the runs, never both. Stage 2 parses
-    only the first-stage runs that are reranked or fused; the metrics of
-    every first-stage run come from its evaluation cache entry."""
+    Stage 1 does everything that needs the index: for each method it
+    reformulates the queries, writes the rewrites, searches and caches the
+    first-stage run on a cache miss, and takes the run's metrics from its
+    evaluation cache entry, evaluating the run on a miss. Only that one run
+    is held beside the index. Then the index is freed, before stage 2
+    copies each first-stage run to ``runs/``, parses from its cache entry
+    only the runs that are reranked or fused, reranks, fuses and evaluates
+    each new run as it is emitted. A run outlives its emission only as a
+    fusion input. Cold or warm, stage 2 reads its runs the same way."""
     out_dir = config.output_dir
     runs_dir = out_dir / "runs"
     rewrites_dir = out_dir / "rewrites"
@@ -570,21 +572,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     ws = _open_workspace(config)
     qrels = ws.qrels
-    cached_runs: list[Path] = []
-    # The first-stage runs searched here, by method name; the rest are read
-    # from their cache entries in stage 2.
-    searched: dict[str, dict[str, RankedList]] = {}
+    qrels_digest = file_digest(config.qrels)
+    # Each method's cached first-stage run and its metrics.
+    first_stage: list[tuple[Path, MetricReport]] = []
     for method in config.methods:
         queries = reformulate_method(method, ws.sessions, ws.searcher, config.tokenizer)
         _write_atomically(rewrites_dir / f"{method.name}.tsv", lambda tmp: write_rewrites(tmp, queries))
         cached_run = _run_cache_path(ws, config, method.name, queries)
-        cached_runs.append(cached_run)
+        run = None
         if not cached_run.exists():
-            run = searched[method.name] = retrieve_all(ws.searcher, queries, config.depth)
+            run = retrieve_all(ws.searcher, queries, config.depth)
             _write_atomically(cached_run, lambda tmp: write_run(tmp, run, tag=method.name))
+        report, entry = _evaluate_cached_run(cached_run, run, qrels, qrels_digest, config)
+        run_cache = "hit" if run is None else "miss"
+        logger.info("method %s: run cache %s, evaluation entry %s", method.name, run_cache, entry)
+        first_stage.append((cached_run, report))
+        del run  # the one run held beside the index
     # The workspace holds the only reference to the searcher and its index.
     del ws
-    qrels_digest = file_digest(config.qrels)
 
     # Every run and scores file read here shares one string per doc id and
     # qid. Methods and early fusion often share one scores file; parse each
@@ -621,18 +626,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if name in fusion_inputs:
             fusion_inputs[name] = run
 
-    for method, cached_run in zip(config.methods, cached_runs):
-        run = searched.pop(method.name, None)
-        run_cache = "hit" if run is None else "miss"
-        # Only a run that is reranked or fused is parsed on a hit.
+    for method, (cached_run, report) in zip(config.methods, first_stage):
+        # Only a run that is reranked or fused is parsed.
         consumed = method.rerank_scores is not None or method.name in fusion_inputs
-        if run is None and consumed:
-            run = read_run(cached_run, pool=pool)
-        report, entry = _evaluate_cached_run(cached_run, run, qrels, qrels_digest, config, pool)
+        run = read_run(cached_run, pool=pool) if consumed else None
         emit(method.name, run, cached_run, report)
         if method.rerank_scores is not None:
             emit(method.name + RERANK_SUFFIX, rerank_run(run, rerank_scores(method.rerank_scores)))
-        logger.info("method %s: run cache %s, evaluation entry %s", method.name, run_cache, entry)
         del run  # only a fusion input outlives its emission
 
     if spec is not None:

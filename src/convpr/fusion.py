@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import open_text
+from .corpus import open_text, reject_bools
 from .runs import RankedList, qid_sort_key
 
 DEFAULT_FUSION_DEPTH = 1000
@@ -28,6 +28,7 @@ class RrfParams:
     k: float = 60.0
 
     def __post_init__(self) -> None:
+        reject_bools(self, "rrf ")
         if not 0 < self.k < math.inf:
             raise ValueError(f"rrf k must be finite and > 0, got {self.k}")
 

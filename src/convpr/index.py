@@ -63,7 +63,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import _bm25
-from .corpus import Passage, file_digest
+from .corpus import Passage, file_digest, reject_bools
 from .runs import RankedList, best_first, id_rank
 from .tokenization import TokenizerConfig
 
@@ -102,6 +102,7 @@ class Bm25Params:
     b: float = 0.68
 
     def __post_init__(self) -> None:
+        reject_bools(self)
         if not 0 <= self.k1 < math.inf:
             raise ValueError(f"k1 must be finite and >= 0, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:

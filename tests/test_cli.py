@@ -685,3 +685,131 @@ def test_line_break_in_an_utterance_keeps_rewrites_replayable(workdir, line_brea
     assert _run("retrieve", "--index", idx, "--queries", raw_tsv, "--out", raw_run) == 0
     replayed = read_run(raw_run)["7_2"]
     assert replayed.entries and replayed.entries == read_run(out / "runs" / "raw.run")["7_2"].entries
+
+
+def test_a_string_where_a_list_is_expected_exits_1(workdir, tmp_path, capsys):
+    # A string would be read one character at a time: 'm' is no metric.
+    for override, message in (
+        ("metrics=map", "config: metrics must be a list of metric names"),
+        ("fusion.methods=hqe", "config: fusion.methods must be a list of method names"),
+    ):
+        assert _run("experiment", "--config", workdir / "config.yaml", "--output-dir",
+                    tmp_path / "out", "--set", override) == 1
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err, (override, err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_metric_named_twice_exits_1(workdir, tmp_path, capsys):
+    # A repeat would repeat its column in metrics.csv and every table.
+    run, csv = tmp_path / "a.run", tmp_path / "m.csv"
+    run.write_text("7_1 Q0 d01 1 2.0 t\n", encoding="utf-8")
+    experiment = ("experiment", "--config", workdir / "config.yaml", "--output-dir", tmp_path / "out")
+    for argv, message in (
+        ((*experiment, "--set", "metrics=[map, map]"), "'map' and 'map'"),
+        ((*experiment, "--set", "metrics=[ndcg@3, map, NDCG@3]"), "'ndcg@3' and 'NDCG@3'"),
+        (("eval", "--run", run, "--qrels", workdir / "qrels.txt", "--metrics", "map,MAP,map",
+          "--csv", csv), "'map' and 'MAP'"),
+    ):
+        assert _run(*argv) == 1, argv
+        err = capsys.readouterr().err
+        assert f"error: metrics name one metric twice: {message}" in err, (argv, err)
+    assert not (tmp_path / "out").exists() and not csv.exists()
+
+
+def test_a_boolean_where_a_number_is_expected_exits_1(workdir, tmp_path, capsys):
+    # Python counts a bool as a number: k1: true would run as k1 = 1.0.
+    text = (workdir / "config.yaml").read_text(encoding="utf-8")
+    assert text.count("eta: 3.0") == 1
+    (workdir / "hqe.yaml").write_text(text.replace("eta: 3.0", "eta: true"), encoding="utf-8")
+
+    def experiment(config, *overrides):
+        return ("experiment", "--config", workdir / config, "--output-dir", tmp_path / "out",
+                *(arg for value in overrides for arg in ("--set", value)))
+
+    for argv, message in (
+        (experiment("config.yaml", "bm25.k1=true"), "k1 must be a number, got True"),
+        (experiment("config.yaml", "bm25.b=false"), "b must be a number, got False"),
+        (experiment("config.yaml", "rrf.k=true"), "rrf k must be a number, got True"),
+        (experiment("hqe.yaml"), "eta must be a number, got True"),
+    ):
+        assert _run(*argv) == 1, argv
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "internal error" not in err, (argv, err)
+    assert not (tmp_path / "out").exists()
+
+
+def _half_then_fail(write):
+    """``write``, except that it leaves half of the bytes it wrote to its
+    first argument and raises, as a command killed mid-write would."""
+
+    def cut_off(path, *args, **kwargs):
+        write(path, *args, **kwargs)
+        data = Path(path).read_bytes()
+        Path(path).write_bytes(data[: len(data) // 2])
+        raise OSError("simulated crash mid-write")
+
+    return cut_off
+
+
+@pytest.mark.parametrize("command", ["retrieve", "fuse", "rerank", "reformulate", "eval", "grid"])
+def test_interrupted_command_output_keeps_the_previous_file(workdir, tmp_path, monkeypatch, capsys,
+                                                             command):
+    import convpr.cli as cli
+
+    idx, run, out = tmp_path / "idx", tmp_path / "t5.run", tmp_path / "out" / "result"
+    assert _run("index", "build", "--input", workdir / "corpus.tsv", "--output", idx) == 0
+    assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv", "--out", run) == 0
+    argv, owner, writer = {
+        "retrieve": (("retrieve", "--index", idx, "--queries", workdir / "t5.tsv", "--out", out),
+                     cli, "write_run"),
+        "fuse": (("fuse", "--runs", run, run, "--out", out), cli, "write_run"),
+        "rerank": (("rerank", "--run", run, "--scores", workdir / "scores.tsv", "--out", out),
+                   cli, "write_run"),
+        "reformulate": (("reformulate", "--method", "raw", "--topics", workdir / "topics.json",
+                         "--out", out), cli, "write_rewrites"),
+        "eval": (("eval", "--run", run, "--qrels", workdir / "qrels.txt", "--csv", out),
+                 cli, "write_metrics_csv"),
+        "grid": (("grid", "--config", workdir / "config.yaml", "--method", "hqe", "--param",
+                  "m_window=0,1", "--set", f"output_dir={tmp_path / 'exp'}", "--out", out),
+                 Path, "write_text"),
+    }[command]
+    out.parent.mkdir()
+    assert _run(*argv) == 0  # the previous file; grid also fills its caches here
+    previous = out.read_bytes()
+    with monkeypatch.context() as m:
+        m.setattr(owner, writer, _half_then_fail(getattr(owner, writer)))
+        assert _run(*argv) == 1
+    assert "error: simulated crash mid-write" in capsys.readouterr().err
+    assert out.read_bytes() == previous
+    assert [p.name for p in out.parent.iterdir()] == ["result"]
+
+
+@pytest.mark.parametrize(
+    "name,text,message",
+    [
+        ("qrels.txt", "7_1 0 d01 1\n7_1 0 d02\n", ":2: expected 4 columns, found 3"),
+        ("qrels.txt", "7_1 0 d01 high\n", ":1: bad grade: "),
+        ("scores.tsv", "7_1\td01\t1.0\n7_1\td02\n", ":2: expected qid<TAB>doc_id<TAB>score"),
+        ("scores.tsv", "7_1\td01\thigh\n", ":1: bad score: "),
+        ("corpus.jsonl", '{"id": "d1", "contents": "x"}\n{"id": "d2",\n', ":2: invalid JSON: "),
+        ("topics.json", '{"number": 1, "turn": []}', ": topic file must be a JSON array of sessions"),
+    ],
+    ids=["qrels-columns", "qrels-grade", "scores-columns", "scores-score", "passages-json",
+         "topics-array"],
+)
+def test_malformed_loader_input_exits_1_naming_the_file_and_line(tmp_path, capsys, name, text,
+                                                                 message):
+    path, run = tmp_path / name, tmp_path / "a.run"
+    path.write_text(text, encoding="utf-8")
+    run.write_text("7_1 Q0 d01 1 2.0 t\n", encoding="utf-8")
+    argv = {
+        "qrels.txt": ("eval", "--run", run, "--qrels", path),
+        "scores.tsv": ("rerank", "--run", run, "--scores", path, "--out", tmp_path / "x.run"),
+        "corpus.jsonl": ("index", "build", "--input", path, "--format", "jsonl",
+                         "--output", tmp_path / "idx"),
+        "topics.json": ("reformulate", "--method", "raw", "--topics", path, "--out", tmp_path / "r.tsv"),
+    }[name]
+    assert _run(*argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}{message}" in err and "internal error" not in err, err

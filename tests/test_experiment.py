@@ -8,8 +8,9 @@ import yaml
 
 from convpr.evaluation import evaluate_run, load_qrels
 from convpr.experiment import grid_search, load_config, run_experiment
+from convpr.fusion import fuse_runs
 from convpr.index import InvertedIndex, Searcher
-from convpr.runs import read_run
+from convpr.runs import read_run, write_run
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -233,6 +234,36 @@ def test_malformed_config_sections_are_validation_errors(tmp_path, snippet, mess
     )
     with pytest.raises(ValueError, match=message):
         load_config(path)
+
+
+def _late_fusion_config(tmp_path, t5_scores=True):
+    """The fixture config with late fusion of hqe and t5, each reranked with
+    scores.tsv (t5 only when ``t5_scores``), in a copy of the fixtures."""
+    _copy_fixtures(tmp_path)
+    methods = yaml.safe_load((FIXTURES / "config.yaml").read_text(encoding="utf-8"))["methods"]
+    t5 = next(m for m in methods if m["name"] == "t5")
+    if t5_scores:
+        t5["rerank_scores"] = "scores.tsv"
+    return _write_config(tmp_path, methods=methods, fusion={"mode": "late", "methods": ["hqe", "t5"]})
+
+
+def test_late_fusion_fuses_the_reranked_runs(tmp_path):
+    """Late fusion fuses hqe+rerank and t5+rerank and reranks nothing after,
+    cold and warm."""
+    config = load_config(_late_fusion_config(tmp_path), {"output_dir": "out"})
+    runs = tmp_path / "out" / "runs"
+    for attempt in ("cold", "warm"):
+        result = run_experiment(config)
+        reranked = [read_run(runs / f"{name}+rerank.run") for name in ("hqe", "t5")]
+        expected = tmp_path / "expected.run"
+        write_run(expected, fuse_runs(reranked, config.rrf, config.depth), tag="fusion")
+        assert (runs / "fusion.run").read_bytes() == expected.read_bytes(), attempt
+        assert list(result.reports) == ["raw", "concat-pos", "hqe", "hqe+rerank", "t5", "t5+rerank", "fusion"]
+
+
+def test_late_fusion_requires_rerank_scores_on_each_fused_method(tmp_path):
+    with pytest.raises(ValueError, match="late fusion requires rerank_scores on method 't5'"):
+        load_config(_late_fusion_config(tmp_path, t5_scores=False))
 
 
 def test_null_fusion_loads_without_fusion(tmp_path):
@@ -678,6 +709,19 @@ def test_warm_run_parses_only_the_consumed_runs(fixture_config, monkeypatch):
     assert (out / "metrics.csv").read_bytes() == (FIXTURES / "golden_metrics.csv").read_bytes()
 
 
+def test_cold_run_parses_the_consumed_runs_from_their_entries(fixture_config, monkeypatch):
+    """A cold run hands stage 2 no run it searched: like a warm one, it
+    parses hqe and t5, the runs that are reranked or fused, from their
+    cache entries, once each."""
+    import convpr.experiment as experiment
+
+    for _ in ("cold", "warm"):
+        with monkeypatch.context() as m:
+            read = _count_calls(m, experiment, "read_run", lambda path, *_: _tags(path))
+            run_experiment(fixture_config)
+        assert sorted(tag for tags in read for tag in tags) == ["hqe", "t5"]
+
+
 def _swap_doc_ids(line_a, line_b):
     """Lines ``line_a`` and ``line_b`` with their doc ids swapped."""
     a, b = line_a.split(" "), line_b.split(" ")
@@ -762,8 +806,10 @@ def test_interrupted_evaluation_entry_write_is_not_reused(tmp_path, monkeypatch)
         m.setattr(Path, "write_text", write_half_then_fail)
         with pytest.raises(OSError, match="simulated crash"):
             run_experiment(config)
+    # Each method's evaluation entry is written right after its search, so
+    # the crash comes after the first search.
     cache = tmp_path / "crash" / "cache"
-    assert len(list(cache.glob("run-*.run"))) == 4
+    assert len(list(cache.glob("run-*.run"))) == 1
     assert not list(cache.glob("eval-*")) and not list(cache.glob(".*"))
 
     run_experiment(config)

@@ -680,6 +680,17 @@ def test_save_rejects_an_inconsistent_index(tmp_path, name, edit, message):
     assert not (tmp_path / "idx").exists()
 
 
+def test_save_rejects_an_ordinal_repeated_within_a_tf_group(tmp_path):
+    # "cat" holds the tf-1 group [d1 d2]: d1 twice would score d1 twice
+    # and d2 not at all. No group of TOY holds two postings.
+    index = build_index([Passage("d1", "cat sat"), Passage("d2", "dog cat"), Passage("d3", "cat cat dog")])
+    assert index.doc_ords.tolist() == [0, 1, 2, 0, 1, 2]
+    index.doc_ords = _with(index.doc_ords, 1, 0)
+    with pytest.raises(ValueError, match=r"doc_ords must strictly increase within each tf group"):
+        index.save(tmp_path / "idx")
+    assert not (tmp_path / "idx").exists()
+
+
 def test_load_rejects_swapped_doc_ordinals_whose_sums_agree(tmp_path):
     # "sat" holds d1 and "dog" d2, d3. Swapping d1 and d2 there keeps every
     # group increasing and every passage's length sum, which save checks;
