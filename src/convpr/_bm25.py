@@ -13,12 +13,11 @@ numpy would otherwise convert a narrower index array again on every
 gather and scatter.
 
 A contribution ``w * tf / (tf + len_norm[d])`` is computed in place on
-the gathered ``len_norm[d]`` and on that tf column, or on one float64 tf
-when a term holds a single group, so no other temporary is allocated per
-slice but a run's repeated weights. IEEE addition and multiplication are
-commutative, so ``len_norm[d] + tf`` and ``tf * w`` are the same bits as
-the expression's ``tf + len_norm[d]`` and ``w * tf``, whether ``tf`` is
-one number or a column. The index arrays themselves are never written.
+the gathered ``len_norm[d]`` and on that tf column, so no other temporary
+is allocated per slice but a run's repeated weights. IEEE addition and
+multiplication are commutative, so ``len_norm[d] + tf`` and ``tf * w`` are
+the same bits as the expression's ``tf + len_norm[d]`` and ``w * tf``. The
+index arrays themselves are never written.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ def get_backend() -> str:
 def _contributions(d, tf, weight, len_norm):
     """``weight * tf / (tf + len_norm[d])``, computed in the gathered
     ``len_norm[d]``. ``tf`` is the slice's term frequencies as a float64
-    array, which is overwritten, or one float64 for all of them."""
+    array, which is overwritten."""
     den = len_norm[d]
     den += tf
     tf *= weight
@@ -66,8 +65,7 @@ def score_postings(starts, ends, weights, doc_ords, groups, len_norm, scores) ->
     terms = zip(starts.tolist(), ends.tolist(), groups.first.tolist(), groups.last.tolist(), weights.tolist())
     for s, e, g, h, w in terms:
         d = doc_ords[s:e].astype(np.intp)
-        # Most terms hold one group, whose tf needs no column.
-        tf = tfs[g] if h - g == 1 else np.repeat(tfs[g:h], sizes[g:h])
+        tf = np.repeat(tfs[g:h], sizes[g:h])
         # Doc ordinals are unique within one posting list and add.at adds in
         # index order, so each score gets the same single float addition as
         # with `scores[d] += ...`, only faster.

@@ -109,14 +109,11 @@ def cmd_reformulate(args) -> int:
 
     sessions = load_sessions(args.topics)
     searcher = None
-    tokenizer = TokenizerConfig()
     if reads_hqe:
         if not args.index:
             raise ValueError(f"--index is required for method {args.method}")
-        index = InvertedIndex.load(args.index)
-        tokenizer = index.tokenizer
-        searcher = Searcher(index, _bm25_params(args))
-    queries = reformulate_method(spec, sessions, searcher, tokenizer)
+        searcher = Searcher(InvertedIndex.load(args.index), _bm25_params(args))
+    queries = reformulate_method(spec, sessions, searcher)
     _write_atomically(Path(args.out), lambda tmp: write_rewrites(tmp, queries))
     print(f"wrote {len(queries)} rewrites -> {args.out}")
     return 0

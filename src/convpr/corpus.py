@@ -74,6 +74,17 @@ def _is_id(value) -> bool:
     return isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool))
 
 
+def is_utf8(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8. A JSON or YAML ``\\ud800`` escape
+    reads as a lone surrogate, which no UTF-8 file can hold, so a string
+    that is written later is checked where it is read."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 @contextmanager
 def open_text(path: Path, newline: str | None = None) -> Iterator[TextIO]:
     """Open ``path`` to read UTF-8 text; a byte sequence that is not UTF-8 is
@@ -140,6 +151,8 @@ def load_passages(path: str | Path, format: str = "tsv") -> Iterator[Passage]:
                 if not isinstance(text, str):
                     raise ValueError(f"{path}:{lineno}: contents must be a string, got {text!r}")
                 doc_id = str(doc_id)
+                if not is_utf8(doc_id):
+                    raise ValueError(f"{path}:{lineno}: id {doc_id!r} holds a lone surrogate, not UTF-8")
             # A run file holds the doc_id as one whitespace-separated column.
             if doc_id.split() != [doc_id]:
                 raise ValueError(f"{path}:{lineno}: doc_id {doc_id!r} is empty or has whitespace")
@@ -174,6 +187,8 @@ def load_sessions(path: str | Path) -> list[Session]:
                 f"{path}: session number must be a string or an integer, got {entry['number']!r}"
             )
         sid = str(entry["number"])
+        if not is_utf8(sid):
+            raise ValueError(f"{path}: session number {sid!r} holds a lone surrogate, not UTF-8")
         if sid.split() != [sid]:
             raise ValueError(f"{path}: session number {sid!r} is empty or has whitespace")
         if sid in seen:
@@ -196,6 +211,11 @@ def load_sessions(path: str | Path) -> list[Session]:
                 raise ValueError(
                     f"{path}: session {sid}: turn {i} has raw_utterance "
                     f"{t['raw_utterance']!r}, not a string"
+                )
+            if not is_utf8(t["raw_utterance"]):
+                raise ValueError(
+                    f"{path}: session {sid}: turn {i} has raw_utterance "
+                    f"{t['raw_utterance']!r}, which holds a lone surrogate, not UTF-8"
                 )
             turn_no = int(t["number"])
             if turn_no != i:

@@ -76,7 +76,7 @@ class ReformulatedQuery:
 
 
 class PosAnnotations:
-    """Per-qid coarse POS tags aligned to the raw utterance token stream."""
+    """Per-qid coarse POS tags, one per plain token of the raw utterance."""
 
     def __init__(self, tags: Mapping[str, Sequence[str]]):
         self._tags = {qid: list(ts) for qid, ts in tags.items()}
@@ -105,9 +105,8 @@ class PosAnnotations:
                 tags[qid] = ts
         return cls(tags)
 
-    def content_tokens(self, qid: str, tokens: Sequence) -> list:
-        """The NOUN/ADJ-tagged ``tokens`` of turn ``qid`` (or entries aligned
-        with them), in order."""
+    def content_tokens(self, qid: str, tokens: Sequence[str]) -> list[str]:
+        """The NOUN/ADJ-tagged plain ``tokens`` of turn ``qid``, in order."""
         if qid not in self._tags:
             raise ValueError(f"no POS annotation for qid {qid!r}")
         tags = self._tags[qid]
@@ -127,10 +126,11 @@ def extract_keywords(
 ) -> tuple[list[str], list[str]]:
     """Collect (topic, subtopic) keyword lists from turns 1..i.
 
-    Both lists are deduplicated by token in first-occurrence order and hold
-    that occurrence's word (:meth:`TokenizerConfig.words`). The subtopic
-    window covers turns max(1, i - m_window)..i; the current turn takes part
-    in both sets. With annotations, only NOUN/ADJ tokens are candidates.
+    Candidates are each utterance's plain tokens, ``tokenize(raw_text)``,
+    with annotations only the NOUN/ADJ ones; the index's analyzer maps each
+    to its term, or to none (a stopword). Both lists hold plain tokens,
+    deduplicated by term in first-occurrence order. The subtopic window
+    covers turns max(1, i - m_window)..i; the current turn is in both sets.
     """
     if not utterances:
         raise ValueError("extract_keywords needs at least one utterance")
@@ -139,20 +139,21 @@ def extract_keywords(
     w_sub: list[str] = []
     seen_topic: set[str] = set()
     seen_sub: set[str] = set()
+    analyzer = searcher.index.tokenizer
     for j, utt in enumerate(utterances, start=1):
-        words = searcher.index.tokenizer.words(utt.raw_text)
-        pairs = list(zip(words, searcher.tokenize(utt.raw_text)))
+        words = tokenize(utt.raw_text)
         if pos is not None:
-            pairs = pos.content_tokens(utt.qid, pairs)
+            words = pos.content_tokens(utt.qid, words)
         in_window = j >= i - hqe.m_window
-        for word, tok in pairs:
-            r = searcher.max_score_term(tok)
-            if r > hqe.r_topic and tok not in seen_topic:
-                seen_topic.add(tok)
-                w_topic.append(word)
-            if r > hqe.r_sub and in_window and tok not in seen_sub:
-                seen_sub.add(tok)
-                w_sub.append(word)
+        for word in words:
+            for tok in analyzer(word):
+                r = searcher.max_score_term(tok)
+                if r > hqe.r_topic and tok not in seen_topic:
+                    seen_topic.add(tok)
+                    w_topic.append(word)
+                if r > hqe.r_sub and in_window and tok not in seen_sub:
+                    seen_sub.add(tok)
+                    w_sub.append(word)
     return w_topic, w_sub
 
 
@@ -190,9 +191,9 @@ def concat_rewrite(
 ) -> ReformulatedQuery:
     """Prepend the previous ``m_window`` turns to the current one.
 
-    With annotations, history keeps only the NOUN/ADJ words
-    (:meth:`TokenizerConfig.words`); the current turn is never filtered, but
-    its tags are checked too. ``m_window=0`` returns the raw query.
+    With annotations, history keeps only its NOUN/ADJ plain tokens
+    (``tokenize(raw_text)``); the current turn is never filtered, but its
+    tags are checked too. ``m_window=0`` returns the raw query.
     """
     if not utterances:
         raise ValueError("concat_rewrite needs at least one utterance")
@@ -204,8 +205,8 @@ def concat_rewrite(
     if pos is None:
         kept = [u.raw_text for u in history]
     else:
-        kept = [w for u in history for w in pos.content_tokens(u.qid, tokenizer.words(u.raw_text))]
-        pos.content_tokens(current.qid, tokenizer.words(current.raw_text))  # only to check the tags
+        kept = [w for u in history for w in pos.content_tokens(u.qid, tokenize(u.raw_text))]
+        pos.content_tokens(current.qid, tokenize(current.raw_text))  # only to check the tags
     display = " ".join(kept + [current.raw_text])
     return ReformulatedQuery(current.qid, tuple(tokenizer(display)), display)
 

@@ -30,7 +30,7 @@ import yaml
 
 from . import evaluation
 from . import index as index_format
-from .corpus import Session, file_digest, is_integral, load_passages, load_sessions
+from .corpus import Session, file_digest, is_integral, is_utf8, load_passages, load_sessions
 from .cqr import (
     CONCAT_DEFAULT_WINDOW,
     HqeParams,
@@ -177,6 +177,7 @@ def _method_from_dict(base: Path, raw: Mapping, where: str) -> MethodSpec:
         name.split() == [name] and "/" not in name and "," not in name,
         f"config: {where}: method name {name!r} must be one token without '/' or ','",
     )
+    _require(is_utf8(name), f"config: {where}: method name {name!r} holds a lone surrogate, not UTF-8")
     _require(
         mtype in METHOD_TYPES,
         f"config: {where} ({name}): unknown type {mtype!r}, expected one of {METHOD_TYPES}",
@@ -505,9 +506,11 @@ def reformulate_method(
     method: MethodSpec,
     sessions: Sequence[Session],
     searcher: Searcher | None,
-    tokenizer: TokenizerConfig,
 ) -> list[ReformulatedQuery]:
-    """Produce one rewrite per turn, session by session."""
+    """Produce one rewrite per turn, session by session, analyzed by the
+    searcher's index tokenizer, or the default one if ``searcher`` is None
+    (only for a method that does not read ``hqe``)."""
+    tokenizer = searcher.index.tokenizer if searcher is not None else TokenizerConfig()
     pos = PosAnnotations.load(method.pos_annotations) if method.pos_annotations else None
     out: list[ReformulatedQuery] = []
     reads = _METHOD_KEYS[method.type]
@@ -576,7 +579,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     # Each method's cached first-stage run and its metrics.
     first_stage: list[tuple[Path, MetricReport]] = []
     for method in config.methods:
-        queries = reformulate_method(method, ws.sessions, ws.searcher, config.tokenizer)
+        queries = reformulate_method(method, ws.sessions, ws.searcher)
         _write_atomically(rewrites_dir / f"{method.name}.tsv", lambda tmp: write_rewrites(tmp, queries))
         cached_run = _run_cache_path(ws, config, method.name, queries)
         run = None
@@ -705,7 +708,7 @@ def grid_search(
     ws = _open_workspace(config)
     rows: list[dict] = []
     for point, variant in zip(points, variants):
-        queries = reformulate_method(variant, ws.sessions, ws.searcher, config.tokenizer)
+        queries = reformulate_method(variant, ws.sessions, ws.searcher)
         run = retrieve_all(ws.searcher, queries, config.depth)
         recall = f"recall@{config.depth}"
         means = evaluate_run(run, ws.qrels, (recall, "map"), config.depth).means

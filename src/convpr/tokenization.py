@@ -58,10 +58,6 @@ class TokenizerConfig:
     def __call__(self, text: str) -> list[str]:
         return tokenize(text, stem=self.stem, remove_stopwords=self.remove_stopwords)
 
-    def words(self, text: str) -> list[str]:
-        """The tokens of ``text`` before stemming; unlike stems, they tokenize back to ``self(text)``."""
-        return tokenize(text, remove_stopwords=self.remove_stopwords)
-
     def to_dict(self) -> dict:
         return {"stem": self.stem, "remove_stopwords": self.remove_stopwords}
 

@@ -813,3 +813,75 @@ def test_malformed_loader_input_exits_1_naming_the_file_and_line(tmp_path, capsy
     assert _run(*argv) == 1
     err = capsys.readouterr().err
     assert f"error: {path}{message}" in err and "internal error" not in err, err
+
+
+_ONE_TURN = '[{"number": %s, "turn": [{"number": 1, "raw_utterance": %s}]}]'
+_SURROGATE = "holds a lone surrogate, not UTF-8"
+_REFORMULATE = ("reformulate", "--method", "raw", "--topics", "{src}", "--out", "{out}")
+
+
+@pytest.mark.parametrize(
+    "name,text,argv,message",
+    [
+        ("p.jsonl", '{"id": "d\\ud800", "contents": "x"}\n',
+         ("index", "build", "--input", "{src}", "--format", "jsonl", "--output", "{out}"),
+         f"{{src}}:1: id 'd\\ud800' {_SURROGATE}"),
+        ("topics.json", _ONE_TURN % ("7", '"cat \\ud800 sat"'), _REFORMULATE,
+         f"{{src}}: session 7: turn 1 has raw_utterance 'cat \\ud800 sat', which {_SURROGATE}"),
+        ("topics.json", _ONE_TURN % ('"7\\ud800"', '"x"'), _REFORMULATE,
+         f"{{src}}: session number '7\\ud800' {_SURROGATE}"),
+        ("config.yaml",
+         (FIXTURES / "config.yaml").read_text(encoding="utf-8").replace("name: raw\n", 'name: "a\\ud800"\n'),
+         ("experiment", "--config", "{src}", "--output-dir", "{out}"),
+         f"config: methods[0]: method name 'a\\ud800' {_SURROGATE}"),
+    ],
+    ids=["passage-id", "utterance", "session-number", "method-name"],
+)
+def test_lone_surrogate_exits_1_where_it_is_read(workdir, capsys, name, text, argv, message):
+    """A JSON or YAML "\\ud800" escape reads as a string that no UTF-8 file
+    can hold; it is an error naming its source, before anything is written."""
+    paths = {"src": workdir / name, "out": workdir / "result"}
+    paths["src"].write_text(text, encoding="utf-8")
+    assert _run(*(arg.format(**paths) for arg in argv)) == 1
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("compare", "--run-a", "{a}", "--run-b", "{b}", "--qrels", "{qrels}"),
+         "compare: the two runs share no evaluated qids"),
+        (("analyze", "jaccard", "--adjacent", "--run", "{bad}"),
+         "qid 'x7' is not of the form <session>_<turn>"),
+        (("analyze", "jaccard", "--adjacent", "--run", "{gap}"), "no adjacent turn pairs found in run"),
+        (("analyze", "jaccard", "--run-a", "{a}", "--run-b", "{b}"), "the two runs share no qids"),
+        (("analyze", "bleu", "--hypotheses", "{hyp}", "--references", "{ref}"),
+         "hypotheses and references share no qids"),
+        (("experiment", "--config", "{config}", "--set", "depth"), "--set expects key=value, got 'depth'"),
+        (("grid", "--config", "{config}", "--method", "hqe", "--param", "eta"),
+         "--param expects name=v1,v2,..., got 'eta'"),
+    ],
+    ids=["compare-no-shared", "adjacent-bad-qid", "adjacent-no-pair", "jaccard-no-shared",
+         "bleu-no-shared", "set-without-equals", "param-without-equals"],
+)
+def test_inputs_with_nothing_to_compare_exit_1(workdir, tmp_path, capsys, argv, message):
+    files = {"a": "7_1 Q0 d01 1 2.0 a\n", "b": "7_2 Q0 d01 1 2.0 b\n",
+             "bad": "x7 Q0 d01 1 2.0 t\n", "gap": "7_1 Q0 d01 1 2.0 t\n7_3 Q0 d01 1 2.0 t\n",
+             "hyp": "7_1\tquasar glow\n", "ref": "7_2\tquasar glow\n"}
+    paths = {"qrels": workdir / "qrels.txt", "config": workdir / "config.yaml"}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text, encoding="utf-8")
+    assert _run(*(arg.format(**paths) for arg in argv)) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}\n" == err, err
+    assert not (workdir / "out").exists()
+
+
+def test_adjacent_jaccard_skips_a_gap_between_turns(tmp_path, capsys):
+    run = tmp_path / "gap.run"
+    run.write_text("7_1 Q0 d1 1 2.0 t\n7_3 Q0 d1 1 2.0 t\n7_4 Q0 d1 1 2.0 t\n7_4 Q0 d2 2 1.0 t\n",
+                   encoding="utf-8")
+    assert _run("analyze", "jaccard", "--adjacent", "--run", run) == 0
+    assert capsys.readouterr().out == "turn\tmean_jaccard\tsessions\n4\t0.5000\t1\nall\t0.5000\t1\n"

@@ -231,3 +231,22 @@ def test_integral_float_turn_numbers_load(tmp_path):
     (session,) = load_sessions(_topic_file(tmp_path, [{"number": 4, "turn": turns}]))
     assert [u.qid for u in session.utterances] == ["4_1", "4_2"]
     assert type(session.utterances[0].turn) is int
+
+
+@pytest.mark.parametrize(
+    "rows,load",
+    [
+        (["d1\tcat sat", "d2\tdog ran"], lambda p: list(load_passages(p, "tsv"))),
+        (['{"qid": "7_1", "tags": ["NOUN"]}', '{"qid": "7_2", "tags": ["ADJ", "NOUN"]}'],
+         lambda p: PosAnnotations.load(p)._tags),
+        (["7_1\tcat sat", "7_2\tdog"], load_external_rewrites),
+        (["7_1 0 d1 1", "7_2 0 d2 2", "7_2 0 d3 0"],
+         lambda p: (len(q := load_qrels(p)), {qid: dict(q.doc_grades(qid)) for qid in ("7_1", "7_2")})),
+    ],
+    ids=["passages-tsv", "pos-jsonl", "rewrites-tsv", "qrels"],
+)
+def test_blank_lines_are_skipped_not_read_as_rows(tmp_path, rows, load):
+    plain, spaced = tmp_path / "plain", tmp_path / "spaced"
+    plain.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    spaced.write_text("\n" + "\n\n".join(rows) + "\n\n\n", encoding="utf-8")
+    assert load(spaced) == load(plain)

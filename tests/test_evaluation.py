@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from convpr import evaluation
+from convpr.corpus import Utterance
 from convpr.evaluation import (
     MetricReport,
     Qrels,
@@ -22,6 +23,8 @@ from convpr.evaluation import (
     win_tie_loss,
     write_metrics_csv,
 )
+from convpr.cqr import HqeParams, concat_rewrite, extract_keywords, hqe_rewrite
+from convpr.fusion import fuse_runs, rrf_fuse
 from convpr.runs import RankedList
 
 
@@ -432,3 +435,29 @@ def test_bleu_validates_lengths():
     for order in (0, -1):
         with pytest.raises(ValueError, match=f"max_order must be >= 1, got {order}"):
             corpus_bleu([["a"]], [["a"]], max_order=order)
+
+
+# -- argument checks ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: rrf_fuse([]), "rrf_fuse needs at least one ranked list"),
+        (lambda: fuse_runs([]), "fuse_runs needs at least one run"),
+        (lambda: ndcg_at_k(_list("q", ["d1"]), _qrels("q", {"d1": 1}), k=0), "k must be >= 1, got 0"),
+        (lambda: paired_t_test([0.1, 0.2], [0.3]), "paired samples differ in length: 2 vs 1"),
+        (lambda: corpus_bleu([], []), "corpus_bleu needs at least one sentence pair"),
+        (lambda: extract_keywords(None, [], HqeParams()), "extract_keywords needs at least one utterance"),
+        (lambda: hqe_rewrite(None, []), "hqe_rewrite needs at least one utterance"),
+        (lambda: concat_rewrite([]), "concat_rewrite needs at least one utterance"),
+        (lambda: concat_rewrite([Utterance("1", 1, "x")], m_window=-1), "m_window must be >= 0, got -1"),
+        (lambda: RankedList("q", ["d1", "d2"], [1.0]), "qid q: 2 doc ids but scores of shape (1,)"),
+    ],
+    ids=["rrf_fuse", "fuse_runs", "ndcg_at_k", "paired_t_test", "corpus_bleu", "extract_keywords",
+         "hqe_rewrite", "concat_rewrite", "concat_rewrite-window", "RankedList"],
+)
+def test_library_calls_with_bad_arguments_raise(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -1,3 +1,4 @@
+import json
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -6,11 +7,16 @@ import numpy as np
 import pytest
 import yaml
 
+import oracles
+from convpr.cli import main as cli_main
+from convpr.corpus import load_passages, load_sessions
+from convpr.cqr import load_external_rewrites
 from convpr.evaluation import evaluate_run, load_qrels
 from convpr.experiment import grid_search, load_config, run_experiment
 from convpr.fusion import fuse_runs
 from convpr.index import InvertedIndex, Searcher
 from convpr.runs import read_run, write_run
+from convpr.tokenization import TokenizerConfig, tokenize
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -1057,3 +1063,67 @@ def test_window_expansion_recovers_subtopic_document(tmp_path):
     rows = grid_search(config, "hqe", {"m_window": [0, 1]})
     by_window = {row["m_window"]: row["recall"] for row in rows}
     assert by_window[1] > by_window[0]
+
+
+# -- the paper's analyzer ---------------------------------------------------------
+
+
+PAPER_ANALYZER = TokenizerConfig(stem=True, remove_stopwords=True)
+
+
+def _paper_analyzer_experiment(tmp_path):
+    """Run a copy of the fixtures under the Lucene-style analyzer (stopwords
+    removed, then Porter stemming) with the fixture POS file, adding an
+    hqe-pos method at the hqe method's thresholds. scores.tsv covers only
+    the default analyzer's runs, so nothing is reranked or fused."""
+    config, _ = _copy_fixtures(tmp_path)
+    raw = yaml.safe_load(config.read_text(encoding="utf-8"))
+    methods = [{k: v for k, v in m.items() if k != "rerank_scores"} for m in raw["methods"]]
+    hqe = next(m for m in methods if m["type"] == "hqe")
+    methods.append({"name": "hqe-pos", "type": "hqe-pos", "hqe": hqe["hqe"],
+                    "pos_annotations": "pos.jsonl"})
+    cfg = load_config(config, {"tokenizer": PAPER_ANALYZER.to_dict(), "methods": methods,
+                               "fusion": None})
+    run_experiment(cfg)
+    return cfg
+
+
+def test_pos_methods_run_under_the_paper_analyzer(tmp_path):
+    """POS tags follow the plain tokens, stopwords included, whatever the
+    index's analyzer drops."""
+    cfg = _paper_analyzer_experiment(tmp_path)
+    runs = sorted(p.name for p in (cfg.output_dir / "runs").iterdir())
+    assert runs == ["concat-pos.run", "hqe-pos.run", "hqe.run", "raw.run", "t5.run"]
+
+
+def test_concat_pos_rewrites_match_reformulate_under_the_paper_analyzer(tmp_path):
+    cfg = _paper_analyzer_experiment(tmp_path)
+    out = tmp_path / "concat-pos.tsv"
+    assert cli_main(["reformulate", "--method", "concat-pos", "--topics", str(tmp_path / "topics.json"),
+                     "--pos", str(tmp_path / "pos.jsonl"), "--m-window", "2", "--out", str(out)]) == 0
+    assert (cfg.output_dir / "rewrites" / "concat-pos.tsv").read_bytes() == out.read_bytes()
+
+
+def test_hqe_pos_queries_match_the_oracle_under_the_paper_analyzer(tmp_path):
+    """The oracle expands the analyzed turns over the analyzed corpus; a term
+    is eligible when the plain token it comes from is tagged NOUN or ADJ."""
+    cfg = _paper_analyzer_experiment(tmp_path)
+    hqe = next(m for m in cfg.methods if m.name == "hqe-pos").hqe
+    docs = {p.doc_id: PAPER_ANALYZER(p.text) for p in load_passages(tmp_path / "corpus.tsv")}
+    tags = {json.loads(line)["qid"]: json.loads(line)["tags"]
+            for line in (tmp_path / "pos.jsonl").read_text(encoding="utf-8").splitlines()}
+    got = load_external_rewrites(cfg.output_dir / "rewrites" / "hqe-pos.tsv", PAPER_ANALYZER)
+    expanded = 0
+    for session in load_sessions(tmp_path / "topics.json"):
+        turns, eligible = [], []
+        for utt in session.utterances:
+            words = tokenize(utt.raw_text)
+            kept = [(w, tag) for w, tag in zip(words, tags[utt.qid], strict=True) if PAPER_ANALYZER(w)]
+            turns.append([t for w, _ in kept for t in PAPER_ANALYZER(w)])
+            eligible.append([tag in ("NOUN", "ADJ") for _, tag in kept])
+            assert turns[-1] == PAPER_ANALYZER(utt.raw_text)
+            want = oracles.hqe_expand(docs, turns, cfg.bm25.k1, cfg.bm25.b, hqe.r_topic, hqe.r_sub,
+                                      hqe.eta, hqe.m_window, eligible)
+            assert list(got[utt.qid].tokens) == want, utt.qid
+            expanded += len(want) > len(turns[-1])
+    assert expanded >= 2
