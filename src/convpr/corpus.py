@@ -1,7 +1,12 @@
-"""Passage collections and conversational topic files.
+"""Passage collections, conversational topic files, and the one reader of
+line-oriented inputs.
 
-Loaders stream their input and fail loudly: duplicated passage ids and
-malformed rows corrupt retrieval metrics silently, so both are errors.
+Every line-oriented input (passages, POS annotations, rewrites, rerank
+scores, qrels and runs) is opened only by :func:`read_lines`, so one rule
+decides its encoding, line ends, blank lines and the ``path:line:`` prefix
+of its errors. Loaders stream their input and fail loudly: duplicated
+passage ids and malformed rows corrupt retrieval metrics silently, so both
+are errors.
 """
 
 from __future__ import annotations
@@ -10,8 +15,9 @@ import hashlib
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from itertools import compress, count, filterfalse, repeat
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterator
 
 PASSAGE_FORMATS = ("tsv", "jsonl")
 
@@ -86,14 +92,28 @@ def is_utf8(text: str) -> bool:
 
 
 @contextmanager
-def open_text(path: Path, newline: str | None = None) -> Iterator[TextIO]:
-    """Open ``path`` to read UTF-8 text; a byte sequence that is not UTF-8 is
-    a ValueError naming the file and the line, found by rescanning the bytes."""
-    with path.open("r", encoding="utf-8", newline=newline) as fh:
+def read_lines(path: str | Path) -> Iterator[Iterator[str]]:
+    """Open the line-oriented input ``path``; yield an iterator over its lines.
+
+    One rule holds for every such input: UTF-8, with a leading BOM dropped;
+    a line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r`` (universal
+    newlines); a line of only whitespace is skipped. A ValueError raised
+    inside the ``with`` block is raised again with the prefix ``path:line:``
+    of the last line read, so an error about the whole file is raised after
+    the block. A byte sequence that is not UTF-8 names its own line, found by
+    reading the file again."""
+    path = Path(path)
+    read = count(1)
+    with path.open("r", encoding="utf-8-sig") as fh:
+        # All C iterators, so no Python frame runs per line: compress counts
+        # each line read in ``read``, and filterfalse skips the blank ones.
+        lines = filterfalse(str.isspace, compress(fh, read))
         try:
-            yield fh
+            yield map(str.removesuffix, lines, repeat("\n"))
         except UnicodeDecodeError as exc:
             raise ValueError(_utf8_error(path, exc)) from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{next(read) - 1}: {exc}") from exc
 
 
 def file_digest(path: Path) -> str:
@@ -109,10 +129,12 @@ def file_digest(path: Path) -> str:
 
 
 def _utf8_error(path: Path, exc: UnicodeDecodeError) -> str:
-    with path.open("rb") as fh:
+    # Lines split as read_lines splits them; a byte that is not UTF-8 reads
+    # as a lone surrogate, so the first line that holds one is the culprit.
+    with path.open("r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                line.decode("utf-8")
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
             except UnicodeDecodeError as err:
                 return f"{path}:{lineno}: not valid UTF-8: {err}"
     return f"{path}: not valid UTF-8: {exc}"
@@ -127,37 +149,33 @@ def load_passages(path: str | Path, format: str = "tsv") -> Iterator[Passage]:
     """
     if format not in PASSAGE_FORMATS:
         raise ValueError(f"unknown passage format {format!r}, expected one of {PASSAGE_FORMATS}")
-    path = Path(path)
     seen: set[str] = set()
-    with open_text(path, newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
+    with read_lines(path) as lines:
+        for line in lines:
             if format == "tsv":
                 if "\t" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected doc_id<TAB>text")
+                    raise ValueError("expected doc_id<TAB>text")
                 doc_id, text = line.split("\t", 1)
             else:
                 try:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                    raise ValueError(f"invalid JSON: {exc}") from exc
                 if not isinstance(obj, dict) or "id" not in obj or "contents" not in obj:
-                    raise ValueError(f"{path}:{lineno}: expected an object with 'id' and 'contents'")
+                    raise ValueError("expected an object with 'id' and 'contents'")
                 doc_id, text = obj["id"], obj["contents"]
                 if not _is_id(doc_id):
-                    raise ValueError(f"{path}:{lineno}: id must be a string or an integer, got {doc_id!r}")
+                    raise ValueError(f"id must be a string or an integer, got {doc_id!r}")
                 if not isinstance(text, str):
-                    raise ValueError(f"{path}:{lineno}: contents must be a string, got {text!r}")
+                    raise ValueError(f"contents must be a string, got {text!r}")
                 doc_id = str(doc_id)
                 if not is_utf8(doc_id):
-                    raise ValueError(f"{path}:{lineno}: id {doc_id!r} holds a lone surrogate, not UTF-8")
+                    raise ValueError(f"id {doc_id!r} holds a lone surrogate, not UTF-8")
             # A run file holds the doc_id as one whitespace-separated column.
             if doc_id.split() != [doc_id]:
-                raise ValueError(f"{path}:{lineno}: doc_id {doc_id!r} is empty or has whitespace")
+                raise ValueError(f"doc_id {doc_id!r} is empty or has whitespace")
             if doc_id in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
+                raise ValueError(f"duplicate doc_id {doc_id!r}")
             seen.add(doc_id)
             yield Passage(doc_id=doc_id, text=text)
 
@@ -170,7 +188,7 @@ def load_sessions(path: str | Path) -> list[Session]:
     ids are rendered as ``<session>_<turn>`` downstream.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8-sig") as fh:
         try:
             data = json.load(fh)
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import Utterance, open_text, reject_bools
+from .corpus import Utterance, read_lines, reject_bools
 from .index import Searcher
 from .tokenization import TokenizerConfig, tokenize
 
@@ -84,24 +84,20 @@ class PosAnnotations:
     @classmethod
     def load(cls, path: str | Path) -> "PosAnnotations":
         """Read JSONL rows ``{"qid": "<string>", "tags": ["<string>", ...]}``."""
-        path = Path(path)
         tags: dict[str, list[str]] = {}
-        with open_text(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+        with read_lines(path) as lines:
+            for line in lines:
                 try:
                     obj = json.loads(line)
                     qid, ts = obj["qid"], obj["tags"]
                 except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise ValueError(f"{path}:{lineno}: bad annotation row: {exc}") from exc
+                    raise ValueError(f"bad annotation row: {exc}") from exc
                 if not isinstance(qid, str):
-                    raise ValueError(f"{path}:{lineno}: qid must be a string, got {qid!r}")
+                    raise ValueError(f"qid must be a string, got {qid!r}")
                 if not (isinstance(ts, list) and all(isinstance(t, str) for t in ts)):
-                    raise ValueError(f"{path}:{lineno}: tags must be a list of strings, got {ts!r}")
+                    raise ValueError(f"tags must be a list of strings, got {ts!r}")
                 if qid in tags:
-                    raise ValueError(f"{path}:{lineno}: duplicate qid {qid!r}")
+                    raise ValueError(f"duplicate qid {qid!r}")
                 tags[qid] = ts
         return cls(tags)
 
@@ -220,20 +216,16 @@ def load_external_rewrites(path: str | Path, tokenizer=tokenize) -> dict[str, Re
     (manual annotations, seq2seq output, ...). A qid must be one run-file
     column, so an empty one or one with whitespace is an error, and so is a
     duplicate; a qid missing at use time is the caller's error to raise."""
-    path = Path(path)
     rewrites: dict[str, ReformulatedQuery] = {}
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
+    with read_lines(path) as lines:
+        for line in lines:
             if "\t" not in line:
-                raise ValueError(f"{path}:{lineno}: expected qid<TAB>text")
+                raise ValueError("expected qid<TAB>text")
             qid, text = line.split("\t", 1)
             if qid.split() != [qid]:
-                raise ValueError(f"{path}:{lineno}: qid {qid!r} is empty or has whitespace")
+                raise ValueError(f"qid {qid!r} is empty or has whitespace")
             if qid in rewrites:
-                raise ValueError(f"{path}:{lineno}: duplicate qid {qid!r}")
+                raise ValueError(f"duplicate qid {qid!r}")
             rewrites[qid] = ReformulatedQuery(qid, tuple(tokenizer(text)), text)
     return rewrites
 

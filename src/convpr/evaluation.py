@@ -15,13 +15,13 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import open_text
+from .corpus import read_lines
 from .runs import RankedList, qid_sort_key
 
 MAX_GRADE = 4
 # experiment caches each run's metrics under a key that covers this number;
 # bump it whenever a change can alter any metric value.
-_VERSION = 1
+_VERSION = 2
 DEFAULT_METRICS = ("map", "ndcg@3", "ndcg@1", "recall@1000")
 DEFAULT_TIE_EPSILON = 1e-4
 
@@ -49,25 +49,22 @@ class Qrels:
 
 def load_qrels(path: str | Path) -> Qrels:
     """Parse ``qid 0 doc_id grade`` rows; grades outside 0..4 are errors."""
-    path = Path(path)
     grades: dict[str, dict[str, int]] = {}
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with read_lines(path) as lines:
+        for line in lines:
             parts = line.split()
-            if not parts:
-                continue
             if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 columns, found {len(parts)}")
+                raise ValueError(f"expected 4 columns, found {len(parts)}")
             qid, _iter, doc_id, grade_s = parts
             try:
                 grade = int(grade_s)
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad grade: {exc}") from exc
+                raise ValueError(f"bad grade: {exc}") from exc
             if not 0 <= grade <= MAX_GRADE:
-                raise ValueError(f"{path}:{lineno}: grade {grade} outside 0..{MAX_GRADE}")
+                raise ValueError(f"grade {grade} outside 0..{MAX_GRADE}")
             docs = grades.setdefault(qid, {})
             if doc_id in docs:
-                raise ValueError(f"{path}:{lineno}: duplicate judgment for ({qid}, {doc_id})")
+                raise ValueError(f"duplicate judgment for ({qid}, {doc_id})")
             docs[doc_id] = grade
     return Qrels(grades)
 

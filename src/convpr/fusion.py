@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import open_text, reject_bools
+from .corpus import read_lines, reject_bools
 from .runs import RankedList, qid_sort_key
 
 DEFAULT_FUSION_DEPTH = 1000
@@ -67,30 +67,26 @@ def load_rerank_scores(
     list arbitrarily. Every qid and doc id is stored as ``pool.setdefault(s,
     s)``, so equal ids share one string object, within the file and with the
     runs read with the same ``pool`` (a fresh one when None)."""
-    path = Path(path)
     intern = (pool if pool is not None else {}).setdefault
     scores: dict[str, dict[str, float]] = {}
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
+    with read_lines(path) as lines:
+        for line in lines:
             parts = line.split("\t")
             if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected qid<TAB>doc_id<TAB>score")
+                raise ValueError("expected qid<TAB>doc_id<TAB>score")
             qid, doc_id, score_s = parts
             by_doc = scores.get(qid)
             if by_doc is None:
                 by_doc = scores[intern(qid, qid)] = {}
             doc_id = intern(doc_id, doc_id)
             if doc_id in by_doc:
-                raise ValueError(f"{path}:{lineno}: duplicate score for ({qid!r}, {doc_id!r})")
+                raise ValueError(f"duplicate score for ({qid!r}, {doc_id!r})")
             try:
                 score = float(score_s)
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad score: {exc}") from exc
+                raise ValueError(f"bad score: {exc}") from exc
             if math.isnan(score):
-                raise ValueError(f"{path}:{lineno}: score is NaN")
+                raise ValueError("score is NaN")
             by_doc[doc_id] = score
     return scores
 

@@ -71,7 +71,7 @@ _FORMAT = "convpr.index"
 # Bumped by any change to the layout, and by any change that alters a
 # search result without one: the experiment cache keys every index, and so
 # every run searched on it, by this version.
-_VERSION = 8
+_VERSION = 9
 # Passages per inverted block of build_index. A block's sort and scatter
 # temporaries grow with it; per-block numpy call overhead shrinks with it.
 _BLOCK_PASSAGES = 256

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import open_text
+from .corpus import read_lines
 
 
 class RunFileWarning(UserWarning):
@@ -201,27 +201,24 @@ def read_run(path: str | Path, *, pool: dict[str, str] | None = None) -> dict[st
     s)``, so equal ids share one string object, within the file and with
     every other reader given the same ``pool`` (a fresh one when None).
     """
-    path = Path(path)
     if pool is None:
         pool = {}
     per_qid: dict[str, tuple[list[str], list[float]]] = {}
     qid_now = None
     ids: list[str] = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with read_lines(path) as lines:
+        for line in lines:
             parts = line.split()
-            if not parts:
-                continue
             if len(parts) != 6:
-                raise ValueError(f"{path}:{lineno}: expected 6 columns, found {len(parts)}")
+                raise ValueError(f"expected 6 columns, found {len(parts)}")
             qid, _q0, doc_id, rank_s, score_s, _tag = parts
             try:
                 rank = int(rank_s)
                 score = float(score_s)
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad rank/score: {exc}") from exc
+                raise ValueError(f"bad rank/score: {exc}") from exc
             if score != score:  # NaN would order the list arbitrarily
-                raise ValueError(f"{path}:{lineno}: qid {qid}: score is NaN")
+                raise ValueError(f"qid {qid}: score is NaN")
             if qid != qid_now:  # a qid's lines are usually consecutive
                 # Pool the finished qid's ids in one map call rather than one
                 # call per line, so only one qid's unpooled strings are alive.
@@ -229,9 +226,7 @@ def read_run(path: str | Path, *, pool: dict[str, str] | None = None) -> dict[st
                 qid_now = qid = pool.setdefault(qid, qid)
                 ids, scores = per_qid.setdefault(qid, ([], []))
             if rank != len(ids) + 1:
-                raise ValueError(
-                    f"{path}:{lineno}: qid {qid}: rank {rank} does not follow {len(ids)}"
-                )
+                raise ValueError(f"qid {qid}: rank {rank} does not follow {len(ids)}")
             ids.append(doc_id)
             scores.append(score)
     ids[:] = map(pool.setdefault, ids, ids)

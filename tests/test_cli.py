@@ -551,7 +551,7 @@ def test_damaged_index_meta_and_quoted_tokenizer_flags_exit_1(workdir, tmp_path,
     assert _run("retrieve", "--index", idx, "--queries", workdir / "t5.tsv",
                 "--out", tmp_path / "x.run") == 1
     err = capsys.readouterr().err
-    assert f"{idx}: not a convpr.index v8 directory" in err and "internal error" not in err
+    assert f"{idx}: not a convpr.index v9 directory" in err and "internal error" not in err
     # the tokenizer record is under a digest: stemming cannot be switched on by hand
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
     (idx / "tokenizer.json").write_text('{"stem": true}', encoding="utf-8")
@@ -592,6 +592,23 @@ def test_eval_csv_quotes_a_qid_with_a_comma(tmp_path):
     qrels.write_text("7,1_1 0 d1 1\n", encoding="utf-8")
     assert _run("eval", "--run", run, "--qrels", qrels, "--metrics", "map", "--csv", out) == 0
     assert out.read_bytes() == b'run,qid,map\nc,"7,1_1",1.000000\nc,all,1.000000\n'
+
+
+def test_eval_counts_the_first_qid_of_a_qrels_file_with_a_bom(tmp_path):
+    # Read as text, the BOM would make the first qid "\ufeff1_1", which no
+    # run holds: 1_1 would leave the means and eval would still exit 0.
+    run, qrels, out = tmp_path / "c.run", tmp_path / "q.txt", tmp_path / "m.csv"
+    run.write_text("1_1 Q0 d1 1 2.0 t\n1_2 Q0 d2 1 2.0 t\n1_2 Q0 d3 2 1.0 t\n", encoding="utf-8")
+    qrels.write_bytes(b"\xef\xbb\xbf1_1 0 d1 1\n1_2 0 d3 1\n")
+    assert _run("eval", "--run", run, "--qrels", qrels, "--metrics", "map", "--csv", out) == 0
+    assert out.read_bytes() == b"run,qid,map\nc,1_1,1.000000\nc,1_2,0.500000\nc,all,0.750000\n"
+
+
+def test_index_build_reads_the_first_id_of_a_passages_file_with_a_bom(tmp_path):
+    corpus, idx = tmp_path / "c.tsv", tmp_path / "idx"
+    corpus.write_bytes(b"\xef\xbb\xbfd1\tcat sat\nd2\tdog ran\n")
+    assert _run("index", "build", "--input", corpus, "--output", idx) == 0
+    assert (idx / "doc_ids.txt").read_bytes() == b"d1\nd2\n"
 
 
 def test_external_reformulate_requires_rewrites(workdir, tmp_path):

@@ -114,33 +114,82 @@ def test_round_trip_preserves_ids_and_text_bytes(tmp_path, format):
     assert reloaded == original
 
 
-# Each line loader, with a file whose line 3 holds a "@" for the byte 0xff.
+# Each line loader, reading to a value that compares by content, and three
+# rows; row 3 holds a "@" where a space may stand, for each test to replace.
 _LINE_LOADERS = {
-    "passages": (lambda p: list(load_passages(p)), "d1\ta\nd2\tb\nd3\t@\n"),
-    "pos": (PosAnnotations.load, "".join(f'{{"qid": "1_{t}", "tags": []}}\n' for t in "12@")),
-    "rewrites": (load_external_rewrites, "1_1\ta\n1_2\tb\n1_3\t@\n"),
-    "run": (read_run, "1 Q0 d1 1 2.0 t\n1 Q0 d2 2 1.0 t\n1 Q0 d@ 3 0.5 t\n"),
-    "scores": (load_rerank_scores, "1\td1\t1.0\n1\td2\t0.5\n1\td@\t0.2\n"),
-    "qrels": (load_qrels, "1 0 d1 1\n1 0 d2 0\n1 0 d@ 1\n"),
+    "passages": (lambda p: list(load_passages(p)), ["d1\ta", "d2\tb", "d3\tx@y"]),
+    "pos": (
+        lambda p: PosAnnotations.load(p)._tags,
+        ['{"qid": "1_1", "tags": []}', '{"qid": "1_2", "tags": ["NOUN"]}',
+         '{"qid": "1_3",@"tags": ["ADJ"]}'],
+    ),
+    "rewrites": (load_external_rewrites, ["1_1\ta", "1_2\tb", "1_3\tx@y"]),
+    "run": (read_run, ["1 Q0 d1 1 2.0 t", "1 Q0 d2 2 1.0 t", "1 Q0 d3 3@0.5 t"]),
+    "scores": (load_rerank_scores, ["1\td1\t1.0", "1\td2\t0.5", "1\td3\t@0.2"]),
+    "qrels": (lambda p: load_qrels(p)._grades, ["1 0 d1 1", "1 0 d2 0", "1 0 d3@1"]),
 }
+
+
+def _load(path, name, text):
+    """Write ``text`` to ``path`` as UTF-8, untranslated, and load it as ``name``."""
+    path.write_bytes(text.encode("utf-8"))
+    return _LINE_LOADERS[name][0](path)
+
+
+def _lf_text(name, at=" "):
+    return "".join(row.replace("@", at) + "\n" for row in _LINE_LOADERS[name][1])
 
 
 @pytest.mark.parametrize("name", list(_LINE_LOADERS))
 def test_undecodable_byte_names_file_and_line(tmp_path, name):
-    load, text = _LINE_LOADERS[name]
     path = tmp_path / name
-    path.write_bytes(text.replace("@", "x").encode("utf-8"))
-    load(path)  # the file is valid without the byte
-    path.write_bytes(text.encode("utf-8").replace(b"@", b"\xff"))
+    _load(path, name, _lf_text(name))  # the file is valid without the byte
+    for eol in (b"\n", b"\r"):  # the line is counted as read_lines splits
+        path.write_bytes(_lf_text(name, "@").encode("utf-8").replace(b"@", b"\xff").replace(b"\n", eol))
+        with pytest.raises(ValueError) as exc:
+            _LINE_LOADERS[name][0](path)
+        assert str(exc.value).startswith(f"{path}:3: not valid UTF-8: "), exc.value
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("name", list(_LINE_LOADERS))
+def test_blank_lines_are_skipped_not_read_as_rows(tmp_path, name, eol):
+    # Empty lines and lines of spaces and tabs are skipped, and a CRLF or
+    # CR-only file reads as its LF twin: no row keeps a "\r".
+    rows = _lf_text(name).splitlines()
+    spaced = eol.join(["", rows[0], " \t ", rows[1], "", rows[2], "  "]) + eol
+    assert _load(tmp_path / "spaced", name, spaced) == _load(tmp_path / "lf", name, _lf_text(name))
+
+
+@pytest.mark.parametrize("name", list(_LINE_LOADERS))
+def test_leading_bom_is_dropped(tmp_path, name):
+    # Read as text, a BOM would prefix the first id: a qrels file's first
+    # qid would match no run's, and its query would leave the means silently.
+    lf = _lf_text(name)
+    assert _load(tmp_path / "bom", name, "\ufeff" + lf) == _load(tmp_path / "lf", name, lf)
+
+
+@pytest.mark.parametrize("name", list(_LINE_LOADERS))
+def test_bad_row_after_blank_lines_names_its_own_line(tmp_path, name):
+    path, row = tmp_path / name, _lf_text(name).splitlines()[0]
     with pytest.raises(ValueError) as exc:
-        load(path)
-    assert str(exc.value).startswith(f"{path}:3: not valid UTF-8: "), exc.value
+        _load(path, name, f"\n \n{row}\r\n\r\noops\n{row}\n")
+    message = str(exc.value)
+    assert message.startswith(f"{path}:5: ") and message.count(str(path)) == 1, message
 
 
 def _topic_file(tmp_path, sessions):
     p = tmp_path / "topics.json"
     p.write_text(json.dumps(sessions), encoding="utf-8")
     return p
+
+
+def test_topic_file_with_a_bom_loads(tmp_path):
+    p = tmp_path / "topics.json"
+    p.write_bytes(b"\xef\xbb\xbf" + json.dumps([{"number": 1, "turn": [
+        {"number": 1, "raw_utterance": "hi"}]}]).encode("utf-8"))
+    (session,) = load_sessions(p)
+    assert session.utterances == [Utterance("1", 1, "hi")]
 
 
 def test_session_with_twelve_turns(tmp_path):
@@ -231,22 +280,3 @@ def test_integral_float_turn_numbers_load(tmp_path):
     (session,) = load_sessions(_topic_file(tmp_path, [{"number": 4, "turn": turns}]))
     assert [u.qid for u in session.utterances] == ["4_1", "4_2"]
     assert type(session.utterances[0].turn) is int
-
-
-@pytest.mark.parametrize(
-    "rows,load",
-    [
-        (["d1\tcat sat", "d2\tdog ran"], lambda p: list(load_passages(p, "tsv"))),
-        (['{"qid": "7_1", "tags": ["NOUN"]}', '{"qid": "7_2", "tags": ["ADJ", "NOUN"]}'],
-         lambda p: PosAnnotations.load(p)._tags),
-        (["7_1\tcat sat", "7_2\tdog"], load_external_rewrites),
-        (["7_1 0 d1 1", "7_2 0 d2 2", "7_2 0 d3 0"],
-         lambda p: (len(q := load_qrels(p)), {qid: dict(q.doc_grades(qid)) for qid in ("7_1", "7_2")})),
-    ],
-    ids=["passages-tsv", "pos-jsonl", "rewrites-tsv", "qrels"],
-)
-def test_blank_lines_are_skipped_not_read_as_rows(tmp_path, rows, load):
-    plain, spaced = tmp_path / "plain", tmp_path / "spaced"
-    plain.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
-    spaced.write_text("\n" + "\n\n".join(rows) + "\n\n\n", encoding="utf-8")
-    assert load(spaced) == load(plain)

@@ -796,6 +796,49 @@ def test_evaluation_version_is_part_of_the_evaluation_key(fixture_config, monkey
     assert _outputs(fixture_config.output_dir) == outputs
 
 
+@pytest.mark.parametrize("bom_file", ["qrels.txt", "corpus.tsv"])
+def test_bom_inputs_are_not_served_entries_cached_by_the_old_reader(tmp_path, monkeypatch, bom_file):
+    """Before corpus.read_lines dropped a leading BOM, it prefixed the first
+    doc id and the first judged qid, and the metrics came out wrong with
+    exit 0. An output directory warmed by that reader, under the index
+    version 8 and evaluation version 1 of its time, must not serve its
+    entries once the files are read right: the next run indexes and
+    evaluates afresh and gives the outputs of plain files."""
+    from contextlib import contextmanager
+
+    from convpr import corpus, evaluation, index
+
+    @contextmanager
+    def read_lines_keeping_a_bom(path):
+        with open(path, encoding="utf-8") as fh:
+            yield (line.rstrip("\n") for line in fh if line.strip())
+
+    configs = {}
+    for copy in ("plain", "bom"):
+        (tmp_path / copy).mkdir()
+        for name in ("corpus.tsv", "topics.json", "qrels.txt"):
+            data = (FIXTURES / name).read_bytes()
+            prefix = b"\xef\xbb\xbf" if copy == "bom" and name == bom_file else b""
+            (tmp_path / copy / name).write_bytes(prefix + data)
+        configs[copy] = load_config(_write_config(tmp_path / copy, methods=[
+            {"name": "raw", "type": "raw"}], fusion=None))
+    run_experiment(configs["plain"])
+    with monkeypatch.context() as m:
+        for module in (corpus, evaluation):
+            m.setattr(module, "read_lines", read_lines_keeping_a_bom)
+        # the last versions whose loaders kept a BOM
+        m.setattr(index, "_VERSION", 8)
+        m.setattr(evaluation, "_VERSION", 1)
+        run_experiment(configs["bom"])
+    plain, bom = tmp_path / "plain" / "out", tmp_path / "bom" / "out"
+    # A BOM'd qrels file dropped qid 7_1; a BOM'd corpus renamed d01.
+    assert _outputs(bom)[Path("metrics.csv")] != _outputs(plain)[Path("metrics.csv")]
+    run_experiment(configs["bom"])
+    assert _outputs(bom) == _outputs(plain)
+    assert len(list((bom / "cache").glob("index-*"))) == 2
+    assert len(list((bom / "cache").glob("eval-*.json"))) == 2
+
+
 def test_interrupted_evaluation_entry_write_is_not_reused(tmp_path, monkeypatch):
     """An evaluation entry cut off mid-write leaves neither the entry nor
     its temp file, and the next run gives the outputs of a clean one."""

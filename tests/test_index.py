@@ -756,7 +756,7 @@ def test_index_directory_holds_each_fact_once(tmp_path):
     ]
     meta = json.loads((tmp_path / "meta.json").read_text(encoding="utf-8"))
     digests = meta.pop("sha256")
-    assert meta == {"format": "convpr.index", "version": 8}
+    assert meta == {"format": "convpr.index", "version": 9}
     tokenizer = json.loads((tmp_path / "tokenizer.json").read_text(encoding="utf-8"))
     assert tokenizer == TokenizerConfig().to_dict()
     files = [p for p in tmp_path.iterdir() if p.name != "meta.json"]
@@ -853,11 +853,13 @@ def test_load_checks_a_tokenizer_record_whose_digest_matches(tmp_path, record, m
         '{"format": "convpr.index", "version": 6}',
         # layout v7 kept the tokenizer in meta.json, under no digest
         '{"format": "convpr.index", "version": 7, "tokenizer": {"stem": false}}',
+        # layout v8 was built by a passage reader that kept a leading BOM
+        '{"format": "convpr.index", "version": 8}',
     ],
 )
 def test_load_rejects_foreign_directory(tmp_path, meta):
     (tmp_path / "meta.json").write_text(meta, encoding="utf-8")
-    with pytest.raises(ValueError, match="not a convpr.index v8 directory"):
+    with pytest.raises(ValueError, match="not a convpr.index v9 directory"):
         InvertedIndex.load(tmp_path)
 
 
